@@ -27,6 +27,8 @@ from .resolution import (
     NodeEigenData,
     ResolutionData,
     Singularity,
+    chain_ends,
+    degree_is_stable,
     is_stable,
     node_eigen_data,
     resolve,
@@ -35,6 +37,7 @@ from .resolution import (
 )
 from .singtrace import (
     closed_form_coefficients,
+    singularity_trace,
     trace_closed_form,
     trace_oracle,
     trace_polynomial,
@@ -56,9 +59,11 @@ __all__ = [
     "Vertex",
     "candidate_jumps",
     "catalog_ids",
+    "chain_ends",
     "closed_form_coefficients",
     "compute_jumps",
     "cyclotomic_polynomial",
+    "degree_is_stable",
     "gcd_lcm",
     "h1_character",
     "is_stable",
@@ -70,6 +75,7 @@ __all__ = [
     "principal_lcm",
     "resolve",
     "self_intersections",
+    "singularity_trace",
     "stabilized_profile",
     "total_trace",
     "trace_closed_form",

@@ -16,7 +16,7 @@ from .errors import FibertraceError
 from .fiber import FiberGraph, h1_character, parse_graph, total_trace
 from .jumps import JumpOptions, compute_jumps
 from .resolution import Singularity, is_stable, resolve
-from .singtrace import trace_polynomial
+from .singtrace import singularity_trace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,10 +94,10 @@ def _run(parser: _Parser, args) -> int:
             print(f"alpha2={res.alpha2}")
             print(f"stable={'yes' if is_stable(res) else 'no'}")
     elif args.verb == "trace-sing":
-        res = resolve(Singularity(args.m1, args.m2, args.n))
+        trace = singularity_trace(Singularity(args.m1, args.m2, args.n))
         if not args.machine:
             print(f"singularity ({args.m1},{args.m2},{args.n})")
-        _print_trace(trace_polynomial(res), args.machine)
+        _print_trace(trace, args.machine)
     elif args.verb == "trace-fiber":
         g = _load_graph(parser, args)
         trace = total_trace(g, args.n)

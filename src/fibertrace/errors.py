@@ -13,6 +13,11 @@ class NotInvertible(BadInput):
     """Modular inverse requested for a non-unit residue."""
 
 
+class InvariantError(FibertraceError):
+    """An identity that the exact arithmetic guarantees did not hold; this
+    signals a bug, never bad input."""
+
+
 class ModulusMismatch(FibertraceError):
     """Arithmetic between group-ring elements over different moduli."""
 

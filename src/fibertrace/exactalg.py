@@ -2,7 +2,8 @@
 cyclotomic field Q(zeta_n).
 
 Group-ring elements are formal sums sum_e c_e * x^e with integer
-coefficients and exponents mod n; all trace polynomials live here.
+coefficients and exponents mod n, stored by their nonzero terms; all
+trace polynomials live here.
 CyclotomicNumber models elements of Q(zeta_n) reduced modulo the n-th
 cyclotomic polynomial, which gives genuine field semantics (every nonzero
 element is invertible) for the fixed-point evaluation route.
@@ -14,26 +15,59 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadInput, ModulusMismatch
+from .errors import BadInput, InvariantError, ModulusMismatch
 
 
 class GroupRingElement:
-    """An element of Z[Z/n]: dense integer coefficient vector indexed by
-    exponent in [0, n).  Immutable after construction."""
+    """An element of Z[Z/n], stored sparsely: ``terms`` maps every exponent
+    in [0, n) whose coefficient is nonzero to that coefficient, so the
+    cost of an element follows its number of terms and never n.  Immutable
+    after construction."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, coeffs=None):
+        """The element whose dense coefficient sequence, indexed by
+        exponent, is ``coeffs`` (exactly n entries), or zero for None."""
         if n < 1:
             raise BadInput(f"group ring modulus must be >= 1, got {n}")
-        self.n = n
-        if coeffs is None:
-            self.coeffs = (0,) * n
-        else:
+        terms = {}
+        if coeffs is not None:
             coeffs = tuple(coeffs)
             if len(coeffs) != n:
                 raise BadInput(f"expected {n} coefficients, got {len(coeffs)}")
-            self.coeffs = coeffs
+            terms = {e: c for e, c in enumerate(coeffs) if c}
+        self.n = n
+        self.terms = terms
+
+    @classmethod
+    def _of(cls, n: int, terms: dict) -> "GroupRingElement":
+        """Wrap ``terms`` as is: exponents already reduced, no zero values."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
+
+    @classmethod
+    def from_terms(cls, n: int, pairs) -> "GroupRingElement":
+        """sum c * x^e over the (e, c) pairs; exponents are reduced mod n
+        and the coefficients of equal exponents add up."""
+        if n < 1:
+            raise BadInput(f"group ring modulus must be >= 1, got {n}")
+        acc: dict[int, int] = {}
+        for e, c in pairs:
+            e %= n
+            acc[e] = acc.get(e, 0) + c
+        return cls._of(n, {e: c for e, c in acc.items() if c})
+
+    @classmethod
+    def sum_of(cls, n: int, elements) -> "GroupRingElement":
+        """Sum of the elements, all over Z[Z/n], in one pass over their terms."""
+        elements = list(elements)
+        for a in elements:
+            if a.n != n:
+                raise ModulusMismatch(f"moduli differ: {n} != {a.n}")
+        return cls.from_terms(n, (t for a in elements for t in a.terms.items()))
 
     @classmethod
     def zero(cls, n: int) -> "GroupRingElement":
@@ -45,56 +79,48 @@ class GroupRingElement:
 
     @classmethod
     def monomial(cls, n: int, exponent: int, coefficient: int = 1) -> "GroupRingElement":
-        buf = [0] * n
-        buf[exponent % n] = coefficient
-        return cls(n, buf)
+        return cls.from_terms(n, [(exponent, coefficient)])
 
     @classmethod
     def from_dict(cls, n: int, d: dict) -> "GroupRingElement":
-        buf = [0] * n
-        for e, c in d.items():
-            buf[e % n] += c
-        return cls(n, buf)
+        return cls.from_terms(n, d.items())
 
     @classmethod
     def geometric(cls, n: int, step: int, count: int) -> "GroupRingElement":
         """sum_{k=0}^{count-1} x^{k*step mod n} (empty sum for count = 0)."""
         if count < 0:
             raise BadInput(f"count must be >= 0, got {count}")
-        buf = [0] * n
-        e = 0
-        s = step % n
-        for _ in range(count):
-            buf[e] += 1
-            e += s
-            if e >= n:
-                e -= n
-        return cls(n, buf)
+        return cls.from_terms(n, ((k * step, 1) for k in range(count)))
 
     def _check(self, other: "GroupRingElement") -> None:
         if self.n != other.n:
             raise ModulusMismatch(f"moduli differ: {self.n} != {other.n}")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "GroupRingElement":
         if isinstance(other, int):
             other = GroupRingElement.monomial(self.n, 0, other)
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check(other)
-        return GroupRingElement(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            total = terms.get(e, 0) + sign * c
+            if total:
+                terms[e] = total
+            else:
+                del terms[e]
+        return GroupRingElement._of(self.n, terms)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElement(self.n, [-a for a in self.coeffs])
+        return GroupRingElement._of(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.monomial(self.n, 0, other)
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check(other)
-        return GroupRingElement(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         if isinstance(other, int):
@@ -103,23 +129,16 @@ class GroupRingElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GroupRingElement(self.n, [other * a for a in self.coeffs])
+            return GroupRingElement.from_terms(
+                self.n, ((e, other * c) for e, c in self.terms.items())
+            )
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check(other)
-        n = self.n
-        buf = [0] * n
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for f, d in enumerate(other.coeffs):
-                if d == 0:
-                    continue
-                g = e + f
-                if g >= n:
-                    g -= n
-                buf[g] += c * d
-        return GroupRingElement(n, buf)
+        return GroupRingElement.from_terms(
+            self.n,
+            ((e + f, c * d) for e, c in self.terms.items() for f, d in other.terms.items()),
+        )
 
     __rmul__ = __mul__
 
@@ -128,32 +147,31 @@ class GroupRingElement:
             other = GroupRingElement.monomial(self.n, 0, other)
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, frozenset(self.terms.items())))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.terms)
 
     def coefficient(self, exponent: int) -> int:
-        return self.coeffs[exponent % self.n]
+        return self.terms.get(exponent % self.n, 0)
 
     def items(self) -> list[tuple[int, int]]:
         """Nonzero (exponent, coefficient) pairs, exponents ascending."""
-        return [(e, c) for e, c in enumerate(self.coeffs) if c != 0]
+        return sorted(self.terms.items())
 
     def eval_at_one(self) -> int:
         """Sum of coefficients (the value at the trivial group element)."""
-        return sum(self.coeffs)
+        return sum(self.terms.values())
 
     def evaluate(self, power: int = 1) -> "CyclotomicNumber":
         """Evaluate the formal sum at zeta_n^power, exactly in Q(zeta_n)."""
         n = self.n
         buf = [0] * n
-        for e, c in enumerate(self.coeffs):
-            if c:
-                buf[(e * power) % n] += c
+        for e, c in self.terms.items():
+            buf[(e * power) % n] += c
         return CyclotomicNumber.from_poly(n, buf)
 
     def __str__(self):
@@ -248,7 +266,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             num, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            if rem:
+                raise InvariantError(f"Phi_{d} does not divide x^{n} - 1 exactly")
     return tuple(num)
 
 

@@ -7,7 +7,9 @@ total trace, and the character multiset on H^1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadInput,
@@ -17,8 +19,9 @@ from .errors import (
     ValidationError,
 )
 from .exactalg import GroupRingElement
-from .resolution import Singularity, resolve
-from .singtrace import trace_polynomial, vertex_trace
+from .resolution import Singularity, chain_ends
+from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.resolve
+from .singtrace import singularity_trace, vertex_trace
 
 
 @dataclass(frozen=True)
@@ -83,15 +86,21 @@ class FiberGraph:
                     stack.append(nb)
         return len(seen) == len(self.vertices)
 
+    # The two indexes are built on first use, so parsing pays nothing for them.
+    @cached_property
+    def _by_id(self) -> dict[str, Vertex]:
+        return {v.id: v for v in self.vertices}
+
+    @cached_property
+    def _degrees(self) -> Counter:
+        return Counter(end for edge in self.edges for end in edge)
+
     def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
+        return self._by_id[vid]
 
     def degree(self, vid: str) -> int:
         """Number of edge-ends at the vertex; a loop counts twice."""
-        return sum((a == vid) + (b == vid) for a, b in self.edges)
+        return self._degrees[vid]
 
     @property
     def mult_lcm(self) -> int:
@@ -182,12 +191,15 @@ def self_intersections(g: FiberGraph, n: int) -> dict[str, int]:
     Isolated vertices get 0.
     """
     _check_degree(g, n)
+    return _self_intersections(g, [edge_singularity(g, edge, n) for edge in g.edges])
+
+
+def _self_intersections(g: FiberGraph, edge_sings) -> dict[str, int]:
     ends: dict[str, int] = {v.id: 0 for v in g.vertices}
-    for edge in g.edges:
-        sing, hi, lo = edge_singularity(g, edge, n)
-        res = resolve(sing)
-        ends[lo] += res.mu[1]
-        ends[hi] += res.mu[res.length]
+    for sing, hi, lo in edge_sings:
+        mu1, mu_last = chain_ends(sing)
+        ends[lo] += mu1
+        ends[hi] += mu_last
     out: dict[str, int] = {}
     for v in g.vertices:
         total = ends[v.id]
@@ -202,28 +214,30 @@ def self_intersections(g: FiberGraph, n: int) -> dict[str, int]:
 
 def total_trace(g: FiberGraph, n: int) -> GroupRingElement:
     """Trace of the degree-n action on the alternating sum of fiber
-    cohomology: vertex contributions plus one chain trace per edge."""
+    cohomology: vertex contributions plus one chain trace per edge.  Each
+    edge's singularity is formed once and serves both its chain ends and
+    its trace; equal vertices and equal singularities, common in long
+    chains, are traced once and counted."""
     _check_degree(g, n)
-    si = self_intersections(g, n)
-    acc = GroupRingElement.zero(n)
-    for v in g.vertices:
-        acc += vertex_trace(v.mult, v.genus, si[v.id], n)
-    for edge in g.edges:
-        sing, _, _ = edge_singularity(g, edge, n)
-        acc += trace_polynomial(resolve(sing))
-    return acc
+    edge_sings = [edge_singularity(g, edge, n) for edge in g.edges]
+    si = _self_intersections(g, edge_sings)
+    vertices = Counter((v.mult, v.genus, si[v.id]) for v in g.vertices)
+    sings = Counter(sing for sing, _, _ in edge_sings)
+    parts = [count * vertex_trace(*key, n) for key, count in vertices.items()]
+    parts += [count * singularity_trace(sing) for sing, count in sings.items()]
+    return GroupRingElement.sum_of(n, parts)
 
 
 def h1_character(g: FiberGraph, n: int) -> CharacterMultiset:
     """Character multiset of the action on H^1: the exponents of
     1 - total_trace, which must have nonnegative coefficients."""
     one_minus = 1 - total_trace(g, n)
-    if any(c < 0 for c in one_minus.coeffs):
-        bad = [(e, c) for e, c in enumerate(one_minus.coeffs) if c < 0]
+    items = tuple(one_minus.items())
+    bad = [(e, c) for e, c in items if c < 0]
+    if bad:
         raise NegativeCharacterCoefficient(
             f"1 - total trace has negative coefficients {bad}; not a valid fiber"
         )
-    items = tuple(one_minus.items())
     return CharacterMultiset(n=n, exponents=items, total=one_minus.eval_at_one())
 
 

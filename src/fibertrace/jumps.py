@@ -75,6 +75,10 @@ def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSe
     candidate to the nearest rational with denominator n_tilde (tolerance
     1/n, which pins a unique target since the degrees exceed 2 * n_tilde),
     and insists that all sweeps produce the same multiset.
+
+    The degrees also exceed the multiplicity lcm, so every edge passes the
+    stability gate of ``degree_is_stable`` and the cost does not depend on
+    ``n_min``.
     """
     nt = principal_lcm(g)
     degrees = sweep_degrees(g, options)

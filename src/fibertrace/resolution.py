@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import JHExpansion, jh_expand, mod_inverse
-from .errors import BadInput
+from .errors import BadInput, InvariantError
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,13 @@ def resolve(sing: Singularity) -> ResolutionData:
     alpha2 = mod_inverse(m2, n)
     r = (-m1 * alpha2) % n
     jh = jh_expand(n, r)
+    if (m1 + r * m2) % n:
+        raise InvariantError(f"({m1},{m2},{n}): n does not divide m1 + r*m2 for r={r}")
     mu = [m2, (m1 + r * m2) // n]
-    assert (m1 + r * m2) % n == 0
     for l in range(1, jh.length + 1):
         mu.append(jh.b[l - 1] * mu[l] - mu[l - 1])
-    assert mu[-1] == m1, "multiplicity chain must end at m1"
+    if mu[-1] != m1:
+        raise InvariantError(f"({m1},{m2},{n}): multiplicity chain {mu} does not end at m1")
     return ResolutionData(
         sing=sing,
         r=r,
@@ -102,6 +104,46 @@ def resolve(sing: Singularity) -> ResolutionData:
         m=math.gcd(m1, m2),
         M=math.lcm(m1, m2),
     )
+
+
+def chain_ends(sing: Singularity) -> tuple[int, int]:
+    """(mu_1, mu_L), the multiplicities at both ends of the exceptional
+    chain, without walking it: O(log n) instead of the O(n) of resolve.
+
+    mu_1 = (m1 + r*m2)/n by definition of r.  Reversing the chain gives the
+    chain of (m2, m1, n): its continued fraction is [b_L, ..., b_1], which
+    expands n/r' with r*r' = 1 (mod n), the r of the swapped singularity,
+    and it runs from m1 to m2.  So mu_L is mu_1 of (m2, m1, n).
+    """
+    m1, m2, n = sing.m1, sing.m2, sing.n
+    r = (-m1 * mod_inverse(m2, n)) % n
+    r_swapped = (-m2 * mod_inverse(m1, n)) % n
+    return (m1 + r * m2) // n, (m2 + r_swapped * m1) // n
+
+
+def degree_is_stable(sing: Singularity) -> bool:
+    """O(1) test that implies ``is_stable(resolve(sing))``:
+    n * gcd(m1, m2) >= lcm(m1, m2).
+
+    Proof.  Let g = gcd(m1, m2) and M = lcm(m1, m2).  The exceptional
+    curves are the lattice points v_0, ..., v_{L+1} on the compact boundary
+    of the convex hull of the nonzero points of a lattice N in a closed
+    quadrant, and mu_l = phi(v_l) for a linear form phi (the recurrence
+    v_{l-1} + v_{l+1} = b_l v_l gives the one for mu).  The ray generators
+    v_0, v_{L+1} span a sublattice of index n in N, on which phi takes the
+    values m2*Z + m1*Z = g*Z; as n is coprime to g, phi(N) = g*Z too.  So
+    every mu_l is a positive multiple of g.  The line phi = g meets the
+    quadrant in the segment from v_0*g/m2 to v_{L+1}*g/m1, of lattice
+    length det_N(v_0, v_{L+1}) * g^2/(m1*m2) = n*g/M.  When that is >= 1 the
+    segment holds a point of N; phi is at least min(mu) on the whole hull,
+    so min(mu) = g.  Since every b_l >= 2, mu_{l-1} + mu_{l+1} >= 2 mu_l:
+    the chain is convex, strictly decreasing, then flat, then strictly
+    increasing, and with minimum g that is exactly ``is_stable``.
+
+    The test is sufficient, not necessary: some stable chains fail it.
+    """
+    g = math.gcd(sing.m1, sing.m2)
+    return sing.n * g >= sing.m1 * sing.m2 // g
 
 
 def node_eigen_data(res: ResolutionData) -> NodeEigenData:

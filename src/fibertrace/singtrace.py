@@ -7,6 +7,12 @@ polynomial that the chain collapses to once its multiplicity profile has
 stabilized.  ``trace_oracle`` evaluates the fixed-point rational-function
 form exactly in Q(zeta_n) and is kept independent of the other two so it
 can arbitrate between them.
+
+``singularity_trace`` is the one production route: the closed form from
+the chain ends alone whenever ``degree_is_stable`` holds, which makes its
+cost independent of n; otherwise the resolved chain, through the closed
+form when it is stable and the node sum when it is not.  The node sum and
+the oracle are kept off that route as test oracles.
 """
 
 from __future__ import annotations
@@ -16,9 +22,17 @@ import math
 from .arith import ceil_div, mod_inverse
 from .errors import BadInput, NotStable
 from .exactalg import CyclotomicNumber, GroupRingElement, inverse_of_one_minus_root
-from .resolution import ResolutionData, is_stable
+from .resolution import (
+    ResolutionData,
+    Singularity,
+    chain_ends,
+    degree_is_stable,
+    is_stable,
+    resolve,
+)
 
 __all__ = [
+    "singularity_trace",
     "trace_polynomial",
     "trace_closed_form",
     "closed_form_coefficients",
@@ -91,26 +105,54 @@ def closed_form_coefficients(res: ResolutionData) -> tuple[list[int], list[int],
         )
     mu = res.mu
     L = res.length
-    first = [mu[1] - ceil_div(k * mu[1], mu[0]) for k in range(mu[0])]
-    second = [mu[L] - ceil_div(k * mu[L], mu[L + 1]) for k in range(mu[L + 1])]
-    return first, second, res.m
+    return (*_end_blocks(mu[0], mu[1], mu[L], mu[L + 1]), res.m)
+
+
+def _end_blocks(m2: int, mu1: int, mu_last: int, m1: int) -> tuple[list[int], list[int]]:
+    """The two end blocks of the closed form, from the two outermost
+    multiplicities at each end of the chain (mu_0 = m2, mu_1, mu_L and
+    mu_{L+1} = m1)."""
+    first = [mu1 - ceil_div(k * mu1, m2) for k in range(m2)]
+    second = [mu_last - ceil_div(k * mu_last, m1) for k in range(m1)]
+    return first, second
+
+
+def _assemble(n: int, first, second, m: int, alpha1: int, alpha2: int) -> GroupRingElement:
+    """The closed form's terms with exponent multipliers alpha2, alpha1
+    and the inverse of gcd(m1, m2); O(m1 + m2) terms whatever n is."""
+    alpha = mod_inverse(m, n)
+    terms = [(alpha2 * k, c) for k, c in enumerate(first)]
+    terms += [(alpha1 * k, c) for k, c in enumerate(second)]
+    terms += [(alpha * k, -1) for k in range(m)]
+    return GroupRingElement.from_terms(n, terms)
 
 
 def trace_closed_form(res: ResolutionData) -> GroupRingElement:
     """Stabilized trace polynomial, assembled from the three coefficient
     blocks with exponent multipliers alpha2, alpha1 and the inverse of
     gcd(m1, m2)."""
-    n = res.n
     first, second, m = closed_form_coefficients(res)
-    alpha = mod_inverse(m, n)
-    buf = [0] * n
-    for k, c in enumerate(first):
-        buf[(res.alpha2 * k) % n] += c
-    for k, c in enumerate(second):
-        buf[(res.alpha1 * k) % n] += c
-    for k in range(m):
-        buf[(alpha * k) % n] -= 1
-    return GroupRingElement(n, buf)
+    return _assemble(res.n, first, second, m, res.alpha1, res.alpha2)
+
+
+def singularity_trace(sing: Singularity) -> GroupRingElement:
+    """Trace of the chain over one singularity, by the production route.
+
+    When ``degree_is_stable`` holds, the chain is stable and the closed
+    form needs only its ends, which ``chain_ends`` gives in O(log n): the
+    chain is never walked.  Below that degree (n < lcm/gcd, so the walk is
+    short) the chain is resolved, and its trace is the closed form if it
+    is stable and the node sum if not."""
+    m1, m2, n = sing.m1, sing.m2, sing.n
+    if degree_is_stable(sing):
+        mu1, mu_last = chain_ends(sing)
+        first, second = _end_blocks(m2, mu1, mu_last, m1)
+        return _assemble(n, first, second, math.gcd(m1, m2),
+                         mod_inverse(m1, n), mod_inverse(m2, n))
+    res = resolve(sing)
+    if is_stable(res):
+        return trace_closed_form(res)
+    return trace_polynomial(res)
 
 
 def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
@@ -160,9 +202,6 @@ def vertex_trace(mult: int, genus: int, self_int: int, n: int) -> GroupRingEleme
     if mult < 1 or genus < 0:
         raise BadInput(f"need mult >= 1 and genus >= 0, got ({mult}, {genus})")
     a = mod_inverse(mult, n)
-    buf = [0] * n
-    e = 0
-    for k in range(mult):
-        buf[e] += (mult - k) * self_int + 1 - genus
-        e = (e + a) % n
-    return GroupRingElement(n, buf)
+    return GroupRingElement.from_terms(
+        n, ((a * k, (mult - k) * self_int + 1 - genus) for k in range(mult))
+    )

@@ -70,6 +70,21 @@ def test_jumps_machine_only_machine_lines(capsys):
     assert out == "jump 0/1\n"
 
 
+def test_jumps_at_huge_degree(capsys):
+    code, out, _ = run(capsys, "jumps", "--catalog", "kodaira:IV", "--n-min",
+                       "1000000000000", "--machine")
+    assert code == 0
+    assert out == "jump 1/3\n"
+
+
+def test_trace_sing_huge_degree(capsys):
+    code, out, _ = run(capsys, "trace-sing", "2", "3", "1000000000003", "--machine")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "tr 0 2"
+    assert len(lines) == 2 and lines[1].endswith(" 1")
+
+
 def test_jumps_flags(capsys):
     code, out, _ = run(capsys, "jumps", "--catalog", "ogg:4", "--machine",
                        "--n-min", "200", "--sweeps", "2")

@@ -53,6 +53,33 @@ class TestGroupRing:
         assert str(G(7, {0: 2, 3: 1, 5: -4})) == "2 + x^3 - 4*x^5"
         assert str(GroupRingElement.zero(3)) == "0"
 
+    def test_sparse_storage(self):
+        n = 10**15  # no dense buffer of this size could exist
+        a = GroupRingElement.from_terms(n, [(3, 2), (n + 3, -2), (-1, 5), (7, 1)])
+        assert a.terms == {n - 1: 5, 7: 1}
+        assert a.items() == [(7, 1), (n - 1, 5)]
+        assert a.coefficient(-1) == 5 and a.coefficient(8) == 0
+        assert (a - a).terms == {} and not (a - a)
+        assert 1 - a == G(n, {0: 1, n - 1: -5, 7: -1})
+        assert a.eval_at_one() == 6
+        assert hash(a) == hash(G(n, {7: 1, -1: 5}))
+        assert str(a) == f"x^7 + 5*x^{n - 1}"
+
+    def test_dense_constructor(self):
+        assert GroupRingElement(5, [0, 2, 0, 0, -1]) == G(5, {1: 2, 4: -1})
+        assert GroupRingElement(5, [0] * 5).terms == {}
+        with pytest.raises(BadInput):
+            GroupRingElement(5, [1, 2])
+        with pytest.raises(BadInput):
+            GroupRingElement(0)
+
+    def test_sum_of(self):
+        parts = [G(7, {0: 1, 3: 2}), G(7, {3: -2}), G(7, {6: 4})]
+        assert GroupRingElement.sum_of(7, parts) == parts[0] + parts[1] + parts[2]
+        assert GroupRingElement.sum_of(7, []) == GroupRingElement.zero(7)
+        with pytest.raises(ModulusMismatch):
+            GroupRingElement.sum_of(7, [G(5, {0: 1})])
+
     @given(
         st.integers(min_value=2, max_value=50),
         st.data(),

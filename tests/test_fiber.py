@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 from fibertrace.arith import mod_inverse
+from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import (
     BadInput,
     NegativeCharacterCoefficient,
@@ -18,6 +20,9 @@ from fibertrace.fiber import (
     self_intersections,
     total_trace,
 )
+from fibertrace.jumps import JumpOptions, compute_jumps
+from fibertrace.resolution import Singularity, resolve
+from fibertrace.singtrace import trace_polynomial, vertex_trace
 
 KODAIRA_IV = """\
 # star: three reduced leaves around a triple curve
@@ -307,3 +312,88 @@ class TestSubdivision:
             assert len(g2.vertices) == 2 * k
             for n in (7, 11):
                 assert total_trace(g, n).eval_at_one() == total_trace(g2, n).eval_at_one()
+
+
+CATALOG = (
+    [f"kodaira:{name}" for name in ("I", "I*", "II", "II*", "III", "III*", "IV", "IV*")]
+    + [f"kodaira:In:{k}" for k in range(5)]
+    + [f"kodaira:In*:{k}" for k in range(5)]
+    + ["ogg:4"]
+)
+
+
+def blow_up(g: FiberGraph, rng: random.Random, steps: int) -> FiberGraph:
+    """Blow up ``steps`` random points. An intersection point of components
+    of multiplicities a and b becomes a genus-0 component of multiplicity
+    a + b between them; a smooth point of a component of multiplicity a
+    becomes a genus-0 tail of multiplicity a."""
+    vertices = [(v.id, v.genus, v.mult) for v in g.vertices]
+    mult = {v.id: v.mult for v in g.vertices}
+    edges = list(g.edges)
+    for step in range(steps):
+        new = f"e{step}"
+        if edges and rng.random() < 0.5:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            mult[new] = mult[a] + mult[b]
+            edges += [(a, new), (new, b)]
+        else:
+            a = rng.choice(sorted(mult))
+            mult[new] = mult[a]
+            edges.append((a, new))
+        vertices.append((new, 0, mult[new]))
+    return FiberGraph.build(vertices, edges)
+
+
+def node_sum_total_trace(g: FiberGraph, n: int):
+    """Independent route to the total trace: every chain walked by resolve,
+    its ends read off the walked chain and its trace from the node sum."""
+    mult = {v.id: v.mult for v in g.vertices}
+    ends = {v.id: 0 for v in g.vertices}
+    acc = GroupRingElement.zero(n)
+    for a, b in g.edges:
+        lo, hi = sorted((a, b))
+        res = resolve(Singularity(mult[hi], mult[lo], n))
+        ends[lo] += res.mu[1]
+        ends[hi] += res.mu[res.length]
+        acc += trace_polynomial(res)
+    for v in g.vertices:
+        assert ends[v.id] % v.mult == 0
+        acc += vertex_trace(v.mult, v.genus, -(ends[v.id] // v.mult), n)
+    return acc
+
+
+def agreement_degrees(g: FiberGraph) -> list[int]:
+    """Degrees on both sides of every edge's stability gate n*gcd >= lcm."""
+    return [n for n in list(range(2, 62)) + [1009, 1013] if math.gcd(n, g.mult_lcm) == 1]
+
+
+class TestHotPathAgreesWithNodeSum:
+    @pytest.mark.parametrize("cid", CATALOG)
+    def test_catalog(self, cid):
+        g = lookup(FiberTypeId.parse(cid))
+        for n in agreement_degrees(g):
+            assert total_trace(g, n) == node_sum_total_trace(g, n), (cid, n)
+
+    def test_ogg4_at_both_sides_of_the_gate(self):
+        # the (3, 4) edge is below its gate (lcm/gcd = 12) at n = 7 only
+        g = lookup(FiberTypeId.parse("ogg:4"))
+        for n in (7, 13, 1009):
+            assert total_trace(g, n) == node_sum_total_trace(g, n), n
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blow_ups(self, seed):
+        rng = random.Random(seed)
+        for cid in rng.sample(CATALOG, 4):
+            g = blow_up(lookup(FiberTypeId.parse(cid)), rng, rng.randint(1, 3))
+            for n in agreement_degrees(g):
+                assert total_trace(g, n) == node_sum_total_trace(g, n), (cid, n, g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blow_ups_keep_jumps(self, seed):
+        # jumps depend only on the generic fiber, not on the model
+        rng = random.Random(100 + seed)
+        options = JumpOptions(n_min=10**6)
+        for cid in rng.sample(CATALOG, 5):
+            g = lookup(FiberTypeId.parse(cid))
+            blown = blow_up(g, rng, 2)
+            assert compute_jumps(blown, options).jumps == compute_jumps(g, options).jumps, cid

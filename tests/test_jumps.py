@@ -108,6 +108,18 @@ class TestComputeJumps:
             assert set(low.witnesses).isdisjoint(high.witnesses), cid
             assert low.jumps == high.jumps, cid
 
+    def test_huge_degrees(self):
+        # the cost does not depend on the sweep degree, so 10^12 is as cheap as 10^3
+        table = {
+            "kodaira:II*": (Fraction(5, 6),),
+            "ogg:4": (Fraction(1, 4), Fraction(3, 4)),
+            "kodaira:In*:20": (Fraction(1, 2),),
+        }
+        for cid, want in table.items():
+            js = compute_jumps(cat(cid), JumpOptions(n_min=10**12))
+            assert js.jumps == want, cid
+            assert min(js.witnesses) > 10**12
+
     def test_second_residue_class_agrees(self):
         g = cat("kodaira:IV")
         default = compute_jumps(g)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from fibertrace.errors import BadInput
 from fibertrace.resolution import (
     Singularity,
+    chain_ends,
+    degree_is_stable,
     is_stable,
     node_eigen_data,
     resolve,
@@ -90,6 +92,43 @@ def test_resolution_invariants_sweep():
             assert mu[l + 1] * res.r_at(l - 1) - mu[l] * res.r_at(l) == m1
         checked += 1
     assert checked > 5000
+
+
+def test_chain_ends_and_stability_gate_exhaustive():
+    """Every admissible triple with m1, m2 <= 12 and n < 300: the O(log n)
+    chain ends equal the ends of the walked chain, and the O(1) gate
+    implies the walked chain is stable."""
+    checked = gated = 0
+    for m1, m2, n in admissible_triples(12, 299):
+        sing = Singularity(m1, m2, n)
+        res = resolve(sing)
+        assert chain_ends(sing) == (res.mu[1], res.mu[res.length]), (m1, m2, n)
+        if degree_is_stable(sing):
+            assert is_stable(res), (m1, m2, n)
+            gated += 1
+        checked += 1
+    assert checked == 19404
+    assert 0 < gated < checked
+
+
+def test_stability_gate_boundary():
+    # lcm/gcd = 12 for (3, 4) and 6 for (4, 6)
+    assert not degree_is_stable(Singularity(3, 4, 11))
+    assert degree_is_stable(Singularity(3, 4, 13))
+    assert not degree_is_stable(Singularity(4, 6, 5))
+    assert degree_is_stable(Singularity(4, 6, 7))
+    # sufficient, not necessary: (3, 4, 11) is stable below the gate
+    assert is_stable(resolve(Singularity(3, 4, 11)))
+
+
+def test_chain_ends_at_huge_degree():
+    # no chain of length ~10^12 can be walked; the ends must still match the
+    # walked chains of small degrees in the same class mod lcm(m1, m2)
+    for m1, m2 in [(5, 6), (3, 4), (2, 7)]:
+        n = 10**12 + 39  # prime
+        ends = chain_ends(Singularity(m1, m2, n))
+        assert ends == stabilized_profile(m1, m2, n % math.lcm(m1, m2)), (m1, m2)
+        assert ends == chain_ends(Singularity(m2, m1, n))[::-1]
 
 
 def test_universal_polys_examples():

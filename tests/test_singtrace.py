@@ -10,6 +10,7 @@ from fibertrace.exactalg import GroupRingElement
 from fibertrace.resolution import Singularity, is_stable, resolve
 from fibertrace.singtrace import (
     closed_form_coefficients,
+    singularity_trace,
     trace_closed_form,
     trace_oracle,
     trace_polynomial,
@@ -114,6 +115,35 @@ class TestClosedForm:
         for m1, m2, n in [(2, 3, 13), (3, 4, 13), (5, 5, 9), (1, 6, 13)]:
             res = resolve(Singularity(m1, m2, n))
             assert trace_polynomial(res).eval_at_one() == trace_closed_form(res).eval_at_one()
+
+
+class TestProductionRoute:
+    def test_matches_node_sum_on_both_sides_of_the_gate(self):
+        # the gate n * gcd >= lcm splits this range for every (m1, m2) with lcm/gcd > 2
+        for m1 in range(1, 9):
+            for m2 in range(1, 9):
+                for n in range(2, 120):
+                    if math.gcd(n, m1 * m2) != 1:
+                        continue
+                    sing = Singularity(m1, m2, n)
+                    assert singularity_trace(sing) == trace_polynomial(resolve(sing)), (m1, m2, n)
+
+    def test_huge_degree_matches_closed_form_shape(self):
+        # far beyond any dense buffer: O(m1 + m2) terms, residue-class coefficients
+        n = 10**12 + 9
+        a3, a4 = mod_inverse(3, n), mod_inverse(4, n)
+        small = 13  # same class as n mod lcm(3, 4) = 12
+        assert n % 12 == small % 12
+        got = singularity_trace(Singularity(3, 4, n))
+        want = closed_form_coefficients(resolve(Singularity(3, 4, small)))
+        first, second, m = want
+        expected = {}
+        for k, c in enumerate(first):
+            expected[(a4 * k) % n] = expected.get((a4 * k) % n, 0) + c
+        for k, c in enumerate(second):
+            expected[(a3 * k) % n] = expected.get((a3 * k) % n, 0) + c
+        expected[0] -= m
+        assert got == G(n, expected)
 
 
 class TestOracle:
