@@ -61,15 +61,6 @@ class GroupRingElement:
         return cls._of(n, {e: c for e, c in acc.items() if c})
 
     @classmethod
-    def sum_of(cls, n: int, elements) -> "GroupRingElement":
-        """Sum of the elements, all over Z[Z/n], in one pass over their terms."""
-        elements = list(elements)
-        for a in elements:
-            if a.n != n:
-                raise ModulusMismatch(f"moduli differ: {n} != {a.n}")
-        return cls.from_terms(n, (t for a in elements for t in a.terms.items()))
-
-    @classmethod
     def zero(cls, n: int) -> "GroupRingElement":
         return cls(n)
 
@@ -80,10 +71,6 @@ class GroupRingElement:
     @classmethod
     def monomial(cls, n: int, exponent: int, coefficient: int = 1) -> "GroupRingElement":
         return cls.from_terms(n, [(exponent, coefficient)])
-
-    @classmethod
-    def from_dict(cls, n: int, d: dict) -> "GroupRingElement":
-        return cls.from_terms(n, d.items())
 
     @classmethod
     def geometric(cls, n: int, step: int, count: int) -> "GroupRingElement":

@@ -215,17 +215,14 @@ def _self_intersections(g: FiberGraph, edge_sings) -> dict[str, int]:
 def total_trace(g: FiberGraph, n: int) -> GroupRingElement:
     """Trace of the degree-n action on the alternating sum of fiber
     cohomology: vertex contributions plus one chain trace per edge.  Each
-    edge's singularity is formed once and serves both its chain ends and
-    its trace; equal vertices and equal singularities, common in long
-    chains, are traced once and counted."""
+    edge's singularity is formed once per degree, for the self-intersections
+    and for its trace."""
     _check_degree(g, n)
     edge_sings = [edge_singularity(g, edge, n) for edge in g.edges]
     si = _self_intersections(g, edge_sings)
-    vertices = Counter((v.mult, v.genus, si[v.id]) for v in g.vertices)
-    sings = Counter(sing for sing, _, _ in edge_sings)
-    parts = [count * vertex_trace(*key, n) for key, count in vertices.items()]
-    parts += [count * singularity_trace(sing) for sing, count in sings.items()]
-    return GroupRingElement.sum_of(n, parts)
+    parts = [vertex_trace(v.mult, v.genus, si[v.id], n) for v in g.vertices]
+    parts += [singularity_trace(sing) for sing, _, _ in edge_sings]
+    return GroupRingElement.from_terms(n, (t for p in parts for t in p.terms.items()))
 
 
 def h1_character(g: FiberGraph, n: int) -> CharacterMultiset:

@@ -10,9 +10,8 @@ can arbitrate between them.
 
 ``singularity_trace`` is the one production route: the closed form from
 the chain ends alone whenever ``degree_is_stable`` holds, which makes its
-cost independent of n; otherwise the resolved chain, through the closed
-form when it is stable and the node sum when it is not.  The node sum and
-the oracle are kept off that route as test oracles.
+cost independent of n, and the node sum of the resolved chain below that
+degree.  The oracle is kept off that route as a test oracle.
 """
 
 from __future__ import annotations
@@ -140,19 +139,15 @@ def singularity_trace(sing: Singularity) -> GroupRingElement:
 
     When ``degree_is_stable`` holds, the chain is stable and the closed
     form needs only its ends, which ``chain_ends`` gives in O(log n): the
-    chain is never walked.  Below that degree (n < lcm/gcd, so the walk is
-    short) the chain is resolved, and its trace is the closed form if it
-    is stable and the node sum if not."""
+    chain is never walked.  Below that degree n < lcm/gcd, so the chain is
+    short, and the node sum of the resolved chain, valid for every chain,
+    serves."""
+    if not degree_is_stable(sing):
+        return trace_polynomial(resolve(sing))
     m1, m2, n = sing.m1, sing.m2, sing.n
-    if degree_is_stable(sing):
-        mu1, mu_last = chain_ends(sing)
-        first, second = _end_blocks(m2, mu1, mu_last, m1)
-        return _assemble(n, first, second, math.gcd(m1, m2),
-                         mod_inverse(m1, n), mod_inverse(m2, n))
-    res = resolve(sing)
-    if is_stable(res):
-        return trace_closed_form(res)
-    return trace_polynomial(res)
+    mu1, mu_last = chain_ends(sing)
+    first, second = _end_blocks(m2, mu1, mu_last, m1)
+    return _assemble(n, first, second, math.gcd(m1, m2), mod_inverse(m1, n), mod_inverse(m2, n))
 
 
 def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:

@@ -53,7 +53,7 @@ edge v7 v4
 
 
 def G(n, d):
-    return GroupRingElement.from_dict(n, d)
+    return GroupRingElement.from_terms(n, d.items())
 
 
 class TestParse:

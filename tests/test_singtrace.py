@@ -19,7 +19,7 @@ from fibertrace.singtrace import (
 
 
 def G(n, d):
-    return GroupRingElement.from_dict(n, d)
+    return GroupRingElement.from_terms(n, d.items())
 
 
 class TestTracePolynomial:
