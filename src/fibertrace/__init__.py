@@ -10,7 +10,7 @@ on H^1, and the jumps of the rational-index filtration of the associated
 group scheme.
 """
 
-from .arith import JHExpansion, gcd_lcm, jh_expand, mod_inverse
+from .arith import JHExpansion, jh_expand, mod_inverse
 from .catalog import FiberTypeId, catalog_ids, lookup
 from .exactalg import CyclotomicNumber, GroupRingElement, cyclotomic_polynomial
 from .fiber import (
@@ -24,15 +24,12 @@ from .fiber import (
 )
 from .jumps import JumpOptions, JumpSet, candidate_jumps, compute_jumps, principal_lcm
 from .resolution import (
-    NodeEigenData,
     ResolutionData,
     Singularity,
     chain_ends,
     degree_is_stable,
     is_stable,
-    node_eigen_data,
     resolve,
-    stabilized_profile,
     universal_polys,
 )
 from .singtrace import (
@@ -53,7 +50,6 @@ __all__ = [
     "JHExpansion",
     "JumpOptions",
     "JumpSet",
-    "NodeEigenData",
     "ResolutionData",
     "Singularity",
     "Vertex",
@@ -64,19 +60,16 @@ __all__ = [
     "compute_jumps",
     "cyclotomic_polynomial",
     "degree_is_stable",
-    "gcd_lcm",
     "h1_character",
     "is_stable",
     "jh_expand",
     "lookup",
     "mod_inverse",
-    "node_eigen_data",
     "parse_graph",
     "principal_lcm",
     "resolve",
     "self_intersections",
     "singularity_trace",
-    "stabilized_profile",
     "total_trace",
     "trace_closed_form",
     "trace_oracle",

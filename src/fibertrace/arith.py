@@ -11,12 +11,9 @@ from dataclasses import dataclass
 
 from .errors import BadInput, NotInvertible
 
-
-def gcd_lcm(a: int, b: int) -> tuple[int, int]:
-    """Return (gcd(a, b), lcm(a, b)) for positive integers."""
-    if a < 1 or b < 1:
-        raise BadInput(f"gcd_lcm needs positive integers, got ({a}, {b})")
-    return math.gcd(a, b), math.lcm(a, b)
+# Longest chain jh_expand will walk: (1, 1, n) alone has n - 1 curves, so
+# without a bound a huge degree would take minutes and gigabytes to fail.
+MAX_CHAIN_LENGTH = 10**6
 
 
 def mod_inverse(a: int, n: int) -> int:
@@ -62,7 +59,8 @@ def jh_expand(n: int, r: int) -> JHExpansion:
 
     Requires 0 < r < n and gcd(r, n) = 1.  Each step takes
     b = ceil(previous/current) and continues with b*current - previous;
-    the sequence ends at 1, 0 after at most n - 1 steps.
+    the sequence ends at 1, 0 after at most n - 1 steps.  Raises BadInput
+    once the chain has more than MAX_CHAIN_LENGTH curves.
     """
     if not 0 < r < n:
         raise BadInput(f"need 0 < r < n, got r={r}, n={n}")
@@ -72,6 +70,10 @@ def jh_expand(n: int, r: int) -> JHExpansion:
     rseq = [n, r]
     prev, cur = n, r
     while cur > 0:
+        if len(b) == MAX_CHAIN_LENGTH:
+            raise BadInput(
+                f"the chain of {n}/{r} has more than MAX_CHAIN_LENGTH = {MAX_CHAIN_LENGTH} curves"
+            )
         q = ceil_div(prev, cur)
         b.append(q)
         prev, cur = cur, q * cur - prev

@@ -5,14 +5,14 @@ Group-ring elements are formal sums sum_e c_e * x^e with integer
 coefficients and exponents mod n, stored by their nonzero terms; all
 trace polynomials live here.
 CyclotomicNumber models elements of Q(zeta_n) reduced modulo the n-th
-cyclotomic polynomial, which gives genuine field semantics (every nonzero
-element is invertible) for the fixed-point evaluation route.
+cyclotomic polynomial, so that equality is exact; the fixed-point
+evaluation route needs no general inverse, only the closed form of
+(1 - zeta_n^c)^(-1) in ``inverse_of_one_minus_root``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadInput, InvariantError, ModulusMismatch
@@ -72,13 +72,6 @@ class GroupRingElement:
     def monomial(cls, n: int, exponent: int, coefficient: int = 1) -> "GroupRingElement":
         return cls.from_terms(n, [(exponent, coefficient)])
 
-    @classmethod
-    def geometric(cls, n: int, step: int, count: int) -> "GroupRingElement":
-        """sum_{k=0}^{count-1} x^{k*step mod n} (empty sum for count = 0)."""
-        if count < 0:
-            raise BadInput(f"count must be >= 0, got {count}")
-        return cls.from_terms(n, ((k * step, 1) for k in range(count)))
-
     def _check(self, other: "GroupRingElement") -> None:
         if self.n != other.n:
             raise ModulusMismatch(f"moduli differ: {self.n} != {other.n}")
@@ -113,21 +106,6 @@ class GroupRingElement:
         if isinstance(other, int):
             return GroupRingElement.monomial(self.n, 0, other) - self
         return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement.from_terms(
-                self.n, ((e, other * c) for e, c in self.terms.items())
-            )
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check(other)
-        return GroupRingElement.from_terms(
-            self.n,
-            ((e + f, c * d) for e, c in self.terms.items() for f, d in other.terms.items()),
-        )
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -183,26 +161,6 @@ class GroupRingElement:
 
     def __repr__(self):
         return f"GroupRingElement({self.n}, {dict(self.items())})"
-
-
-def gr_add(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a + b
-
-
-def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
-def gr_scale(c: int, a: GroupRingElement) -> GroupRingElement:
-    return c * a
-
-
-def gr_geom(step: int, count: int, n: int) -> GroupRingElement:
-    return GroupRingElement.geometric(n, step, count)
-
-
-def gr_eval_at_one(a: GroupRingElement) -> int:
-    return a.eval_at_one()
 
 
 # ----------------------------------------------------------------------
@@ -359,36 +317,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the cyclotomic polynomial."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        a = [Fraction(c) for c in self.num]
-        # invariant: old_r = old_s * a (mod phi), r = s * a (mod phi)
-        old_r, r = a, phi_poly
-        old_s, s = [Fraction(1)], []
-        while _poly_trim(r):
-            q = _rational_poly_div(old_r, r)
-            old_r, r = r, _poly_sub(old_r, _rational_poly_mul(q, r))
-            old_s, s = s, _poly_sub(old_s, _rational_poly_mul(q, s))
-        lead = _poly_trim(list(old_r))
-        if len(lead) != 1:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-        inv = [c / lead[0] for c in old_s]
-        inv.extend([Fraction(0)] * (_phi(self.n) - len(inv)))
-        den = math.lcm(*(c.denominator for c in inv)) if inv else 1
-        ints = [int(c * den) for c in inv]
-        return CyclotomicNumber(self.n, ints, den) * self.den
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicNumber.from_integer(self.n, other)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        return self * other.inverse()
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = CyclotomicNumber.from_integer(self.n, other)
@@ -401,14 +329,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber({self.n}, {list(self.num)}, den={self.den})"
-
-
-def cyc_eval(a: GroupRingElement, power: int) -> CyclotomicNumber:
-    return a.evaluate(power)
-
-
-def cyc_inv(a: CyclotomicNumber) -> CyclotomicNumber:
-    return a.inverse()
 
 
 def inverse_of_one_minus_root(n: int, c: int) -> CyclotomicNumber:
@@ -426,37 +346,3 @@ def inverse_of_one_minus_root(n: int, c: int) -> CyclotomicNumber:
         if e >= n:
             e -= n
     return CyclotomicNumber.from_poly(n, buf, n)
-
-
-# Rational-coefficient helpers used only inside inversion.
-
-def _poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _rational_poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _rational_poly_div(a, b):
-    """Quotient of a by b over Q (remainder discarded by the caller)."""
-    a = list(a)
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i] / lead
-        if c:
-            q[i - len(b) + 1] = c
-            for j, y in enumerate(b):
-                a[i - len(b) + 1 + j] -= c * y
-    return q

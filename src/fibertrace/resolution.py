@@ -47,7 +47,6 @@ class ResolutionData:
     alpha1: int            # inverse of m1 mod n
     alpha2: int            # inverse of m2 mod n
     m: int                 # gcd(m1, m2)
-    M: int                 # lcm(m1, m2)
 
     @property
     def n(self) -> int:
@@ -64,20 +63,6 @@ class ResolutionData:
     def r_at(self, l: int) -> int:
         """r_l for -1 <= l <= L (r_{-1} = n, r_L = 0)."""
         return self.jh.r_at(l)
-
-
-@dataclass(frozen=True)
-class NodeEigenData:
-    """Cotangent eigenvalue exponents at the chain nodes y_0..y_L.
-
-    At y_l the local coordinates (z_l, w_l) are scaled by
-    xi^{alpha1 * r_{l-1}} and xi^{-alpha1 * r_l}; exponents are stored
-    reduced into [0, n).
-    """
-
-    n: int
-    z_exp: tuple[int, ...]
-    w_exp: tuple[int, ...]
 
 
 def resolve(sing: Singularity) -> ResolutionData:
@@ -102,7 +87,6 @@ def resolve(sing: Singularity) -> ResolutionData:
         alpha1=alpha1,
         alpha2=alpha2,
         m=math.gcd(m1, m2),
-        M=math.lcm(m1, m2),
     )
 
 
@@ -146,15 +130,6 @@ def degree_is_stable(sing: Singularity) -> bool:
     return sing.n * g >= sing.m1 * sing.m2 // g
 
 
-def node_eigen_data(res: ResolutionData) -> NodeEigenData:
-    """Eigenvalue exponents of the chart coordinates at every node."""
-    n = res.n
-    a1 = res.alpha1
-    z_exp = tuple((a1 * res.r_at(l - 1)) % n for l in range(res.length + 1))
-    w_exp = tuple((-a1 * res.r_at(l)) % n for l in range(res.length + 1))
-    return NodeEigenData(n=n, z_exp=z_exp, w_exp=w_exp)
-
-
 def universal_polys(res: ResolutionData) -> list[int]:
     """P_{-1} = 0, P_0 = 1, P_l = b_l P_{l-1} - P_{l-2}; these satisfy
     r_l = P_l * r_0 (mod n) for every l."""
@@ -181,30 +156,3 @@ def is_stable(res: ResolutionData) -> bool:
         k += 1
     return k == top and mu[i] == res.m
 
-
-def stabilized_profile(m1: int, m2: int, residue_class: int) -> tuple[int, int]:
-    """The pair (mu_1, mu_L) shared by all large stable degrees in one
-    residue class modulo lcm(m1, m2).
-
-    Walks n through the class until the chain is stable and the pair
-    repeats for two consecutive members; the walk terminates because the
-    chain shape eventually freezes within each class.
-    """
-    big_m = math.lcm(m1, m2)
-    if math.gcd(residue_class, big_m) != 1:
-        raise BadInput(f"residue class {residue_class} is not invertible mod {big_m}")
-    n = residue_class % big_m
-    if n == 0:
-        n = big_m  # only possible when big_m == 1
-    previous = None
-    while True:
-        if n >= 2:
-            res = resolve(Singularity(m1, m2, n))
-            if is_stable(res):
-                pair = (res.mu[1], res.mu[res.length])
-                if pair == previous:
-                    return pair
-                previous = pair
-            else:
-                previous = None
-        n += big_m

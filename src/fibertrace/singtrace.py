@@ -30,6 +30,11 @@ from .resolution import (
     resolve,
 )
 
+# Most cells the node sum may allocate and touch (about 1 s on a 2-vCPU Xeon
+# VM).  Its work grows as n plus the cube of the branch multiplicities, so
+# large multiplicities below the stability gate would otherwise run for hours.
+MAX_NODE_SUM_CELLS = 10**7
+
 __all__ = [
     "singularity_trace",
     "trace_polynomial",
@@ -46,7 +51,8 @@ def trace_polynomial(res: ResolutionData) -> GroupRingElement:
 
     Sums the per-node products of geometric series together with the
     combined correction terms; all exponents are residues of
-    alpha1 * (integer combination of the r_l) mod n.
+    alpha1 * (integer combination of the r_l) mod n.  Raises BadInput when
+    the sum would touch more than MAX_NODE_SUM_CELLS cells.
     """
     n = res.n
     a1 = res.alpha1
@@ -54,6 +60,14 @@ def trace_polynomial(res: ResolutionData) -> GroupRingElement:
     b = res.b
     L = res.length
     r = res.r_at
+    # the buffer, the node products and the correction counts below
+    cells = n + sum(mu[l] * mu[l + 1] for l in range(L + 1))
+    cells += sum(b[l] * mu[l + 1] * (mu[l + 1] + 1) // 2 - mu[l + 1] for l in range(L))
+    if cells > MAX_NODE_SUM_CELLS:
+        raise BadInput(
+            f"({res.sing.m1},{res.sing.m2},{n}): the node sum would touch {cells} cells, "
+            f"more than MAX_NODE_SUM_CELLS = {MAX_NODE_SUM_CELLS}"
+        )
     buf = [0] * n
 
     def add_geom(base: int, step: int, count: int, sign: int) -> None:

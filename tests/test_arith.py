@@ -4,19 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fibertrace.arith import ceil_div, gcd_lcm, jh_expand, mod_inverse
+from fibertrace import arith
+from fibertrace.arith import ceil_div, jh_expand, mod_inverse
 from fibertrace.errors import BadInput, NotInvertible
-
-
-def test_gcd_lcm_examples():
-    assert gcd_lcm(3, 4) == (1, 12)
-    assert gcd_lcm(6, 4) == (2, 12)
-    assert gcd_lcm(5, 5) == (5, 5)
-
-
-def test_gcd_lcm_rejects_nonpositive():
-    with pytest.raises(BadInput):
-        gcd_lcm(0, 4)
 
 
 def brute_inverse(a, n):
@@ -74,6 +64,15 @@ def test_jh_rejects_bad_input():
         jh_expand(7, 7)
     with pytest.raises(BadInput):
         jh_expand(9, 6)
+
+
+def test_jh_chain_length_bound(monkeypatch):
+    # n/(n-1) has n - 1 curves: a chain of exactly the bound is walked, one
+    # more curve raises
+    monkeypatch.setattr(arith, "MAX_CHAIN_LENGTH", 5)
+    assert jh_expand(6, 5).length == 5
+    with pytest.raises(BadInput, match="MAX_CHAIN_LENGTH = 5"):
+        jh_expand(7, 6)
 
 
 def continued_fraction_value(b):

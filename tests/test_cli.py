@@ -1,3 +1,5 @@
+import time
+
 from fibertrace.cli import main
 
 OGG_4 = """\
@@ -47,6 +49,26 @@ def test_resolve_validation_error_exits_2(capsys):
     code, out, err = run(capsys, "resolve", "3", "4", "12")
     assert code == 2
     assert "coprime" in err
+
+
+def test_resolve_past_chain_bound_exits_2(capsys):
+    # (1, 1, n) has n - 1 curves; the walk stops after MAX_CHAIN_LENGTH of
+    # them (about 0.5 s) instead of walking 10^9
+    start = time.perf_counter()
+    code, out, err = run(capsys, "resolve", "1", "1", "1000000000")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and not out
+    assert "MAX_CHAIN_LENGTH = 1000000" in err
+
+
+def test_trace_sing_past_node_sum_bound_exits_2(capsys):
+    # below the gate the node sum would touch 1.6e10 cells; the count is
+    # checked before any of them is allocated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "trace-sing", "3000", "2999", "3001")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "MAX_NODE_SUM_CELLS = 10000000" in err
 
 
 def test_trace_sing_golden(capsys):

@@ -9,9 +9,7 @@ from fibertrace.resolution import (
     chain_ends,
     degree_is_stable,
     is_stable,
-    node_eigen_data,
     resolve,
-    stabilized_profile,
     universal_polys,
 )
 
@@ -121,13 +119,36 @@ def test_stability_gate_boundary():
     assert is_stable(resolve(Singularity(3, 4, 11)))
 
 
+def test_chain_ends_depend_only_on_residue_class_above_gate():
+    """Among gated degrees, the chain ends depend only on n mod lcm(m1, m2):
+    every admissible gated triple with m1, m2 <= 12 and n < 40 * lcm + 400."""
+    checked = 0
+    for m1 in range(1, 13):
+        for m2 in range(1, 13):
+            big_m = math.lcm(m1, m2)
+            by_class = {}
+            for n in range(2, 40 * big_m + 400):
+                if math.gcd(n, m1 * m2) != 1:
+                    continue
+                sing = Singularity(m1, m2, n)
+                if degree_is_stable(sing):
+                    ends = chain_ends(sing)
+                    assert by_class.setdefault(n % big_m, ends) == ends, (m1, m2, n)
+                    checked += 1
+    assert checked == 95940
+
+
 def test_chain_ends_at_huge_degree():
     # no chain of length ~10^12 can be walked; the ends must still match the
-    # walked chains of small degrees in the same class mod lcm(m1, m2)
+    # walked chain at the smallest gated degree of the same class mod lcm(m1, m2)
+    n = 10**12 + 39  # prime
     for m1, m2 in [(5, 6), (3, 4), (2, 7)]:
-        n = 10**12 + 39  # prime
         ends = chain_ends(Singularity(m1, m2, n))
-        assert ends == stabilized_profile(m1, m2, n % math.lcm(m1, m2)), (m1, m2)
+        small = n % math.lcm(m1, m2)
+        while small < 2 or not degree_is_stable(Singularity(m1, m2, small)):
+            small += math.lcm(m1, m2)
+        res = resolve(Singularity(m1, m2, small))
+        assert ends == (res.mu[1], res.mu[res.length]), (m1, m2, small)
         assert ends == chain_ends(Singularity(m2, m1, n))[::-1]
 
 
@@ -139,27 +160,6 @@ def test_universal_polys_examples():
     res = resolve(Singularity(4, 1, 7))
     assert res.b == (3, 2, 2)
     assert universal_polys(res) == [0, 1, 3, 5, 7]
-
-
-def test_node_eigen_data():
-    res = resolve(Singularity(1, 3, 7))
-    ne = node_eigen_data(res)
-    assert ne.z_exp[0] == 0          # alpha1 * r_{-1} = n = 0 mod n
-    assert ne.w_exp[0] == 5          # -alpha1 * r_0 = -2 mod 7
-    # z-exponent at node l is minus the w-exponent at node l-1
-    for l in range(1, res.length + 1):
-        assert (ne.z_exp[l] + ne.w_exp[l - 1]) % res.n == 0
-    # chart relation: the local equation is scaled by xi itself
-    for l in range(res.length + 1):
-        got = (res.mu[l + 1] * ne.z_exp[l] + res.mu[l] * ne.w_exp[l]) % res.n
-        assert got == 1 % res.n
-
-
-def test_node_eigen_exponents_reduced():
-    for m1, m2, n in [(3, 4, 13), (2, 5, 9), (5, 5, 11)]:
-        ne = node_eigen_data(resolve(Singularity(m1, m2, n)))
-        assert all(0 <= e < n for e in ne.z_exp)
-        assert all(0 <= e < n for e in ne.w_exp)
 
 
 def test_is_stable_examples():
@@ -205,20 +205,6 @@ def test_residue_class_chains_agree_after_collapsing_middle():
             assert len(stable) == 2
             a, b = stable
             assert middle_collapsed(a.mu, a.m) == middle_collapsed(b.mu, b.m)
-
-
-def test_stabilized_profile_examples():
-    assert stabilized_profile(3, 4, 1) == (3, 1)
-    assert stabilized_profile(2, 3, 1) == (2, 1)
-    for m in (2, 3, 5):
-        for cls in range(1, m):
-            if math.gcd(cls, m) == 1:
-                assert stabilized_profile(m, m, cls) == (m, m)
-
-
-def test_stabilized_profile_rejects_bad_class():
-    with pytest.raises(BadInput):
-        stabilized_profile(3, 4, 6)  # gcd(6, 12) != 1
 
 
 @st.composite

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibertrace import singtrace
 from fibertrace.arith import mod_inverse
 from fibertrace.errors import BadInput, NotStable
 from fibertrace.exactalg import GroupRingElement
@@ -51,6 +52,18 @@ class TestTracePolynomial:
         a = trace_polynomial(resolve(Singularity(m1, m2, n)))
         b = trace_polynomial(resolve(Singularity(m2, m1, n)))
         assert a == b
+
+
+    def test_node_sum_cell_bound(self, monkeypatch):
+        # (3, 4, 13), mu = (4, 3, 2, 1, 3), b = (2, 2, 5): the buffer 13, node
+        # products 12 + 6 + 2 + 3 = 23 and corrections sum_k (b_l (mu_{l+1} - k) - 1)
+        # = 9 + 4 + 4 = 17, so 53 cells
+        res = resolve(Singularity(3, 4, 13))
+        monkeypatch.setattr(singtrace, "MAX_NODE_SUM_CELLS", 53)
+        assert trace_polynomial(res) == G(13, {0: 3, 10: 2, 7: 1})
+        monkeypatch.setattr(singtrace, "MAX_NODE_SUM_CELLS", 52)
+        with pytest.raises(BadInput, match="touch 53 cells"):
+            trace_polynomial(res)
 
 
 class TestClosedForm:
