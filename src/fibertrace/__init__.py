@@ -27,7 +27,6 @@ from .resolution import (
     ResolutionData,
     Singularity,
     chain_ends,
-    degree_is_stable,
     is_stable,
     resolve,
     universal_polys,
@@ -59,7 +58,6 @@ __all__ = [
     "closed_form_coefficients",
     "compute_jumps",
     "cyclotomic_polynomial",
-    "degree_is_stable",
     "h1_character",
     "is_stable",
     "jh_expand",

@@ -22,11 +22,6 @@ class ModulusMismatch(FibertraceError):
     """Arithmetic between group-ring elements over different moduli."""
 
 
-class NotStable(FibertraceError):
-    """Closed-form trace requested for a multiplicity chain that has not
-    yet reached its large-degree shape."""
-
-
 class ParseError(FibertraceError):
     """Malformed graph file; carries the 1-based line number."""
 

@@ -106,10 +106,6 @@ class FiberGraph:
     def mult_lcm(self) -> int:
         return math.lcm(*(v.mult for v in self.vertices))
 
-    @property
-    def genus_sum(self) -> int:
-        return sum(v.genus for v in self.vertices)
-
 
 @dataclass(frozen=True)
 class CharacterMultiset:

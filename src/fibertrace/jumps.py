@@ -16,6 +16,10 @@ from fractions import Fraction
 from .errors import BadInput, InconsistentRounding, ToleranceExceeded
 from .fiber import CharacterMultiset, FiberGraph, h1_character
 
+# Most sweeps compute_jumps runs; the list of sweep degrees is built before
+# any of them, so a huge count would exhaust memory instead of failing.
+MAX_SWEEPS = 1000
+
 
 @dataclass(frozen=True)
 class JumpOptions:
@@ -62,6 +66,8 @@ def sweep_degrees(g: FiberGraph, options: JumpOptions = JumpOptions()) -> list[i
         raise BadInput(f"residue {options.residue} is not coprime to the multiplicity lcm {l}")
     if options.sweeps < 1:
         raise BadInput(f"need at least one sweep, got {options.sweeps}")
+    if options.sweeps > MAX_SWEEPS:
+        raise BadInput(f"{options.sweeps} sweeps exceed MAX_SWEEPS = {MAX_SWEEPS}")
     nt = principal_lcm(g)
     floor = max(2 * nt * l, options.n_min, 1)
     first = floor + 1 + ((options.residue - floor - 1) % l)
@@ -76,9 +82,8 @@ def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSe
     1/n, which pins a unique target since the degrees exceed 2 * n_tilde),
     and insists that all sweeps produce the same multiset.
 
-    The degrees also exceed the multiplicity lcm, so every edge passes the
-    stability gate of ``degree_is_stable`` and the cost does not depend on
-    ``n_min``.
+    Every edge trace is the closed form from the chain ends, so the cost
+    does not depend on ``n_min``.
     """
     nt = principal_lcm(g)
     degrees = sweep_degrees(g, options)

@@ -105,31 +105,6 @@ def chain_ends(sing: Singularity) -> tuple[int, int]:
     return (m1 + r * m2) // n, (m2 + r_swapped * m1) // n
 
 
-def degree_is_stable(sing: Singularity) -> bool:
-    """O(1) test that implies ``is_stable(resolve(sing))``:
-    n * gcd(m1, m2) >= lcm(m1, m2).
-
-    Proof.  Let g = gcd(m1, m2) and M = lcm(m1, m2).  The exceptional
-    curves are the lattice points v_0, ..., v_{L+1} on the compact boundary
-    of the convex hull of the nonzero points of a lattice N in a closed
-    quadrant, and mu_l = phi(v_l) for a linear form phi (the recurrence
-    v_{l-1} + v_{l+1} = b_l v_l gives the one for mu).  The ray generators
-    v_0, v_{L+1} span a sublattice of index n in N, on which phi takes the
-    values m2*Z + m1*Z = g*Z; as n is coprime to g, phi(N) = g*Z too.  So
-    every mu_l is a positive multiple of g.  The line phi = g meets the
-    quadrant in the segment from v_0*g/m2 to v_{L+1}*g/m1, of lattice
-    length det_N(v_0, v_{L+1}) * g^2/(m1*m2) = n*g/M.  When that is >= 1 the
-    segment holds a point of N; phi is at least min(mu) on the whole hull,
-    so min(mu) = g.  Since every b_l >= 2, mu_{l-1} + mu_{l+1} >= 2 mu_l:
-    the chain is convex, strictly decreasing, then flat, then strictly
-    increasing, and with minimum g that is exactly ``is_stable``.
-
-    The test is sufficient, not necessary: some stable chains fail it.
-    """
-    g = math.gcd(sing.m1, sing.m2)
-    return sing.n * g >= sing.m1 * sing.m2 // g
-
-
 def universal_polys(res: ResolutionData) -> list[int]:
     """P_{-1} = 0, P_0 = 1, P_l = b_l P_{l-1} - P_{l-2}; these satisfy
     r_l = P_l * r_0 (mod n) for every l."""

@@ -3,15 +3,15 @@ chains, computed three independent ways.
 
 ``trace_polynomial`` assembles the denominator-free node-by-node sums and
 is valid for every admissible degree.  ``trace_closed_form`` is the short
-polynomial that the chain collapses to once its multiplicity profile has
-stabilized.  ``trace_oracle`` evaluates the fixed-point rational-function
-form exactly in Q(zeta_n) and is kept independent of the other two so it
-can arbitrate between them.
+polynomial that the chain collapses to; it needs only the two outermost
+multiplicities at each end of the chain.  ``trace_oracle`` evaluates the
+fixed-point rational-function form exactly in Q(zeta_n) and is kept
+independent of the other two so it can arbitrate between them.
 
 ``singularity_trace`` is the one production route: the closed form from
-the chain ends alone whenever ``degree_is_stable`` holds, which makes its
-cost independent of n, and the node sum of the resolved chain below that
-degree.  The oracle is kept off that route as a test oracle.
+the chain ends alone, at every admissible degree, so its cost does not
+depend on n and no chain is walked.  The node sum and the oracle are kept
+off that route as test oracles.
 """
 
 from __future__ import annotations
@@ -19,20 +19,13 @@ from __future__ import annotations
 import math
 
 from .arith import ceil_div, mod_inverse
-from .errors import BadInput, NotStable
+from .errors import BadInput
 from .exactalg import CyclotomicNumber, GroupRingElement, inverse_of_one_minus_root
-from .resolution import (
-    ResolutionData,
-    Singularity,
-    chain_ends,
-    degree_is_stable,
-    is_stable,
-    resolve,
-)
+from .resolution import ResolutionData, Singularity, chain_ends
 
 # Most cells the node sum may allocate and touch (about 1 s on a 2-vCPU Xeon
 # VM).  Its work grows as n plus the cube of the branch multiplicities, so
-# large multiplicities below the stability gate would otherwise run for hours.
+# large inputs would otherwise run for hours.  No production route calls it.
 MAX_NODE_SUM_CELLS = 10**7
 
 __all__ = [
@@ -106,16 +99,11 @@ def trace_polynomial(res: ResolutionData) -> GroupRingElement:
 
 
 def closed_form_coefficients(res: ResolutionData) -> tuple[list[int], list[int], int]:
-    """The three coefficient sequences of the stabilized trace, before any
-    exponent mapping: coefficients over mu_0 in powers of xi^{alpha2},
+    """The three coefficient sequences of the closed-form trace, before
+    any exponent mapping: coefficients over mu_0 in powers of xi^{alpha2},
     over mu_{L+1} in powers of xi^{alpha1}, and the length-m all-ones
-    block that is subtracted.  These depend only on the residue class of
-    n modulo lcm(m1, m2)."""
-    if not is_stable(res):
-        raise NotStable(
-            f"({res.sing.m1},{res.sing.m2},{res.n}): multiplicity chain {list(res.mu)} "
-            "has not stabilized"
-        )
+    block that is subtracted.  Once n * gcd(m1, m2) >= lcm(m1, m2) these
+    depend only on the residue class of n modulo lcm(m1, m2)."""
     mu = res.mu
     L = res.length
     return (*_end_blocks(mu[0], mu[1], mu[L], mu[L + 1]), res.m)
@@ -141,7 +129,7 @@ def _assemble(n: int, first, second, m: int, alpha1: int, alpha2: int) -> GroupR
 
 
 def trace_closed_form(res: ResolutionData) -> GroupRingElement:
-    """Stabilized trace polynomial, assembled from the three coefficient
+    """Closed-form trace polynomial, assembled from the three coefficient
     blocks with exponent multipliers alpha2, alpha1 and the inverse of
     gcd(m1, m2)."""
     first, second, m = closed_form_coefficients(res)
@@ -149,15 +137,10 @@ def trace_closed_form(res: ResolutionData) -> GroupRingElement:
 
 
 def singularity_trace(sing: Singularity) -> GroupRingElement:
-    """Trace of the chain over one singularity, by the production route.
-
-    When ``degree_is_stable`` holds, the chain is stable and the closed
-    form needs only its ends, which ``chain_ends`` gives in O(log n): the
-    chain is never walked.  Below that degree n < lcm/gcd, so the chain is
-    short, and the node sum of the resolved chain, valid for every chain,
-    serves."""
-    if not degree_is_stable(sing):
-        return trace_polynomial(resolve(sing))
+    """Trace of the chain over one singularity, by the production route:
+    the closed form from the chain ends, which ``chain_ends`` gives in
+    O(log n), so the chain is never walked.  It holds for every chain,
+    stable or not."""
     m1, m2, n = sing.m1, sing.m2, sing.n
     mu1, mu_last = chain_ends(sing)
     first, second = _end_blocks(m2, mu1, mu_last, m1)

@@ -17,6 +17,7 @@ from fibertrace.singtrace import (
     trace_oracle,
     trace_polynomial,
 )
+from test_fiber import subdivide_equal_edges
 
 
 @contextmanager
@@ -206,22 +207,6 @@ def test_criterion_5_property_suite():
             cases += 1
 
         assert cases >= 500, f"only {cases} randomized cases"
-
-
-def subdivide_equal_edges(g: FiberGraph) -> FiberGraph:
-    vertices = [(v.id, v.genus, v.mult) for v in g.vertices]
-    mult = {v.id: v.mult for v in g.vertices}
-    edges = []
-    fresh = 0
-    for a, b in g.edges:
-        if mult[a] == mult[b]:
-            fresh += 1
-            mid = f"sub{fresh}"
-            vertices.append((mid, 0, mult[a]))
-            edges += [(a, mid), (mid, b)]
-        else:
-            edges.append((a, b))
-    return FiberGraph.build(vertices, edges)
 
 
 def test_criterion_6_minus_two_chain_invariance():

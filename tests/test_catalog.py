@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from fibertrace import catalog
 from fibertrace.catalog import FiberTypeId, catalog_ids, lookup
-from fibertrace.errors import UnknownType
+from fibertrace.errors import BadInput, UnknownType
 from fibertrace.fiber import self_intersections
 from fibertrace.jumps import JumpOptions, compute_jumps, sweep_degrees
 
@@ -50,6 +51,14 @@ def test_cycle_entries():
     assert len(g2.edges) == 2  # parallel pair
     g5 = lookup(FiberTypeId("kodaira", "In", 5))
     assert len(g5.vertices) == 5 and len(g5.edges) == 5
+
+
+def test_parameter_bound(monkeypatch):
+    monkeypatch.setattr(catalog, "MAX_PARAMETER", 5)
+    for name in ("In", "In*"):
+        assert lookup(FiberTypeId("kodaira", name, 5))
+        with pytest.raises(BadInput, match="parameter 6 exceeds MAX_PARAMETER = 5"):
+            lookup(FiberTypeId("kodaira", name, 6))
 
 
 def test_star_shapes():

@@ -1,6 +1,8 @@
 import time
 
 from fibertrace.cli import main
+from fibertrace.resolution import Singularity, is_stable, resolve
+from fibertrace.singtrace import trace_closed_form
 
 OGG_4 = """\
 vertex v1 genus=0 mult=1
@@ -61,14 +63,17 @@ def test_resolve_past_chain_bound_exits_2(capsys):
     assert "MAX_CHAIN_LENGTH = 1000000" in err
 
 
-def test_trace_sing_past_node_sum_bound_exits_2(capsys):
-    # below the gate the node sum would touch 1.6e10 cells; the count is
-    # checked before any of them is allocated
+def test_trace_sing_past_node_sum_bound_exits_0(capsys):
+    # the node sum would touch 1.6e10 cells, far past MAX_NODE_SUM_CELLS; the
+    # production route reads only the chain ends, unstable chain or not
     start = time.perf_counter()
-    code, out, err = run(capsys, "trace-sing", "3000", "2999", "3001")
+    code, out, err = run(capsys, "trace-sing", "3000", "2999", "3001", "--machine")
     assert time.perf_counter() - start < 1
-    assert code == 2 and not out
-    assert "MAX_NODE_SUM_CELLS = 10000000" in err
+    assert code == 0 and not err
+    res = resolve(Singularity(3000, 2999, 3001))
+    assert res.length == 1500 and not is_stable(res)
+    assert out.splitlines() == [f"tr {e} {c}" for e, c in trace_closed_form(res).items()]
+    assert len(out.splitlines()) == 3000
 
 
 def test_trace_sing_golden(capsys):

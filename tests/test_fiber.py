@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fibertrace import cli, resolution, singtrace
 from fibertrace.arith import mod_inverse
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import (
@@ -363,7 +364,7 @@ def node_sum_total_trace(g: FiberGraph, n: int):
 
 
 def agreement_degrees(g: FiberGraph) -> list[int]:
-    """Degrees on both sides of every edge's stability gate n*gcd >= lcm."""
+    """Degrees on both sides of n*gcd >= lcm for every edge."""
     return [n for n in list(range(2, 62)) + [1009, 1013] if math.gcd(n, g.mult_lcm) == 1]
 
 
@@ -375,10 +376,31 @@ class TestHotPathAgreesWithNodeSum:
             assert total_trace(g, n) == node_sum_total_trace(g, n), (cid, n)
 
     def test_ogg4_at_both_sides_of_the_gate(self):
-        # the (3, 4) edge is below its gate (lcm/gcd = 12) at n = 7 only
+        # the (3, 4) edge has n*gcd < lcm (lcm/gcd = 12) at n = 7 only
         g = lookup(FiberTypeId.parse("ogg:4"))
         for n in (7, 13, 1009):
             assert total_trace(g, n) == node_sum_total_trace(g, n), n
+
+    def test_no_production_route_walks_a_chain(self, monkeypatch):
+        # the node sum and the chain walk are test oracles: with both made to
+        # raise, every fiber computation and every verb but resolve succeeds
+        def refuse(*args):
+            raise AssertionError("a production route walked a chain")
+
+        monkeypatch.setattr(singtrace, "trace_polynomial", refuse)
+        monkeypatch.setattr(resolution, "jh_expand", refuse)
+        for cid in CATALOG:
+            g = lookup(FiberTypeId.parse(cid))
+            for n in range(2, 62):
+                if math.gcd(n, g.mult_lcm) == 1:
+                    total_trace(g, n)
+        for argv in (
+            ["trace-sing", "3", "4", "5"],
+            ["trace-fiber", "--catalog", "ogg:4", "--n", "7"],
+            ["character", "--catalog", "ogg:4", "--n", "7"],
+            ["jumps", "--catalog", "ogg:4"],
+        ):
+            assert cli.main(argv) == 0, argv
 
     @pytest.mark.parametrize("seed", range(6))
     def test_blow_ups(self, seed):

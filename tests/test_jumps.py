@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fibertrace import jumps
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import BadInput, InconsistentRounding
 from fibertrace.fiber import CharacterMultiset, FiberGraph, h1_character
@@ -69,6 +70,12 @@ class TestSweepDegrees:
         with pytest.raises(BadInput):
             sweep_degrees(cat("kodaira:IV"), JumpOptions(residue=3))
 
+    def test_sweep_count_bound(self, monkeypatch):
+        monkeypatch.setattr(jumps, "MAX_SWEEPS", 4)
+        assert len(sweep_degrees(cat("kodaira:IV"), JumpOptions(sweeps=4))) == 4
+        with pytest.raises(BadInput, match="5 sweeps exceed MAX_SWEEPS = 4"):
+            sweep_degrees(cat("kodaira:IV"), JumpOptions(sweeps=5))
+
 
 class TestComputeJumps:
     def test_kodaira_iv(self):
@@ -90,12 +97,6 @@ class TestComputeJumps:
             js = compute_jumps(cat(f"kodaira:In:{k}"))
             assert list(js.jumps) == [Fraction(0)]
             assert js.n_tilde == 1
-
-    def test_n_independence(self):
-        g = cat("kodaira:IV")
-        low = compute_jumps(g, JumpOptions(n_min=1000))
-        high = compute_jumps(g, JumpOptions(n_min=5000))
-        assert low.jumps == high.jumps
 
     def test_n_independence_every_catalog_entry(self):
         entries = ["kodaira:I", "kodaira:I*", "kodaira:II", "kodaira:II*",

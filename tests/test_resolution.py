@@ -7,7 +7,6 @@ from fibertrace.errors import BadInput
 from fibertrace.resolution import (
     Singularity,
     chain_ends,
-    degree_is_stable,
     is_stable,
     resolve,
     universal_polys,
@@ -19,6 +18,13 @@ def brute_r(m1, m2, n):
     hits = [r for r in range(1, n) if (m1 + r * m2) % n == 0]
     assert len(hits) == 1
     return hits[0]
+
+
+def large_degree(sing):
+    """n * gcd(m1, m2) >= lcm(m1, m2): from this degree on the chain is
+    stable and its ends depend on n only through n mod lcm(m1, m2)."""
+    g = math.gcd(sing.m1, sing.m2)
+    return sing.n * g >= sing.m1 * sing.m2 // g
 
 
 def admissible_triples(max_m, max_n):
@@ -94,34 +100,28 @@ def test_resolution_invariants_sweep():
 
 def test_chain_ends_and_stability_gate_exhaustive():
     """Every admissible triple with m1, m2 <= 12 and n < 300: the O(log n)
-    chain ends equal the ends of the walked chain, and the O(1) gate
+    chain ends equal the ends of the walked chain, and a large degree
     implies the walked chain is stable."""
-    checked = gated = 0
+    checked = large = 0
     for m1, m2, n in admissible_triples(12, 299):
         sing = Singularity(m1, m2, n)
         res = resolve(sing)
         assert chain_ends(sing) == (res.mu[1], res.mu[res.length]), (m1, m2, n)
-        if degree_is_stable(sing):
+        if large_degree(sing):
             assert is_stable(res), (m1, m2, n)
-            gated += 1
+            large += 1
         checked += 1
     assert checked == 19404
-    assert 0 < gated < checked
-
-
-def test_stability_gate_boundary():
-    # lcm/gcd = 12 for (3, 4) and 6 for (4, 6)
-    assert not degree_is_stable(Singularity(3, 4, 11))
-    assert degree_is_stable(Singularity(3, 4, 13))
-    assert not degree_is_stable(Singularity(4, 6, 5))
-    assert degree_is_stable(Singularity(4, 6, 7))
-    # sufficient, not necessary: (3, 4, 11) is stable below the gate
-    assert is_stable(resolve(Singularity(3, 4, 11)))
+    assert 0 < large < checked
 
 
 def test_chain_ends_depend_only_on_residue_class_above_gate():
-    """Among gated degrees, the chain ends depend only on n mod lcm(m1, m2):
-    every admissible gated triple with m1, m2 <= 12 and n < 40 * lcm + 400."""
+    """Among large degrees, the chain ends depend only on n mod lcm(m1, m2):
+    every admissible large-degree triple with m1, m2 <= 12 and
+    n < 40 * lcm + 400.  Below, they do not: (1, 3) has ends (2, 2) at
+    n = 2 but (2, 1) at n = 5."""
+    assert chain_ends(Singularity(1, 3, 2)) == (2, 2)
+    assert chain_ends(Singularity(1, 3, 5)) == (2, 1)
     checked = 0
     for m1 in range(1, 13):
         for m2 in range(1, 13):
@@ -131,7 +131,7 @@ def test_chain_ends_depend_only_on_residue_class_above_gate():
                 if math.gcd(n, m1 * m2) != 1:
                     continue
                 sing = Singularity(m1, m2, n)
-                if degree_is_stable(sing):
+                if large_degree(sing):
                     ends = chain_ends(sing)
                     assert by_class.setdefault(n % big_m, ends) == ends, (m1, m2, n)
                     checked += 1
@@ -140,12 +140,12 @@ def test_chain_ends_depend_only_on_residue_class_above_gate():
 
 def test_chain_ends_at_huge_degree():
     # no chain of length ~10^12 can be walked; the ends must still match the
-    # walked chain at the smallest gated degree of the same class mod lcm(m1, m2)
+    # walked chain at the smallest large degree of the same class mod lcm(m1, m2)
     n = 10**12 + 39  # prime
     for m1, m2 in [(5, 6), (3, 4), (2, 7)]:
         ends = chain_ends(Singularity(m1, m2, n))
         small = n % math.lcm(m1, m2)
-        while small < 2 or not degree_is_stable(Singularity(m1, m2, small)):
+        while small < 2 or not large_degree(Singularity(m1, m2, small)):
             small += math.lcm(m1, m2)
         res = resolve(Singularity(m1, m2, small))
         assert ends == (res.mu[1], res.mu[res.length]), (m1, m2, small)

@@ -3,9 +3,11 @@
 import ast
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import fibertrace
+from fibertrace.cli import main
 
 SOURCES = sorted(Path(fibertrace.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,12 +34,32 @@ def test_star_import_resolves_every_export():
     assert not missing, f"__all__ names that do not resolve: {missing}"
 
 
+def readme_block(heading):
+    """The first fenced block under a README heading."""
+    text = README.read_text(encoding="utf-8")
+    prose = r"(?:[^#`\n][^\n]*\n|\n)*?"  # paragraphs before the block, no subheading
+    block = re.search(rf"^#+ {re.escape(heading)}\n{prose}```\w*\n(.*?)^```", text, re.M | re.S)
+    assert block, f"README.md has no fenced block under {heading!r}"
+    return block.group(1)
+
+
+def test_readme_command_line_examples(tmp_path, monkeypatch):
+    # every command of the README's Command line block runs, with type4.fg
+    # holding the Graph files block
+    (tmp_path / "type4.fg").write_text(readme_block("Graph files"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line, comments=True)
+                for line in readme_block("Command line").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "fibertrace" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+
+
 def test_readme_library_examples():
     # the README's Library block is a doctest, so its outputs cannot drift
-    text = README.read_text(encoding="utf-8")
-    block = re.search(r"^## Library\n+```python\n(.*?)^```", text, re.M | re.S)
-    assert block, "README.md has no python block under '## Library'"
-    test = doctest.DocTestParser().get_doctest(block.group(1), {}, "README Library", str(README), 0)
+    test = doctest.DocTestParser().get_doctest(
+        readme_block("Library"), {}, "README Library", str(README), 0)
     assert test.examples
     runner = doctest.DocTestRunner()
     runner.run(test)
