@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 validation/domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -25,6 +26,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Built on the first main call, not at import, and then reused: argparse
+# keeps no state between parse_args calls, and usage, errors and help look up
+# sys.stdout and sys.stderr when they print.
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="fibertrace", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="verb", required=True)

@@ -19,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .exactalg import GroupRingElement
-from .resolution import Singularity, chain_ends
+from .resolution import MAX_MULTIPLICITY, Singularity, chain_ends
 from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.resolve
 from .singtrace import singularity_trace, vertex_trace
 
@@ -52,6 +52,11 @@ class FiberGraph:
                 raise ValidationError(f"vertex {v.id}: genus must be >= 0")
             if v.mult < 1:
                 raise ValidationError(f"vertex {v.id}: multiplicity must be >= 1")
+            if v.mult > MAX_MULTIPLICITY:
+                raise BadInput(
+                    f"vertex {v.id}: multiplicity {v.mult} exceeds "
+                    f"MAX_MULTIPLICITY = {MAX_MULTIPLICITY}"
+                )
         known = set(ids)
         es = []
         for a, b in edges:

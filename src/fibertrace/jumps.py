@@ -61,6 +61,10 @@ def sweep_degrees(g: FiberGraph, options: JumpOptions = JumpOptions()) -> list[i
     """The degrees used by compute_jumps: the first ``sweeps`` integers
     congruent to ``residue`` mod the multiplicity lcm and exceeding
     max(2 * n_tilde * lcm, n_min)."""
+    return _sweep_degrees(g, options, principal_lcm(g))
+
+
+def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
     l = g.mult_lcm
     if math.gcd(options.residue, l) != 1:
         raise BadInput(f"residue {options.residue} is not coprime to the multiplicity lcm {l}")
@@ -68,7 +72,6 @@ def sweep_degrees(g: FiberGraph, options: JumpOptions = JumpOptions()) -> list[i
         raise BadInput(f"need at least one sweep, got {options.sweeps}")
     if options.sweeps > MAX_SWEEPS:
         raise BadInput(f"{options.sweeps} sweeps exceed MAX_SWEEPS = {MAX_SWEEPS}")
-    nt = principal_lcm(g)
     floor = max(2 * nt * l, options.n_min, 1)
     first = floor + 1 + ((options.residue - floor - 1) % l)
     return [first + k * l for k in range(options.sweeps)]
@@ -86,32 +89,48 @@ def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSe
     does not depend on ``n_min``.
     """
     nt = principal_lcm(g)
-    degrees = sweep_degrees(g, options)
-    rounded_sets: list[tuple[Fraction, ...]] = []
-    for n in degrees:
-        rounded: list[Fraction] = []
-        for cand in candidate_jumps(h1_character(g, n)):
-            k = math.floor(cand * nt + Fraction(1, 2))
-            target = Fraction(k, nt)
-            in_tolerance = abs(cand - target) <= Fraction(1, n)
-            if nt == 1 and not (in_tolerance and target == 0):
-                raise InconsistentRounding(
-                    f"degree {n}: candidate {cand} does not round to 0 although "
-                    "no principal component constrains the denominator"
-                )
-            if not in_tolerance:
-                raise ToleranceExceeded(
-                    f"degree {n}: candidate {cand} is {abs(cand - target)} away from "
-                    f"{target}, beyond 1/{n}"
-                )
-            if not 0 <= target < 1:
-                raise ToleranceExceeded(
-                    f"degree {n}: candidate {cand} rounds to {target}, outside [0, 1)"
-                )
-            rounded.append(target)
-        rounded_sets.append(tuple(sorted(rounded)))
+    degrees = _sweep_degrees(g, options, nt)
+    rounded_sets = [_round_candidates(h1_character(g, n), nt) for n in degrees]
     if any(s != rounded_sets[0] for s in rounded_sets[1:]):
-        raise InconsistentRounding(
-            f"sweeps at degrees {degrees} disagree: {rounded_sets}"
-        )
-    return JumpSet(jumps=rounded_sets[0], n_tilde=nt, witnesses=tuple(degrees))
+        shown = [tuple(Fraction(k, nt) for k in s) for s in rounded_sets]
+        raise InconsistentRounding(f"sweeps at degrees {degrees} disagree: {shown}")
+    return JumpSet(
+        jumps=tuple(Fraction(k, nt) for k in rounded_sets[0]),
+        n_tilde=nt,
+        witnesses=tuple(degrees),
+    )
+
+
+def _round_candidates(char: CharacterMultiset, nt: int) -> tuple[int, ...]:
+    """Numerators k of the targets k/nt that the candidates of one sweep
+    round to, with multiplicity, ascending.
+
+    In integers: the candidate c/n (c = -a mod n) rounds to
+    k = floor(c/n * nt + 1/2) = (2*c*nt + n) // (2*n), and it is within 1/n
+    of k/nt exactly when |c*nt - k*n| <= nt.  Candidates are taken in
+    ascending order, so k ascends and an error names the candidate that
+    the sorted candidate list meets first.
+    """
+    n = char.n
+    out: list[int] = []
+    for c, mult in sorted(((-a) % n, mult) for a, mult in char.exponents):
+        k = (2 * c * nt + n) // (2 * n)
+        in_tolerance = abs(c * nt - k * n) <= nt
+        if nt == 1 and not (in_tolerance and k == 0):
+            raise InconsistentRounding(
+                f"degree {n}: candidate {Fraction(c, n)} does not round to 0 although "
+                "no principal component constrains the denominator"
+            )
+        if not in_tolerance:
+            cand, target = Fraction(c, n), Fraction(k, nt)
+            raise ToleranceExceeded(
+                f"degree {n}: candidate {cand} is {abs(cand - target)} away from "
+                f"{target}, beyond 1/{n}"
+            )
+        if not 0 <= k < nt:
+            raise ToleranceExceeded(
+                f"degree {n}: candidate {Fraction(c, n)} rounds to {Fraction(k, nt)}, "
+                "outside [0, 1)"
+            )
+        out.extend([k] * mult)
+    return tuple(out)

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import time
 
+from hypothesis import given, settings, strategies as st
+
+from fibertrace import cli
 from fibertrace.cli import main
 from fibertrace.resolution import Singularity, is_stable, resolve
 from fibertrace.singtrace import trace_closed_form
@@ -74,6 +79,15 @@ def test_trace_sing_past_node_sum_bound_exits_0(capsys):
     assert res.length == 1500 and not is_stable(res)
     assert out.splitlines() == [f"tr {e} {c}" for e, c in trace_closed_form(res).items()]
     assert len(out.splitlines()) == 3000
+
+
+def test_trace_sing_past_multiplicity_bound_exits_2(capsys):
+    # the closed form would build about 2 * 10^8 terms (tens of GB)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "trace-sing", "100000000", "99999999", "100000001")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "MAX_MULTIPLICITY = 100000" in err
 
 
 def test_trace_sing_golden(capsys):
@@ -187,3 +201,69 @@ def test_invalid_graph_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "character", "--graph", str(path), "--n", "5")
     assert code == 2
     assert "connected" in err
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+REUSE_SEQUENCE = [
+    ["resolve", "3"],                                          # usage error
+    ["--help"],
+    ["trace-sing", "3", "4", "12"],                            # domain error
+    ["jumps", "--catalog", "ogg:4"],
+]
+
+
+def test_parser_is_built_once_and_reused(monkeypatch):
+    shared = [run_captured(argv) for argv in REUSE_SEQUENCE]
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in shared] == [1, 0, 2, 0]
+    assert shared[3][1].endswith("\njump 1/4\njump 3/4\n")
+    # the same calls, each with a parser of its own
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert [run_captured(argv) for argv in REUSE_SEQUENCE] == shared
+
+
+def _not_an_int(token):
+    # a long number as a degree could make one call walk a long chain
+    for part in token.split("="):
+        try:
+            int(part)
+        except ValueError:
+            continue
+        return False
+    return True
+
+
+TOKENS = st.one_of(
+    st.sampled_from(
+        ["resolve", "trace-sing", "trace-fiber", "character", "jumps", "catalog-list", "bogus"]
+    ),
+    st.sampled_from(
+        ["--machine", "--n", "--n-min", "--sweeps", "--catalog", "--graph", "--help", "-h", "--"]
+    ),
+    st.sampled_from(["kodaira:IV", "ogg:4", "kodaira:In:3", "kodaira:In*:2", "kodaira:X"]),
+    st.integers(-3, 40).map(str),
+    st.text(max_size=8).filter(lambda t: not t.startswith("/") and _not_an_int(t)),
+)
+
+
+def test_fuzzed_argv_exits_cleanly_and_leaves_parser_intact(tmp_path, monkeypatch):
+    # relative --graph paths then name nothing, or an empty directory
+    monkeypatch.chdir(tmp_path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(TOKENS, max_size=7))
+    def check(argv):
+        code, _, err = run_captured(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code:
+            assert err.strip(), argv
+        probe = run_captured(["jumps", "--catalog", "kodaira:IV", "--machine"])
+        assert probe == (0, "jump 1/3\n", ""), argv
+
+    check()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fibertrace import cli, resolution, singtrace
+from fibertrace import cli, fiber, resolution, singtrace
 from fibertrace.arith import mod_inverse
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import (
@@ -112,6 +112,13 @@ class TestParse:
     def test_negative_genus_rejected(self):
         with pytest.raises(ValidationError):
             parse_graph("vertex a genus=-1 mult=1\n")
+
+    def test_multiplicity_bound(self, monkeypatch):
+        monkeypatch.setattr(fiber, "MAX_MULTIPLICITY", 4)
+        text = "vertex a genus=0 mult=1\nvertex b genus=0 mult={}\nedge a b\n"
+        assert parse_graph(text.format(4)).vertex("b").mult == 4
+        with pytest.raises(BadInput, match="vertex b: multiplicity 5 exceeds MAX_MULTIPLICITY = 4"):
+            parse_graph(text.format(5))
 
 
 class TestSelfIntersections:

@@ -1,10 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from fibertrace import jumps
 from fibertrace.catalog import FiberTypeId, lookup
-from fibertrace.errors import BadInput, InconsistentRounding
+from fibertrace.errors import BadInput, InconsistentRounding, ToleranceExceeded
 from fibertrace.fiber import CharacterMultiset, FiberGraph, h1_character
 from fibertrace.jumps import (
     JumpOptions,
@@ -17,6 +19,40 @@ from fibertrace.jumps import (
 
 def cat(s):
     return lookup(FiberTypeId.parse(s))
+
+
+def reference_round(char, nt):
+    """The rounding step in Fractions, as compute_jumps did it before it
+    rounded in integers: the targets of one sweep, sorted, or the error."""
+    n = char.n
+    rounded = []
+    for cand in candidate_jumps(char):
+        k = math.floor(cand * nt + Fraction(1, 2))
+        target = Fraction(k, nt)
+        in_tolerance = abs(cand - target) <= Fraction(1, n)
+        if nt == 1 and not (in_tolerance and target == 0):
+            raise InconsistentRounding(
+                f"degree {n}: candidate {cand} does not round to 0 although "
+                "no principal component constrains the denominator"
+            )
+        if not in_tolerance:
+            raise ToleranceExceeded(
+                f"degree {n}: candidate {cand} is {abs(cand - target)} away from "
+                f"{target}, beyond 1/{n}"
+            )
+        if not 0 <= target < 1:
+            raise ToleranceExceeded(
+                f"degree {n}: candidate {cand} rounds to {target}, outside [0, 1)"
+            )
+        rounded.append(target)
+    return tuple(sorted(rounded))
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (InconsistentRounding, ToleranceExceeded) as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestPrincipalLcm:
@@ -75,6 +111,42 @@ class TestSweepDegrees:
         assert len(sweep_degrees(cat("kodaira:IV"), JumpOptions(sweeps=4))) == 4
         with pytest.raises(BadInput, match="5 sweeps exceed MAX_SWEEPS = 4"):
             sweep_degrees(cat("kodaira:IV"), JumpOptions(sweeps=5))
+
+
+class TestIntegerRounding:
+    """compute_jumps rounds in integers; the Fraction reference above pins
+    its results, and on failure its exception type and message."""
+
+    @staticmethod
+    def integer_round(char, nt):
+        return tuple(Fraction(k, nt) for k in jumps._round_candidates(char, nt))
+
+    def cases(self):
+        # every single exponent at small (n, nt), then seeded random multisets
+        for n in range(2, 31):
+            for nt in range(1, 9):
+                for a in range(n):
+                    yield CharacterMultiset(n=n, exponents=((a, 1),), total=1), nt
+        rng = random.Random(5)
+        for _ in range(1500):
+            n = rng.choice([rng.randrange(2, 40), rng.randrange(40, 10**6)])
+            nt = rng.randrange(1, 13)
+            if rng.random() < 0.5:
+                # exponents whose candidates sit near a multiple of 1/nt
+                exps = {(-(j * n // nt + rng.randrange(-1, 2))) % n for j in range(nt + 1)}
+            else:
+                exps = {rng.randrange(n) for _ in range(rng.randrange(0, 7))}
+            items = tuple((a, rng.randrange(1, 4)) for a in sorted(exps))
+            yield CharacterMultiset(n=n, exponents=items, total=0), nt
+
+    def test_matches_fraction_reference(self):
+        errors = ("does not round to 0", "away from", "outside [0, 1)")
+        met = set()
+        for char, nt in self.cases():
+            got = outcome(self.integer_round, char, nt)
+            assert got == outcome(reference_round, char, nt), (char, nt)
+            met.add("ok" if got[0] == "ok" else next(e for e in errors if e in got[1]))
+        assert met == {"ok", *errors}
 
 
 class TestComputeJumps:
@@ -164,5 +236,8 @@ class TestComputeJumps:
             return CharacterMultiset(n=n, exponents=(((-c_num) % n, 1),), total=1)
 
         monkeypatch.setattr(jumps_mod, "h1_character", fake_character)
-        with pytest.raises(InconsistentRounding):
+        with pytest.raises(InconsistentRounding) as exc:
             compute_jumps(g)
+        degrees = sweep_degrees(g)
+        shown = [reference_round(fake_character(g, n), 3) for n in degrees]
+        assert str(exc.value) == f"sweeps at degrees {degrees} disagree: {shown}"

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibertrace import resolution
 from fibertrace.errors import BadInput
 from fibertrace.resolution import (
     Singularity,
@@ -62,6 +63,14 @@ def test_singularity_validation():
         Singularity(1, 1, 1)  # n < 2
     with pytest.raises(BadInput):
         Singularity(0, 1, 5)
+
+
+def test_multiplicity_bound(monkeypatch):
+    monkeypatch.setattr(resolution, "MAX_MULTIPLICITY", 7)
+    assert Singularity(7, 7, 2) and Singularity(7, 1, 3)
+    for m1, m2 in ((8, 1), (1, 8)):
+        with pytest.raises(BadInput, match=rf"\({m1}, {m2}\) exceed MAX_MULTIPLICITY = 7"):
+            Singularity(m1, m2, 3)
 
 
 def test_resolution_invariants_sweep():
