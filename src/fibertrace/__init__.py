@@ -19,10 +19,11 @@ from .fiber import (
     Vertex,
     h1_character,
     parse_graph,
+    rational_trace,
     self_intersections,
     total_trace,
 )
-from .jumps import JumpOptions, JumpSet, candidate_jumps, compute_jumps, principal_lcm
+from .jumps import JumpOptions, JumpSet, compute_jumps, principal_lcm
 from .resolution import (
     ResolutionData,
     Singularity,
@@ -52,7 +53,6 @@ __all__ = [
     "ResolutionData",
     "Singularity",
     "Vertex",
-    "candidate_jumps",
     "catalog_ids",
     "chain_ends",
     "closed_form_coefficients",
@@ -65,6 +65,7 @@ __all__ = [
     "mod_inverse",
     "parse_graph",
     "principal_lcm",
+    "rational_trace",
     "resolve",
     "self_intersections",
     "singularity_trace",

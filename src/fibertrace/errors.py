@@ -44,14 +44,10 @@ class NegativeCharacterCoefficient(FibertraceError):
     valid fiber (or there is a bug upstream)."""
 
 
-class InconsistentRounding(FibertraceError):
-    """Jump candidates from independent sweeps rounded to different
-    multisets; the sweep degrees are too small or the graph is invalid."""
-
-
-class ToleranceExceeded(FibertraceError):
-    """A jump candidate is farther from every admissible rational than
-    the sweep tolerance allows."""
+class BadJumpDenominator(FibertraceError):
+    """A jump's denominator does not divide n_tilde, the lcm of the
+    principal multiplicities; the graph is not a valid fiber (or there is
+    a bug upstream)."""
 
 
 class UnknownType(FibertraceError):

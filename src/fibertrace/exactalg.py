@@ -114,9 +114,6 @@ class GroupRingElement:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -1,7 +1,8 @@
 """Fiber graphs: the multigraph of irreducible components of a special
 fiber, with per-vertex genus and multiplicity, plus everything computed
 from it per degree n: self-intersections on the resolved surface, the
-total trace, and the character multiset on H^1.
+total trace (built over the classes j/L of (1/L)Z/Z, L the multiplicity
+lcm), and the character multiset on H^1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
 from .exactalg import GroupRingElement
 from .resolution import MAX_MULTIPLICITY, Singularity, chain_ends
 from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.resolve
-from .singtrace import singularity_trace, vertex_trace
+from .singtrace import at_degree, block_sum, edge_blocks, vertex_block
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class FiberGraph:
                     stack.append(nb)
         return len(seen) == len(self.vertices)
 
-    # The two indexes are built on first use, so parsing pays nothing for them.
+    # The indexes and the lcm are built on first use, so parsing pays nothing for them.
     @cached_property
     def _by_id(self) -> dict[str, Vertex]:
         return {v.id: v for v in self.vertices}
@@ -107,7 +108,7 @@ class FiberGraph:
         """Number of edge-ends at the vertex; a loop counts twice."""
         return self._degrees[vid]
 
-    @property
+    @cached_property
     def mult_lcm(self) -> int:
         return math.lcm(*(v.mult for v in self.vertices))
 
@@ -192,13 +193,18 @@ def self_intersections(g: FiberGraph, n: int) -> dict[str, int]:
     Isolated vertices get 0.
     """
     _check_degree(g, n)
-    return _self_intersections(g, [edge_singularity(g, edge, n) for edge in g.edges])
+    return _self_intersections(g, _chains(g, n))
 
 
-def _self_intersections(g: FiberGraph, edge_sings) -> dict[str, int]:
+def _chains(g: FiberGraph, n: int) -> list[tuple[Singularity, str, str, tuple[int, int]]]:
+    """Per edge: its singularity, the m1 and m2 endpoints, and the chain ends."""
+    sings = (edge_singularity(g, edge, n) for edge in g.edges)
+    return [(sing, hi, lo, chain_ends(sing)) for sing, hi, lo in sings]
+
+
+def _self_intersections(g: FiberGraph, chains) -> dict[str, int]:
     ends: dict[str, int] = {v.id: 0 for v in g.vertices}
-    for sing, hi, lo in edge_sings:
-        mu1, mu_last = chain_ends(sing)
+    for _, hi, lo, (mu1, mu_last) in chains:
         ends[lo] += mu1
         ends[hi] += mu_last
     out: dict[str, int] = {}
@@ -213,30 +219,45 @@ def _self_intersections(g: FiberGraph, edge_sings) -> dict[str, int]:
     return out
 
 
+def rational_trace(g: FiberGraph, n: int) -> dict[int, int]:
+    """The total trace at degree n as an element of Z[(1/L)Z/Z], L the
+    multiplicity lcm: j -> c stands for c times the class of j/L, summed
+    over the vertex blocks and each edge's closed-form blocks.  It depends
+    on n only through the chain ends, so once n > L only through n mod L."""
+    _check_degree(g, n)
+    chains = _chains(g, n)
+    si = _self_intersections(g, chains)
+    blocks = [vertex_block(v.mult, v.genus, si[v.id]) for v in g.vertices]
+    for sing, _, _, ends in chains:
+        blocks += edge_blocks(sing.m1, sing.m2, *ends)
+    return block_sum(blocks, g.mult_lcm)
+
+
 def total_trace(g: FiberGraph, n: int) -> GroupRingElement:
     """Trace of the degree-n action on the alternating sum of fiber
-    cohomology: vertex contributions plus one chain trace per edge.  Each
-    edge's singularity is formed once per degree, for the self-intersections
-    and for its trace."""
-    _check_degree(g, n)
-    edge_sings = [edge_singularity(g, edge, n) for edge in g.edges]
-    si = _self_intersections(g, edge_sings)
-    parts = [vertex_trace(v.mult, v.genus, si[v.id], n) for v in g.vertices]
-    parts += [singularity_trace(sing) for sing, _, _ in edge_sings]
-    return GroupRingElement.from_terms(n, (t for p in parts for t in p.terms.items()))
+    cohomology: the image of ``rational_trace`` at degree n."""
+    return at_degree(rational_trace(g, n), g.mult_lcm, n)
+
+
+def character_terms(trace: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms of 1 - trace, keys ascending; a character has no
+    negative coefficient."""
+    one_minus = {k: -c for k, c in trace.items()}
+    one_minus[0] = one_minus.get(0, 0) + 1
+    items = tuple(sorted((k, c) for k, c in one_minus.items() if c))
+    bad = [(k, c) for k, c in items if c < 0]
+    if bad:
+        raise NegativeCharacterCoefficient(
+            f"1 - total trace has negative coefficients {bad}; not a valid fiber"
+        )
+    return items
 
 
 def h1_character(g: FiberGraph, n: int) -> CharacterMultiset:
     """Character multiset of the action on H^1: the exponents of
     1 - total_trace, which must have nonnegative coefficients."""
-    one_minus = 1 - total_trace(g, n)
-    items = tuple(one_minus.items())
-    bad = [(e, c) for e, c in items if c < 0]
-    if bad:
-        raise NegativeCharacterCoefficient(
-            f"1 - total trace has negative coefficients {bad}; not a valid fiber"
-        )
-    return CharacterMultiset(n=n, exponents=items, total=one_minus.eval_at_one())
+    items = character_terms(total_trace(g, n).terms)
+    return CharacterMultiset(n=n, exponents=items, total=sum(c for _, c in items))
 
 
 def _check_degree(g: FiberGraph, n: int) -> None:

@@ -1,10 +1,13 @@
-"""Jumps of the rational-index filtration, recovered from character
-sweeps over increasing degrees with exact rational rounding.
+"""Jumps of the rational-index filtration, read exactly off the limit
+character.
 
-Each character exponent a at degree n yields the candidate
-((-a) mod n)/n; the jump is the common rational with denominator dividing
-n-tilde (the lcm of the principal component multiplicities) that every
-sweep rounds to within 1/n.
+At a degree n coprime to the multiplicity lcm L, each character exponent
+a yields the candidate ((-a) mod n)/n.  The exponents are the images of
+classes j/L of 1 - ``rational_trace``, a = j * L^{-1} mod n, and once n
+exceeds L the candidate lies within 1/n below (j * n^{-1} mod L)/L.  So
+that rational is the jump, with the coefficient of j/L as multiplicity,
+and every jump's denominator divides n-tilde (the lcm of the principal
+component multiplicities).
 """
 
 from __future__ import annotations
@@ -13,25 +16,28 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadInput, InconsistentRounding, ToleranceExceeded
-from .fiber import CharacterMultiset, FiberGraph, h1_character
+from .errors import BadInput, BadJumpDenominator
+from .fiber import FiberGraph, character_terms, rational_trace
 
-# Most sweeps compute_jumps runs; the list of sweep degrees is built before
-# any of them, so a huge count would exhaust memory instead of failing.
+# Most sweep degrees compute_jumps lists; the list is built in full, so a
+# huge count would exhaust memory instead of failing.
 MAX_SWEEPS = 1000
 
 
 @dataclass(frozen=True)
 class JumpOptions:
-    n_min: int = 1000     # sweep degrees exceed max(2 * n_tilde * lcm, n_min)
-    sweeps: int = 3       # number of independent degrees that must agree
-    residue: int = 1      # residue class of the sweep degrees mod the lcm
+    # n_min, sweeps and residue place the witness degrees only; the
+    # character is read at the first one, and the jumps do not depend on them
+    n_min: int = 1000     # witness degrees exceed max(2 * n_tilde * lcm, n_min)
+    sweeps: int = 3       # number of witness degrees listed
+    residue: int = 1      # residue class of the witness degrees mod the lcm
 
 
 @dataclass(frozen=True)
 class JumpSet:
     """Sorted multiset of jumps in [0, 1), all with denominator dividing
-    n_tilde; ``witnesses`` records the sweep degrees used."""
+    n_tilde; ``witnesses`` records the sweep degrees, and the character
+    was read at ``witnesses[0]``."""
 
     jumps: tuple[Fraction, ...]
     n_tilde: int
@@ -47,18 +53,8 @@ def principal_lcm(g: FiberGraph) -> int:
     return math.lcm(*mults) if mults else 1
 
 
-def candidate_jumps(char: CharacterMultiset) -> list[Fraction]:
-    """One candidate ((-a) mod n)/n per character exponent a, with
-    multiplicity; sorted ascending."""
-    out: list[Fraction] = []
-    for exponent, mult in char.exponents:
-        value = Fraction((-exponent) % char.n, char.n)
-        out.extend([value] * mult)
-    return sorted(out)
-
-
 def sweep_degrees(g: FiberGraph, options: JumpOptions = JumpOptions()) -> list[int]:
-    """The degrees used by compute_jumps: the first ``sweeps`` integers
+    """The witness degrees of compute_jumps: the first ``sweeps`` integers
     congruent to ``residue`` mod the multiplicity lcm and exceeding
     max(2 * n_tilde * lcm, n_min)."""
     return _sweep_degrees(g, options, principal_lcm(g))
@@ -78,59 +74,24 @@ def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
 
 
 def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSet:
-    """Jump multiset of the graph's filtration.
-
-    Runs the character computation at ``sweeps`` degrees, rounds every
-    candidate to the nearest rational with denominator n_tilde (tolerance
-    1/n, which pins a unique target since the degrees exceed 2 * n_tilde),
-    and insists that all sweeps produce the same multiset.
-
-    Every edge trace is the closed form from the chain ends, so the cost
-    does not depend on ``n_min``.
-    """
+    """Jump multiset of the graph's filtration, read off 1 - the rational
+    trace at the first witness degree n.  As n exceeds the lcm L, its chain
+    ends are the limit ones, the same for every degree of its class mod L,
+    and the cost does not depend on ``n_min``."""
     nt = principal_lcm(g)
     degrees = _sweep_degrees(g, options, nt)
-    rounded_sets = [_round_candidates(h1_character(g, n), nt) for n in degrees]
-    if any(s != rounded_sets[0] for s in rounded_sets[1:]):
-        shown = [tuple(Fraction(k, nt) for k in s) for s in rounded_sets]
-        raise InconsistentRounding(f"sweeps at degrees {degrees} disagree: {shown}")
+    n, l = degrees[0], g.mult_lcm
+    rho_inverse = pow(n, -1, l)
+    ks = sorted(j * rho_inverse % l for j, c in character_terms(rational_trace(g, n))
+                for _ in range(c))
+    for k in ks:
+        if k * nt % l:
+            raise BadJumpDenominator(
+                f"jump {Fraction(k, l)} has a denominator that does not divide "
+                f"n_tilde = {nt}; not a valid fiber"
+            )
     return JumpSet(
-        jumps=tuple(Fraction(k, nt) for k in rounded_sets[0]),
+        jumps=tuple(Fraction(k, l) for k in ks),
         n_tilde=nt,
         witnesses=tuple(degrees),
     )
-
-
-def _round_candidates(char: CharacterMultiset, nt: int) -> tuple[int, ...]:
-    """Numerators k of the targets k/nt that the candidates of one sweep
-    round to, with multiplicity, ascending.
-
-    In integers: the candidate c/n (c = -a mod n) rounds to
-    k = floor(c/n * nt + 1/2) = (2*c*nt + n) // (2*n), and it is within 1/n
-    of k/nt exactly when |c*nt - k*n| <= nt.  Candidates are taken in
-    ascending order, so k ascends and an error names the candidate that
-    the sorted candidate list meets first.
-    """
-    n = char.n
-    out: list[int] = []
-    for c, mult in sorted(((-a) % n, mult) for a, mult in char.exponents):
-        k = (2 * c * nt + n) // (2 * n)
-        in_tolerance = abs(c * nt - k * n) <= nt
-        if nt == 1 and not (in_tolerance and k == 0):
-            raise InconsistentRounding(
-                f"degree {n}: candidate {Fraction(c, n)} does not round to 0 although "
-                "no principal component constrains the denominator"
-            )
-        if not in_tolerance:
-            cand, target = Fraction(c, n), Fraction(k, nt)
-            raise ToleranceExceeded(
-                f"degree {n}: candidate {cand} is {abs(cand - target)} away from "
-                f"{target}, beyond 1/{n}"
-            )
-        if not 0 <= k < nt:
-            raise ToleranceExceeded(
-                f"degree {n}: candidate {Fraction(c, n)} rounds to {Fraction(k, nt)}, "
-                "outside [0, 1)"
-            )
-        out.extend([k] * mult)
-    return tuple(out)

@@ -12,6 +12,9 @@ independent of the other two so it can arbitrate between them.
 the chain ends alone, at every admissible degree, so its cost does not
 depend on n and no chain is walked.  The node sum and the oracle are kept
 off that route as test oracles.
+
+Every trace is the image at degree n of blocks, integer coefficients on
+the classes k/m of (1/m)Z/Z, under k/m -> k * m^{-1} mod n.
 """
 
 from __future__ import annotations
@@ -104,36 +107,60 @@ def closed_form_coefficients(res: ResolutionData) -> tuple[list[int], list[int],
     over mu_{L+1} in powers of xi^{alpha1}, and the length-m all-ones
     block that is subtracted.  Once n * gcd(m1, m2) >= lcm(m1, m2) these
     depend only on the residue class of n modulo lcm(m1, m2)."""
-    mu = res.mu
-    L = res.length
-    return (*_end_blocks(mu[0], mu[1], mu[L], mu[L + 1]), res.m)
+    (_, first), (_, second), (m, _) = edge_blocks(res.sing.m1, res.sing.m2, res.mu[1], res.mu[-2])
+    return first, second, m
 
 
-def _end_blocks(m2: int, mu1: int, mu_last: int, m1: int) -> tuple[list[int], list[int]]:
-    """The two end blocks of the closed form, from the two outermost
-    multiplicities at each end of the chain (mu_0 = m2, mu_1, mu_L and
-    mu_{L+1} = m1)."""
-    first = [mu1 - ceil_div(k * mu1, m2) for k in range(m2)]
-    second = [mu_last - ceil_div(k * mu_last, m1) for k in range(m1)]
-    return first, second
+def edge_blocks(m1: int, m2: int, mu1: int, mu_last: int) -> list[tuple[int, list[int]]]:
+    """The closed-form trace of the chain over (m1, m2, n), from its ends
+    mu_1 and mu_L, as three blocks (m, coeffs), each standing for
+    sum_k coeffs[k] * [k/m]: over m2, over m1, and the all -1 block over
+    gcd(m1, m2)."""
+    m = math.gcd(m1, m2)
+    return [
+        (m2, [mu1 - ceil_div(k * mu1, m2) for k in range(m2)]),
+        (m1, [mu_last - ceil_div(k * mu_last, m1) for k in range(m1)]),
+        (m, [-1] * m),
+    ]
 
 
-def _assemble(n: int, first, second, m: int, alpha1: int, alpha2: int) -> GroupRingElement:
-    """The closed form's terms with exponent multipliers alpha2, alpha1
-    and the inverse of gcd(m1, m2); O(m1 + m2) terms whatever n is."""
-    alpha = mod_inverse(m, n)
-    terms = [(alpha2 * k, c) for k, c in enumerate(first)]
-    terms += [(alpha1 * k, c) for k, c in enumerate(second)]
-    terms += [(alpha * k, -1) for k in range(m)]
-    return GroupRingElement.from_terms(n, terms)
+def vertex_block(mult: int, genus: int, self_int: int) -> tuple[int, list[int]]:
+    """Trace contribution of one fiber component fixed pointwise by the
+    action, as the block over mult with coefficient
+    (mult - k) * C^2 + 1 - genus at k/mult."""
+    if mult < 1 or genus < 0:
+        raise BadInput(f"need mult >= 1 and genus >= 0, got ({mult}, {genus})")
+    return mult, [(mult - k) * self_int + 1 - genus for k in range(mult)]
+
+
+def block_sum(blocks, lcm: int) -> dict[int, int]:
+    """The sum of the blocks in Z[(1/lcm)Z/Z], every block's m dividing
+    lcm: j -> c stands for c times [j/lcm], 0 <= j < lcm."""
+    acc: dict[int, int] = {}
+    for m, coeffs in blocks:
+        step = lcm // m
+        for k, c in enumerate(coeffs):
+            acc[step * k] = acc.get(step * k, 0) + c
+    return acc
+
+
+def at_degree(terms: dict[int, int], lcm: int, n: int) -> GroupRingElement:
+    """The image of a block sum at a degree n coprime to lcm: [j/lcm] goes
+    to xi^(j * lcm^{-1} mod n), that is [k/m] to xi^(k * m^{-1} mod n)."""
+    u = mod_inverse(lcm, n)
+    return GroupRingElement.from_terms(n, ((j * u, c) for j, c in terms.items()))
+
+
+def _blocks_at(n: int, blocks) -> GroupRingElement:
+    lcm = math.lcm(*(m for m, _ in blocks))
+    return at_degree(block_sum(blocks, lcm), lcm, n)
 
 
 def trace_closed_form(res: ResolutionData) -> GroupRingElement:
-    """Closed-form trace polynomial, assembled from the three coefficient
-    blocks with exponent multipliers alpha2, alpha1 and the inverse of
-    gcd(m1, m2)."""
-    first, second, m = closed_form_coefficients(res)
-    return _assemble(res.n, first, second, m, res.alpha1, res.alpha2)
+    """Closed-form trace polynomial from the chain's outermost
+    multiplicities; O(m1 + m2) terms whatever n is."""
+    s = res.sing
+    return _blocks_at(s.n, edge_blocks(s.m1, s.m2, res.mu[1], res.mu[-2]))
 
 
 def singularity_trace(sing: Singularity) -> GroupRingElement:
@@ -141,10 +168,7 @@ def singularity_trace(sing: Singularity) -> GroupRingElement:
     the closed form from the chain ends, which ``chain_ends`` gives in
     O(log n), so the chain is never walked.  It holds for every chain,
     stable or not."""
-    m1, m2, n = sing.m1, sing.m2, sing.n
-    mu1, mu_last = chain_ends(sing)
-    first, second = _end_blocks(m2, mu1, mu_last, m1)
-    return _assemble(n, first, second, math.gcd(m1, m2), mod_inverse(m1, n), mod_inverse(m2, n))
+    return _blocks_at(sing.n, edge_blocks(sing.m1, sing.m2, *chain_ends(sing)))
 
 
 def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
@@ -188,12 +212,6 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
 
 
 def vertex_trace(mult: int, genus: int, self_int: int, n: int) -> GroupRingElement:
-    """Trace contribution of one fiber component fixed pointwise by the
-    action: sum_{k=0}^{mult-1} (xi^a)^k ((mult - k) * C^2 + 1 - genus),
-    with a the inverse of the component multiplicity mod n."""
-    if mult < 1 or genus < 0:
-        raise BadInput(f"need mult >= 1 and genus >= 0, got ({mult}, {genus})")
-    a = mod_inverse(mult, n)
-    return GroupRingElement.from_terms(
-        n, ((a * k, (mult - k) * self_int + 1 - genus) for k in range(mult))
-    )
+    """``vertex_block`` at degree n: sum_{k<mult} (xi^a)^k ((mult - k) * C^2
+    + 1 - genus), with a the inverse of the multiplicity mod n."""
+    return _blocks_at(n, [vertex_block(mult, genus, self_int)])

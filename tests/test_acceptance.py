@@ -238,3 +238,12 @@ def test_criterion_7_degree_independence():
         high = compute_jumps(g, JumpOptions(n_min=5000))
         assert low.witnesses != high.witnesses
         assert low.jumps == high.jumps == (Fraction(1, 3),)
+        # the exact form: the same jumps in every residue class coprime to L
+        for cid in ("kodaira:IV", "kodaira:II*", "ogg:4"):
+            g = cat(cid)
+            l = g.mult_lcm
+            by_residue = {
+                compute_jumps(g, JumpOptions(residue=r)).jumps
+                for r in range(1, l) if math.gcd(r, l) == 1
+            }
+            assert len(by_residue) == 1, (cid, by_residue)

@@ -267,3 +267,31 @@ def test_fuzzed_argv_exits_cleanly_and_leaves_parser_intact(tmp_path, monkeypatc
         assert probe == (0, "jump 1/3\n", ""), argv
 
     check()
+
+
+GRAPH_IDS = st.sampled_from(["a", "b", "c", "d"])
+GRAPH_LINES = st.one_of(
+    st.builds("vertex {} genus={} mult={}".format,
+              GRAPH_IDS, st.integers(-1, 2), st.integers(-1, 12)),
+    st.builds("edge {} {}".format, GRAPH_IDS, GRAPH_IDS),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+def test_fuzzed_graph_files_exit_cleanly(tmp_path):
+    # mostly vertex and edge lines over four ids, so that many files pass
+    # parsing and reach validation, the trace and the jump readout
+    path = tmp_path / "fuzz.fg"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(GRAPH_LINES, max_size=10))
+    def check(lines):
+        path.write_text("\n".join(lines), encoding="utf-8")
+        code, out, err = run_captured(["jumps", "--graph", str(path), "--machine"])
+        assert code in (0, 2), (lines, code)
+        if code:
+            assert err.strip() and not out, lines
+        else:
+            assert all(line.startswith("jump ") for line in out.splitlines()), lines
+
+    check()

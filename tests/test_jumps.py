@@ -6,15 +6,16 @@ import pytest
 
 from fibertrace import jumps
 from fibertrace.catalog import FiberTypeId, lookup
-from fibertrace.errors import BadInput, InconsistentRounding, ToleranceExceeded
-from fibertrace.fiber import CharacterMultiset, FiberGraph, h1_character
+from fibertrace.errors import BadInput, BadJumpDenominator, NegativeCharacterCoefficient
+from fibertrace.fiber import FiberGraph, h1_character
 from fibertrace.jumps import (
     JumpOptions,
-    candidate_jumps,
+    JumpSet,
     compute_jumps,
     principal_lcm,
     sweep_degrees,
 )
+from test_fiber import CATALOG, blow_up
 
 
 def cat(s):
@@ -22,37 +23,29 @@ def cat(s):
 
 
 def reference_round(char, nt):
-    """The rounding step in Fractions, as compute_jumps did it before it
-    rounded in integers: the targets of one sweep, sorted, or the error."""
+    """The rounding step in Fractions: every candidate ((-a) mod n)/n of
+    one sweep rounded to the nearest k/nt within 1/n, sorted."""
     n = char.n
     rounded = []
-    for cand in candidate_jumps(char):
+    for exponent, mult in char.exponents:
+        cand = Fraction((-exponent) % n, n)
         k = math.floor(cand * nt + Fraction(1, 2))
         target = Fraction(k, nt)
-        in_tolerance = abs(cand - target) <= Fraction(1, n)
-        if nt == 1 and not (in_tolerance and target == 0):
-            raise InconsistentRounding(
-                f"degree {n}: candidate {cand} does not round to 0 although "
-                "no principal component constrains the denominator"
-            )
-        if not in_tolerance:
-            raise ToleranceExceeded(
-                f"degree {n}: candidate {cand} is {abs(cand - target)} away from "
-                f"{target}, beyond 1/{n}"
-            )
-        if not 0 <= target < 1:
-            raise ToleranceExceeded(
-                f"degree {n}: candidate {cand} rounds to {target}, outside [0, 1)"
-            )
-        rounded.append(target)
+        if abs(cand - target) > Fraction(1, n) or not 0 <= target < 1:
+            raise AssertionError(f"degree {n}: candidate {cand} does not round to a jump")
+        rounded += [target] * mult
     return tuple(sorted(rounded))
 
 
-def outcome(fn, *args):
-    try:
-        return "ok", fn(*args)
-    except (InconsistentRounding, ToleranceExceeded) as exc:
-        return type(exc).__name__, str(exc)
+def sweep_oracle(g, options=JumpOptions()):
+    """The sweep route, independent of the limit character: the character
+    at every sweep degree, each sweep rounded, and all sweeps agreeing."""
+    nt = principal_lcm(g)
+    degrees = sweep_degrees(g, options)
+    rounded = {reference_round(h1_character(g, n), nt) for n in degrees}
+    if len(rounded) != 1:
+        raise AssertionError(f"sweeps at degrees {degrees} disagree: {rounded}")
+    return JumpSet(jumps=rounded.pop(), n_tilde=nt, witnesses=tuple(degrees))
 
 
 class TestPrincipalLcm:
@@ -68,20 +61,6 @@ class TestPrincipalLcm:
         g = FiberGraph.build([("a", 0, 1), ("b", 0, 2)], [("a", "b")] * 3)
         # wait: mult-2 vertex of valence 3 is principal
         assert principal_lcm(g) == 2
-
-
-class TestCandidates:
-    def test_single_exponent(self):
-        ch = CharacterMultiset(n=13, exponents=((9, 1),), total=1)
-        assert candidate_jumps(ch) == [Fraction(4, 13)]
-
-    def test_two_exponents(self):
-        ch = CharacterMultiset(n=13, exponents=((4, 1), (10, 1)), total=2)
-        assert candidate_jumps(ch) == [Fraction(3, 13), Fraction(9, 13)]
-
-    def test_trivial_exponent(self):
-        ch = CharacterMultiset(n=10, exponents=((0, 2),), total=2)
-        assert candidate_jumps(ch) == [Fraction(0), Fraction(0)]
 
 
 class TestSweepDegrees:
@@ -111,42 +90,6 @@ class TestSweepDegrees:
         assert len(sweep_degrees(cat("kodaira:IV"), JumpOptions(sweeps=4))) == 4
         with pytest.raises(BadInput, match="5 sweeps exceed MAX_SWEEPS = 4"):
             sweep_degrees(cat("kodaira:IV"), JumpOptions(sweeps=5))
-
-
-class TestIntegerRounding:
-    """compute_jumps rounds in integers; the Fraction reference above pins
-    its results, and on failure its exception type and message."""
-
-    @staticmethod
-    def integer_round(char, nt):
-        return tuple(Fraction(k, nt) for k in jumps._round_candidates(char, nt))
-
-    def cases(self):
-        # every single exponent at small (n, nt), then seeded random multisets
-        for n in range(2, 31):
-            for nt in range(1, 9):
-                for a in range(n):
-                    yield CharacterMultiset(n=n, exponents=((a, 1),), total=1), nt
-        rng = random.Random(5)
-        for _ in range(1500):
-            n = rng.choice([rng.randrange(2, 40), rng.randrange(40, 10**6)])
-            nt = rng.randrange(1, 13)
-            if rng.random() < 0.5:
-                # exponents whose candidates sit near a multiple of 1/nt
-                exps = {(-(j * n // nt + rng.randrange(-1, 2))) % n for j in range(nt + 1)}
-            else:
-                exps = {rng.randrange(n) for _ in range(rng.randrange(0, 7))}
-            items = tuple((a, rng.randrange(1, 4)) for a in sorted(exps))
-            yield CharacterMultiset(n=n, exponents=items, total=0), nt
-
-    def test_matches_fraction_reference(self):
-        errors = ("does not round to 0", "away from", "outside [0, 1)")
-        met = set()
-        for char, nt in self.cases():
-            got = outcome(self.integer_round, char, nt)
-            assert got == outcome(reference_round, char, nt), (char, nt)
-            met.add("ok" if got[0] == "ok" else next(e for e in errors if e in got[1]))
-        assert met == {"ok", *errors}
 
 
 class TestComputeJumps:
@@ -211,33 +154,81 @@ class TestComputeJumps:
         assert compute_jumps(g).jumps == ()
 
     def test_unit_denominator_enforced(self, monkeypatch):
-        # every valid graph with n_tilde = 1 really does produce candidates
-        # at 0, so force a bad character through to prove the guard fires
-        import fibertrace.jumps as jumps_mod
-
-        g = cat("kodaira:In:2")  # n_tilde = 1
-        monkeypatch.setattr(
-            jumps_mod,
-            "h1_character",
-            lambda graph, n: CharacterMultiset(n=n, exponents=((n // 2, 1),), total=1),
-        )
-        with pytest.raises(InconsistentRounding):
+        # a node of an I2 blown up: a mult-2 vertex of valence 2, so L = 2 but
+        # n_tilde = 1; every valid fiber then has its jumps at 0, so force a
+        # limit character at 1/2 through rational_trace to prove the guard fires
+        g = FiberGraph.build([("a", 0, 1), ("b", 0, 1), ("e", 0, 2)],
+                             [("a", "b"), ("a", "e"), ("e", "b")])
+        assert (principal_lcm(g), g.mult_lcm) == (1, 2)
+        assert compute_jumps(g).jumps == (Fraction(0),)
+        monkeypatch.setattr(jumps, "rational_trace", lambda graph, n: {0: 1, 1: -1})
+        with pytest.raises(BadJumpDenominator, match=r"jump 1/2 .* n_tilde = 1"):
             compute_jumps(g)
 
-    def test_disagreeing_sweeps_detected(self, monkeypatch):
-        import fibertrace.jumps as jumps_mod
+    def test_negative_limit_character_rejected(self, monkeypatch):
+        monkeypatch.setattr(jumps, "rational_trace", lambda graph, n: {0: 1, 1: 2})
+        with pytest.raises(NegativeCharacterCoefficient, match=r"\[\(1, -2\)\]"):
+            compute_jumps(cat("kodaira:IV"))
 
-        g = cat("kodaira:IV")  # n_tilde = 3
 
-        def fake_character(graph, n):
-            # candidate sits near 1/3 for odd witnesses, near 2/3 for even
-            k = 1 if n % 2 else 2
-            c_num = (k * n) // 3
-            return CharacterMultiset(n=n, exponents=(((-c_num) % n, 1),), total=1)
+def star_fiber(rng):
+    """A random star-shaped fiber: a genus-0 center of multiplicity m with
+    three or four chains, each running from m through a unit a mod m down
+    to multiplicity 1 (mu_{i+1} = -mu_{i-1} mod mu_i), where the first
+    multiplicities a sum to a multiple of m. Every self-intersection is
+    then integral, and n_tilde = m need not divide 24, so the jumps are not
+    fixed by every unit of n_tilde, as catalog jumps are."""
+    while True:
+        m = rng.randint(2, 12)
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        firsts = [rng.choice(units) for _ in range(rng.randint(2, 3))]
+        if -sum(firsts) % m in units:
+            break
+    vertices, edges = [("c", 0, m)], []
+    for branch, a in enumerate(firsts + [-sum(firsts) % m]):
+        prev, cur, here = m, a, "c"
+        while cur:
+            vid = f"{branch}.{cur}"
+            vertices.append((vid, 0, cur))
+            edges.append((here, vid))
+            prev, cur, here = cur, -prev % cur, vid
+    return FiberGraph.build(vertices, edges)
 
-        monkeypatch.setattr(jumps_mod, "h1_character", fake_character)
-        with pytest.raises(InconsistentRounding) as exc:
-            compute_jumps(g)
-        degrees = sweep_degrees(g)
-        shown = [reference_round(fake_character(g, n), 3) for n in degrees]
-        assert str(exc.value) == f"sweeps at degrees {degrees} disagree: {shown}"
+
+class TestAgainstSweepOracle:
+    """compute_jumps reads the limit character at one degree; the sweep
+    route rounds the character at every sweep degree. Both must give the
+    same JumpSet."""
+
+    N_MINS = (20, 1000, 10**12)
+    ENTRIES = CATALOG + ["kodaira:In:7", "kodaira:In:12", "kodaira:In*:9", "kodaira:In*:12"]
+
+    @staticmethod
+    def residues(g):
+        return [r for r in range(1, g.mult_lcm + 1) if math.gcd(r, g.mult_lcm) == 1]
+
+    def test_catalog_at_every_residue(self):
+        for cid in self.ENTRIES:
+            g = cat(cid)
+            for residue in self.residues(g):
+                for n_min in self.N_MINS:
+                    options = JumpOptions(n_min=n_min, residue=residue)
+                    assert compute_jumps(g, options) == sweep_oracle(g, options), (cid, options)
+
+    def test_blow_ups(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            g = blow_up(cat(rng.choice(self.ENTRIES)), rng, rng.randint(1, 4))
+            residue = rng.choice(self.residues(g))
+            for n_min in self.N_MINS:
+                options = JumpOptions(n_min=n_min, sweeps=rng.choice((1, 3)), residue=residue)
+                assert compute_jumps(g, options) == sweep_oracle(g, options), (g, options)
+
+    def test_star_fibers(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            g = star_fiber(rng)
+            residue = rng.choice(self.residues(g))
+            for n_min in self.N_MINS:
+                options = JumpOptions(n_min=n_min, residue=residue)
+                assert compute_jumps(g, options) == sweep_oracle(g, options), (g, options)
