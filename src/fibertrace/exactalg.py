@@ -4,15 +4,37 @@ cyclotomic field Q(zeta_n).
 Group-ring elements are formal sums sum_e c_e * x^e with integer
 coefficients and exponents mod n, stored by their nonzero terms; all
 trace polynomials live here.
-CyclotomicNumber models elements of Q(zeta_n) reduced modulo the n-th
-cyclotomic polynomial, so that equality is exact; the fixed-point
-evaluation route needs no general inverse, only the closed form of
-(1 - zeta_n^c)^(-1) in ``inverse_of_one_minus_root``.
+
+CyclotomicNumber models an element of Q(zeta_n) by its remainder modulo
+the n-th cyclotomic polynomial Phi_n: phi(n) integer coordinates over one
+denominator.  The remainder is canonical, so equality is exact.
+``from_poly`` reduces an integer polynomial of any length in two steps:
+
+- It folds the polynomial modulo x^n - 1 into n coordinates, adding the
+  coefficient of x^i to that of x^(i mod n).  The fold is exact in
+  Q(zeta_n): zeta_n^n = 1, and Phi_n divides x^n - 1, so both
+  polynomials have the same remainder modulo Phi_n.
+- It divides the folded polynomial by Phi_n from x^(n-1) down to
+  x^phi(n), subtracting only the nonzero terms of Phi_n below its
+  leading one, cached per n; Phi_120, of degree 32, has six of them.
+
+A product is formed by Kronecker substitution: each numerator vector a
+is packed into one integer, sum a_i * 2^(w i), the two integers are
+multiplied once, and the coefficients of the product are read off its
+w-bit slots.  Each coefficient sums at most min(len a, len b) products
+a_i * b_j, so its absolute value is at most
+B = max|a| * max|b| * min(len a, len b) < 2^k with k = B.bit_length();
+slots of w >= k + 1 bits, rounded up to whole bytes, hold it as a signed
+value with no carry into the next slot.
+
+The fixed-point evaluation route needs no general inverse, only the
+closed form of (1 - zeta_n^c)^(-1) in ``inverse_of_one_minus_root``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from .errors import BadInput, InvariantError, ModulusMismatch
@@ -169,21 +191,9 @@ def _poly_trim(p: list) -> list:
     return p
 
 
-def _poly_mul_int(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
 def _poly_divmod_monic(a, d):
-    """Divide a by the monic integer polynomial d; stays in Z[x]."""
+    """Divide a by the monic integer polynomial d; stays in Z[x].  Builds
+    ``cyclotomic_polynomial``; numbers are reduced by ``from_poly``."""
     a = list(a)
     dd = len(d) - 1
     q = [0] * max(len(a) - dd, 0)
@@ -214,8 +224,44 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n), the degree of Phi_n, and the nonzero terms (k, c) of Phi_n
+    below its leading x^phi(n)."""
+    p = cyclotomic_polynomial(n)
+    return len(p) - 1, tuple((k, c) for k, c in enumerate(p[:-1]) if c)
+
+
+def _pack(coeffs, width: int) -> int:
+    """sum c_i * 2^(8 * width * i), one signed slot of ``width`` bytes per
+    coefficient."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << (8 * width)) + c
+    return value
+
+
+def _unpack(value: int, count: int, width: int) -> list[int]:
+    """The ``count`` signed slots of ``value``, each of absolute value below
+    2^(8 * width - 1).  Adding the midpoint to every slot makes every slot
+    nonnegative with no carry between slots, so the slots are read off as
+    bytes, and subtracting the midpoint again is the signed borrow."""
+    half = 1 << (8 * width - 1)
+    midpoints = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    digits = (value + midpoints).to_bytes(count * width, "little")
+    return [
+        int.from_bytes(digits[i:i + width], "little") - half
+        for i in range(0, count * width, width)
+    ]
+
+
+def _product(a, b) -> list[int]:
+    """The product of two nonempty integer polynomials, by Kronecker
+    substitution: one big-integer multiplication of the packed vectors."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    # every product coefficient has absolute value at most bound, below 2^k
+    # for k = bound.bit_length(), so a slot of k + 1 bits holds it signed
+    width = (bound.bit_length() + 8) // 8
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
 
 
 class CyclotomicNumber:
@@ -228,7 +274,7 @@ class CyclotomicNumber:
     __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, num, den: int = 1):
-        phi = _phi(n)
+        phi = _phi_tail(n)[0]
         num = list(num)
         if len(num) != phi:
             raise BadInput(f"expected {phi} coordinates for conductor {n}")
@@ -247,14 +293,27 @@ class CyclotomicNumber:
 
     @classmethod
     def from_poly(cls, n: int, poly, den: int = 1) -> "CyclotomicNumber":
-        """Reduce an arbitrary-degree integer polynomial in zeta_n."""
-        _, rem = _poly_divmod_monic(list(poly), list(cyclotomic_polynomial(n)))
-        rem.extend([0] * (_phi(n) - len(rem)))
-        return cls(n, rem, den)
+        """Reduce an arbitrary-degree integer polynomial in zeta_n: fold it
+        modulo x^n - 1, then divide by Phi_n."""
+        phi, tail = _phi_tail(n)
+        poly = list(poly)
+        buf = poly[:n]
+        buf.extend([0] * (n - len(buf)))
+        for start in range(n, len(poly), n):
+            chunk = poly[start:start + n]
+            buf[:len(chunk)] = map(operator.add, buf, chunk)
+        for i in range(n - 1, phi - 1, -1):
+            c = buf[i]
+            if c:
+                base = i - phi
+                for k, t in tail:
+                    buf[base + k] -= c * t
+        del buf[phi:]
+        return cls(n, buf, den)
 
     @classmethod
     def zero(cls, n: int) -> "CyclotomicNumber":
-        return cls(n, [0] * _phi(n))
+        return cls(n, [0] * _phi_tail(n)[0])
 
     @classmethod
     def from_integer(cls, n: int, value: int) -> "CyclotomicNumber":
@@ -309,7 +368,7 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         self._check(other)
-        prod = _poly_mul_int(list(self.num), list(other.num))
+        prod = _product(self.num, other.num)
         return CyclotomicNumber.from_poly(self.n, prod, self.den * other.den)
 
     __rmul__ = __mul__

@@ -23,6 +23,11 @@ from .fiber import FiberGraph, character_terms, rational_trace
 # huge count would exhaust memory instead of failing.
 MAX_SWEEPS = 1000
 
+# Largest genus, the sum of the limit character's coefficients, whose jumps
+# compute_jumps lists; it builds one Fraction per unit of genus and the CLI
+# prints one line each, so the cost grows linearly with the genus.
+MAX_GENUS = 10**5
+
 
 @dataclass(frozen=True)
 class JumpOptions:
@@ -82,8 +87,11 @@ def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSe
     degrees = _sweep_degrees(g, options, nt)
     n, l = degrees[0], g.mult_lcm
     rho_inverse = pow(n, -1, l)
-    ks = sorted(j * rho_inverse % l for j, c in character_terms(rational_trace(g, n))
-                for _ in range(c))
+    terms = character_terms(rational_trace(g, n))
+    genus = sum(c for _, c in terms)
+    if genus > MAX_GENUS:
+        raise BadInput(f"genus {genus} exceeds MAX_GENUS = {MAX_GENUS}")
+    ks = sorted(j * rho_inverse % l for j, c in terms for _ in range(c))
     for k in ks:
         if k * nt % l:
             raise BadJumpDenominator(

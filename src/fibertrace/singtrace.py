@@ -31,6 +31,13 @@ from .resolution import ResolutionData, Singularity, chain_ends
 # large inputs would otherwise run for hours.  No production route calls it.
 MAX_NODE_SUM_CELLS = 10**7
 
+# Most cells the cyclotomic oracle may touch, counted as (L + 1) * n^2 for a
+# chain of L curves at degree n: each of the L + 1 node terms reduces a few
+# length-n buffers modulo Phi_n, at most about n^2 / 4 cell updates each.  At
+# the bound it runs up to about 1 s on a 2-vCPU Xeon VM; n <= 150 needs at
+# most 150^3 cells.  No production route calls it.
+MAX_ORACLE_CELLS = 10**7
+
 __all__ = [
     "singularity_trace",
     "trace_polynomial",
@@ -174,13 +181,20 @@ def singularity_trace(sing: Singularity) -> GroupRingElement:
 def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     """Fixed-point evaluation of the trace at zeta_n^power, exactly in
     Q(zeta_n).  Requires gcd(power, n) = 1 so that no denominator
-    vanishes."""
+    vanishes.  Raises BadInput when the evaluation would touch more than
+    MAX_ORACLE_CELLS cells."""
     n = res.n
     if math.gcd(power, n) != 1:
         raise BadInput(f"power {power} must be coprime to {n}")
     a1 = res.alpha1
     mu = res.mu
     L = res.length
+    cells = (L + 1) * n * n
+    if cells > MAX_ORACLE_CELLS:
+        raise BadInput(
+            f"({res.sing.m1},{res.sing.m2},{n}): the oracle would touch {cells} cells, "
+            f"more than MAX_ORACLE_CELLS = {MAX_ORACLE_CELLS}"
+        )
     r = res.r_at
 
     def chi(e: int) -> CyclotomicNumber:

@@ -90,6 +90,17 @@ def test_trace_sing_past_multiplicity_bound_exits_2(capsys):
     assert "MAX_MULTIPLICITY = 100000" in err
 
 
+def test_jumps_past_genus_bound_exits_2(tmp_path, capsys):
+    # one jump line per unit of genus: 10^9 of them would take hours
+    path = tmp_path / "big-genus.fg"
+    path.write_text("vertex a genus=1000000000 mult=1\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jumps", "--graph", str(path), "--machine")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "genus 1000000000 exceeds MAX_GENUS = 100000" in err
+
+
 def test_trace_sing_golden(capsys):
     code, out, _ = run(capsys, "trace-sing", "2", "3", "13")
     assert code == 0

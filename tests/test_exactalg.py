@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,8 @@ from fibertrace.errors import BadInput, ModulusMismatch
 from fibertrace.exactalg import (
     CyclotomicNumber,
     GroupRingElement,
+    _poly_divmod_monic,
+    _product,
     cyclotomic_polynomial,
     inverse_of_one_minus_root,
 )
@@ -12,6 +16,28 @@ from fibertrace.exactalg import (
 
 def G(n, d):
     return GroupRingElement.from_terms(n, d.items())
+
+
+def schoolbook(a, b):
+    """Reference product of two integer polynomials, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def reduced(n, poly):
+    """Reference remainder of poly modulo Phi_n by long division, padded
+    to phi(n) coordinates."""
+    phi = len(cyclotomic_polynomial(n)) - 1
+    _, rem = _poly_divmod_monic(poly, cyclotomic_polynomial(n))
+    return tuple(rem + [0] * (phi - len(rem)))
+
+
+def random_coeffs(rng, size):
+    """Zeros, small signed values and signed 100-digit values."""
+    return [rng.randint(-b, b) for b in rng.choices((0, 9, 10**100), k=size)]
 
 
 class TestGroupRing:
@@ -96,7 +122,7 @@ class TestCyclotomic:
                 CyclotomicNumber.root_power(n, e * power)
             )
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 12, 15])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 12, 15, 105, 113, 120])
     def test_unit_inverse_closed_form(self, n):
         one = CyclotomicNumber.one(n)
         for c in range(1, n):
@@ -105,3 +131,57 @@ class TestCyclotomic:
             assert inv * u == one
         with pytest.raises(ZeroDivisionError):
             inverse_of_one_minus_root(n, 0)
+
+
+class TestReductionAndProduct:
+    """The fold modulo x^n - 1 with division by the tail of Phi_n, and the
+    Kronecker product, against long division and the schoolbook product
+    for every conductor up to 150.  Among them: Phi_105 has a coefficient
+    -2, a product of two numbers for 113 or 127 has 2 * phi(n) - 1 > n
+    terms, and Phi_120 has 7 nonzero terms."""
+
+    N = range(1, 151)
+
+    def test_special_conductors(self):
+        assert -2 in cyclotomic_polynomial(105)
+        assert all(2 * (len(cyclotomic_polynomial(n)) - 1) - 1 > n for n in (113, 127))
+        assert sum(1 for c in cyclotomic_polynomial(120) if c) == 7
+
+    def test_from_poly_matches_long_division(self):
+        for n in self.N:
+            rng = random.Random(n)
+            phi = len(cyclotomic_polynomial(n)) - 1
+            for size in (0, phi, n, 2 * n - 1, 3 * n + 2):
+                poly = random_coeffs(rng, size)
+                assert CyclotomicNumber.from_poly(n, poly).num == reduced(n, poly), (n, size)
+
+    def test_product_matches_schoolbook(self):
+        for n in self.N:
+            rng = random.Random(1000 + n)
+            phi = len(cyclotomic_polynomial(n)) - 1
+            a, b = random_coeffs(rng, phi), random_coeffs(rng, phi)
+            x = CyclotomicNumber(n, a) * CyclotomicNumber(n, b)
+            assert x.num == reduced(n, schoolbook(a, b)) and x.den == 1, n
+            zero = CyclotomicNumber.zero(n)
+            assert CyclotomicNumber(n, a, 7) * zero == zero
+
+    def test_kronecker_product_at_its_bound(self):
+        # constant vectors reach max|a| * max|b| * min(len) exactly; 128 and
+        # 200 need 9 bits signed, one past a single byte
+        for m, la, lb in ((1, 128, 128), (1, 200, 300), (3, 30, 7), (10**50, 5, 9), (7, 1, 1)):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                a, b = [sa * m] * la, [sb * m] * lb
+                assert _product(a, b) == schoolbook(a, b), (m, la, lb, sa, sb)
+
+    @given(
+        st.lists(st.integers(-10**100, 10**100), min_size=1, max_size=40),
+        st.lists(st.integers(-10**100, 10**100), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=100)
+    def test_kronecker_product_unequal_lengths(self, a, b, small):
+        # small > 0 shrinks the coefficients so that the slots are narrow
+        if small:
+            a = [c % (10 * small) - 5 * small for c in a]
+        assert _product(a, b) == schoolbook(a, b)
+        assert _product(b, a) == schoolbook(a, b)

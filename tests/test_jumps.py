@@ -7,7 +7,7 @@ import pytest
 from fibertrace import jumps
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import BadInput, BadJumpDenominator, NegativeCharacterCoefficient
-from fibertrace.fiber import FiberGraph, h1_character
+from fibertrace.fiber import FiberGraph, h1_character, parse_graph
 from fibertrace.jumps import (
     JumpOptions,
     JumpSet,
@@ -93,6 +93,14 @@ class TestSweepDegrees:
 
 
 class TestComputeJumps:
+    def test_genus_bound(self, monkeypatch):
+        # a smooth fiber of genus g: the limit character is g times the trivial one
+        monkeypatch.setattr(jumps, "MAX_GENUS", 3)
+        text = "vertex a genus={} mult=1\n"
+        assert compute_jumps(parse_graph(text.format(3))).jumps == (Fraction(0),) * 3
+        with pytest.raises(BadInput, match="genus 4 exceeds MAX_GENUS = 3"):
+            compute_jumps(parse_graph(text.format(4)))
+
     def test_kodaira_iv(self):
         js = compute_jumps(cat("kodaira:IV"))
         assert list(js.jumps) == [Fraction(1, 3)]

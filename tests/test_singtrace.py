@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +200,24 @@ class TestOracle:
             res = resolve(Singularity(m1, m2, n))
             power = rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])
             assert trace_oracle(res, power) == trace_polynomial(res).evaluate(power)
+
+    def test_oracle_cell_bound(self, monkeypatch):
+        # (3, 4, 13) has a chain of L = 3 curves: (L + 1) * 13^2 = 676 cells
+        res = resolve(Singularity(3, 4, 13))
+        monkeypatch.setattr(singtrace, "MAX_ORACLE_CELLS", 676)
+        assert trace_oracle(res, 1) == trace_polynomial(res).evaluate(1)
+        monkeypatch.setattr(singtrace, "MAX_ORACLE_CELLS", 675)
+        with pytest.raises(BadInput, match="touch 676 cells, more than MAX_ORACLE_CELLS = 675"):
+            trace_oracle(res, 1)
+
+    def test_oracle_bound_admits_every_tested_degree(self):
+        # (1, 1, n) has the longest chain at degree n, n - 1 curves
+        assert 150**3 <= singtrace.MAX_ORACLE_CELLS
+        res = resolve(Singularity(1, 1, 1000))
+        start = time.perf_counter()
+        with pytest.raises(BadInput, match="MAX_ORACLE_CELLS = 10000000"):
+            trace_oracle(res, 1)
+        assert time.perf_counter() - start < 0.1
 
     def test_full_coprime_sweep(self):
         # every coprime pair up to 6, every admissible degree up to 60,
