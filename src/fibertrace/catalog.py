@@ -1,9 +1,14 @@
 """Built-in fiber graphs: the genus-1 degeneration types in their minimal
 SNC form, and the one genus-2 configuration whose combinatorics we carry.
 
-The genus-1 star/chain encodings below are the standard ones; each is
-certified by the test suite reproducing the known jump for its type, and
-alternatives differing by chains of (-2)-curves would serve equally well.
+Each fixed type is a star, one row of ``STARS``: (center multiplicity,
+arms listed outward from the center), every curve of genus 0; II* is
+(6, [[5, 4, 3, 2, 1], [4, 2], [3]]).  The families In and In* are built
+from their parameter k; kodaira:I and kodaira:I* are their k = 0 members.
+
+The genus-1 encodings are the standard ones; each is certified by the
+test suite reproducing the known jump for its type, and alternatives
+differing by chains of (-2)-curves would serve equally well.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ from dataclasses import dataclass
 from .errors import BadInput, UnknownType
 from .fiber import FiberGraph
 
-KODAIRA_NAMES = ("I", "I*", "In", "In*", "II", "II*", "III", "III*", "IV", "IV*")
-PARAMETERIZED = ("In", "In*")
 # Largest k of In:k and In*:k.  The graph has about k components and the
 # work grows linearly in k: jumps on In:100000 took 5.8 s and a 143 MB peak
 # on a 2-vCPU Xeon VM.
@@ -45,35 +48,25 @@ class FiberTypeId:
         raise UnknownType(f"cannot parse catalog id {text!r} (want family:name[:parameter])")
 
 
-def _star(center_mult: int, tail_mults: list[int]) -> FiberGraph:
-    vertices = [("c", 0, center_mult)]
-    edges = []
-    for i, m in enumerate(tail_mults, start=1):
-        vertices.append((f"t{i}", 0, m))
-        edges.append(("c", f"t{i}"))
+def _star(center: int, arms: list[list[int]]) -> FiberGraph:
+    vertices, edges = [("c", 0, center)], []
+    for i, arm in enumerate(arms, start=1):
+        inner = "c"
+        for j, m in enumerate(arm, start=1):
+            vid = f"a{i}.{j}"
+            vertices.append((vid, 0, m))
+            edges.append((inner, vid))
+            inner = vid
     return FiberGraph.build(vertices, edges)
-
-
-def _chain(mults: list[int], extra: list[tuple[int, int]] = ()) -> FiberGraph:
-    """Path graph v1-v2-...-vk with the given multiplicities; ``extra``
-    appends (mult, attach_index) tail vertices."""
-    vertices = [(f"v{i}", 0, m) for i, m in enumerate(mults, start=1)]
-    edges = [(f"v{i}", f"v{i + 1}") for i in range(1, len(mults))]
-    for j, (m, at) in enumerate(extra, start=1):
-        vertices.append((f"w{j}", 0, m))
-        edges.append((f"w{j}", f"v{at}"))
-    return FiberGraph.build(vertices, edges)
-
-
-def _smooth() -> FiberGraph:
-    return FiberGraph.build([("v1", 1, 1)], [])
 
 
 def _cycle(k: int) -> FiberGraph:
+    """A cycle of k reduced curves: a loop for k = 1, a parallel pair for
+    k = 2; for k = 0 the smooth genus-1 curve of good reduction."""
+    if k == 0:
+        return FiberGraph.build([("v1", 1, 1)], [])
     vertices = [(f"v{i}", 0, 1) for i in range(1, k + 1)]
-    if k == 1:
-        return FiberGraph.build(vertices, [("v1", "v1")])
-    edges = [(f"v{i}", f"v{i + 1}") for i in range(1, k)] + [(f"v{k}", "v1")]
+    edges = [(f"v{i}", f"v{i % k + 1}") for i in range(1, k + 1)]
     return FiberGraph.build(vertices, edges)
 
 
@@ -87,70 +80,39 @@ def _istar(k: int) -> FiberGraph:
     return FiberGraph.build(vertices, edges)
 
 
-def _ogg4() -> FiberGraph:
-    vertices = [
-        ("v1", 0, 1), ("v2", 0, 2), ("v3", 0, 3), ("v4", 0, 4),
-        ("v5", 0, 2), ("v6", 0, 2), ("v7", 0, 1),
-    ]
-    edges = [
-        ("v1", "v2"), ("v2", "v3"), ("v3", "v4"),
-        ("v5", "v4"), ("v6", "v4"), ("v7", "v4"),
-    ]
-    return FiberGraph.build(vertices, edges)
+STARS = {
+    "kodaira:II": (6, [[1], [2], [3]]),
+    "kodaira:II*": (6, [[5, 4, 3, 2, 1], [4, 2], [3]]),
+    "kodaira:III": (4, [[1], [1], [2]]),
+    "kodaira:III*": (4, [[3, 2, 1], [3, 2, 1], [2]]),
+    "kodaira:IV": (3, [[1], [1], [1]]),
+    "kodaira:IV*": (3, [[2, 1], [2, 1], [2, 1]]),
+    "ogg:4": (4, [[3, 2, 1], [2], [2], [1]]),
+}
+FAMILIES = {"kodaira:In": _cycle, "kodaira:In*": _istar}
+ZERO_MEMBERS = {"kodaira:I": "kodaira:In", "kodaira:I*": "kodaira:In*"}
 
 
 def lookup(type_id: FiberTypeId) -> FiberGraph:
-    """Return the fiber graph of a catalog entry."""
-    family, name, k = type_id.family, type_id.name, type_id.parameter
-    if family == "ogg":
-        if name == "4" and k is None:
-            return _ogg4()
-        raise UnknownType(f"unsupported ogg type {type_id}; supply a graph file instead")
-    if family != "kodaira":
-        raise UnknownType(f"unknown family {family!r}")
-    if name not in KODAIRA_NAMES:
-        raise UnknownType(f"unknown Kodaira type {name!r}")
-    if name in PARAMETERIZED:
+    """Return the fiber graph of a catalog entry.  A Kodaira id without a
+    parameter also answers to the parameter 0: kodaira:IV:0 is kodaira:IV."""
+    key, k = f"{type_id.family}:{type_id.name}", type_id.parameter
+    if key in ZERO_MEMBERS and k in (None, 0):
+        key, k = ZERO_MEMBERS[key], 0
+    if key in FAMILIES:
         if k is None or k < 0:
-            raise UnknownType(f"type {name} needs a parameter >= 0, e.g. kodaira:{name}:2")
+            raise UnknownType(f"type {type_id.name} needs a parameter >= 0, e.g. {key}:2")
         if k > MAX_PARAMETER:
-            raise BadInput(f"type {name} parameter {k} exceeds MAX_PARAMETER = {MAX_PARAMETER}")
-    elif k not in (None, 0):
-        raise UnknownType(f"type {name} takes no parameter")
-    if name == "I" or (name == "In" and k == 0):
-        return _smooth()
-    if name == "In":
-        return _cycle(k)
-    if name == "I*" or (name == "In*" and k == 0):
-        return _istar(0)
-    if name == "In*":
-        return _istar(k)
-    if name == "II":
-        return _star(6, [1, 2, 3])
-    if name == "II*":
-        return _chain([1, 2, 3, 4, 5, 6, 4, 2], extra=[(3, 6)])
-    if name == "III":
-        return _star(4, [1, 1, 2])
-    if name == "III*":
-        return _chain([1, 2, 3, 4, 3, 2, 1], extra=[(2, 4)])
-    if name == "IV":
-        return _star(3, [1, 1, 1])
-    if name == "IV*":
-        # central multiplicity-3 curve with three 2-1 arms
-        vertices = [("c", 0, 3)]
-        edges = []
-        for i in (1, 2, 3):
-            vertices += [(f"m{i}", 0, 2), (f"l{i}", 0, 1)]
-            edges += [("c", f"m{i}"), (f"m{i}", f"l{i}")]
-        return FiberGraph.build(vertices, edges)
-    raise UnknownType(f"unknown catalog id {type_id}")  # pragma: no cover
+            raise BadInput(
+                f"type {type_id.name} parameter {k} exceeds MAX_PARAMETER = {MAX_PARAMETER}"
+            )
+        return FAMILIES[key](k)
+    if key not in STARS or k not in (None, 0) or (k == 0 and type_id.family != "kodaira"):
+        raise UnknownType(f"unknown catalog id {type_id}; catalog-list names the built-in ones")
+    return _star(*STARS[key])
 
 
 def catalog_ids() -> list[str]:
     """Addressable catalog entries, parameterized families shown with a
     placeholder."""
-    out = []
-    for name in KODAIRA_NAMES:
-        out.append(f"kodaira:{name}:<k>" if name in PARAMETERIZED else f"kodaira:{name}")
-    out.append("ogg:4")
-    return out
+    return [*ZERO_MEMBERS, *(f"{key}:<k>" for key in FAMILIES), *STARS]

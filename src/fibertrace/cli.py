@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .catalog import FiberTypeId, catalog_ids, lookup
 from .errors import FibertraceError
-from .fiber import FiberGraph, h1_character, parse_graph, total_trace
+from .fiber import MAX_GRAPH_CHARS, FiberGraph, h1_character, parse_graph, total_trace
 from .jumps import JumpOptions, compute_jumps
 from .resolution import Singularity, is_stable, resolve
 from .singtrace import singularity_trace
@@ -74,7 +73,9 @@ def _load_graph(parser: _Parser, args) -> FiberGraph:
     if bool(args.graph) == bool(args.catalog):
         parser.error("supply exactly one input source: --graph PATH or --catalog ID")
     if args.graph:
-        return parse_graph(Path(args.graph).read_text(encoding="utf-8"))
+        # one character past the bound is enough for parse_graph to refuse the file
+        with open(args.graph, encoding="utf-8", errors="surrogateescape") as f:
+            return parse_graph(f.read(MAX_GRAPH_CHARS + 1))
     return lookup(FiberTypeId.parse(args.catalog))
 
 

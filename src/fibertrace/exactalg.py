@@ -10,13 +10,17 @@ the n-th cyclotomic polynomial Phi_n: phi(n) integer coordinates over one
 denominator.  The remainder is canonical, so equality is exact.
 ``from_poly`` reduces an integer polynomial of any length in two steps:
 
-- It folds the polynomial modulo x^n - 1 into n coordinates, adding the
-  coefficient of x^i to that of x^(i mod n).  The fold is exact in
-  Q(zeta_n): zeta_n^n = 1, and Phi_n divides x^n - 1, so both
+- It folds the polynomial modulo x^h - s into h coordinates, adding
+  s^(i div h) times the coefficient of x^i to that of x^(i mod h).  For
+  odd n, h = n and s = 1; for even n, h = n/2 and s = -1.  The fold is
+  exact in Q(zeta_n): zeta_n^h = s, so Phi_n divides x^h - s, and both
   polynomials have the same remainder modulo Phi_n.
-- It divides the folded polynomial by Phi_n from x^(n-1) down to
+- It divides the folded polynomial by Phi_n from x^(h-1) down to
   x^phi(n), subtracting only the nonzero terms of Phi_n below its
   leading one, cached per n; Phi_120, of degree 32, has six of them.
+  That is h - phi(n) steps of at most phi(n) updates, so at most
+  (h/2)^2 updates: n^2/4 for odd n, n^2/16 for even n.  For n = 2p, p an
+  odd prime, it is a single step, where folding modulo x^n - 1 left p + 1.
 
 A product is formed by Kronecker substitution: each numerator vector a
 is packed into one integer, sum a_i * 2^(w i), the two integers are
@@ -294,15 +298,19 @@ class CyclotomicNumber:
     @classmethod
     def from_poly(cls, n: int, poly, den: int = 1) -> "CyclotomicNumber":
         """Reduce an arbitrary-degree integer polynomial in zeta_n: fold it
-        modulo x^n - 1, then divide by Phi_n."""
+        modulo x^h - s, which Phi_n divides (x^n - 1 for odd n, x^(n/2) + 1
+        for even n), then divide by Phi_n."""
         phi, tail = _phi_tail(n)
+        h, s = (n // 2, -1) if n % 2 == 0 else (n, 1)
         poly = list(poly)
-        buf = poly[:n]
-        buf.extend([0] * (n - len(buf)))
-        for start in range(n, len(poly), n):
-            chunk = poly[start:start + n]
-            buf[:len(chunk)] = map(operator.add, buf, chunk)
-        for i in range(n - 1, phi - 1, -1):
+        buf = poly[:h]
+        buf.extend([0] * (h - len(buf)))
+        sign = 1
+        for start in range(h, len(poly), h):
+            sign *= s
+            chunk = poly[start:start + h]
+            buf[:len(chunk)] = map(operator.add if sign > 0 else operator.sub, buf, chunk)
+        for i in range(h - 1, phi - 1, -1):
             c = buf[i]
             if c:
                 base = i - phi

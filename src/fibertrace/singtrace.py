@@ -33,9 +33,11 @@ MAX_NODE_SUM_CELLS = 10**7
 
 # Most cells the cyclotomic oracle may touch, counted as (L + 1) * n^2 for a
 # chain of L curves at degree n: each of the L + 1 node terms reduces a few
-# length-n buffers modulo Phi_n, at most about n^2 / 4 cell updates each.  At
-# the bound it runs up to about 1 s on a 2-vCPU Xeon VM; n <= 150 needs at
-# most 150^3 cells.  No production route calls it.
+# polynomials modulo Phi_n, at most about n^2 / 4 cell updates each for odd
+# n and n^2 / 16 for even n (see exactalg).  Near the bound the slowest
+# shapes found, all of odd n such as (1, 2144, 2145), take about 0.4 s on a
+# 2-vCPU Xeon VM, and (1, 1, 214) takes 0.1 s; n <= 150 needs at most 150^3
+# cells.  No production route calls it.
 MAX_ORACLE_CELLS = 10**7
 
 __all__ = [

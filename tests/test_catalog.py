@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from test_fiber import adjunction_genus
 
 from fibertrace import catalog
 from fibertrace.catalog import FiberTypeId, catalog_ids, lookup
@@ -32,7 +34,8 @@ def test_ogg4_shape():
     g = lookup(FiberTypeId("ogg", "4"))
     assert sorted(v.mult for v in g.vertices) == [1, 1, 2, 2, 2, 3, 4]
     assert len(g.edges) == 6
-    assert g.degree("v4") == 4
+    [center] = [v.id for v in g.vertices if v.mult == 4]
+    assert g.degree(center) == 4
 
 
 def test_good_reduction_entry():
@@ -85,18 +88,31 @@ def test_catalog_ids_listing():
     assert any(i.startswith("kodaira:In*") for i in ids)
 
 
-def all_entries():
+def table_entries():
+    """Every fixed id of the catalog table, and the members k <= 4 of each
+    family, so that a new row is covered without editing this list."""
     out = []
-    for name in ("I", "I*", "II", "II*", "III", "III*", "IV", "IV*"):
-        out.append(FiberTypeId("kodaira", name))
-    for k in (1, 2, 3, 4):
-        out.append(FiberTypeId("kodaira", "In", k))
-        out.append(FiberTypeId("kodaira", "In*", k))
-    out.append(FiberTypeId("ogg", "4"))
+    for cid in catalog_ids():
+        if cid.endswith(":<k>"):
+            out += [FiberTypeId.parse(cid.replace("<k>", str(k))) for k in range(5)]
+        else:
+            out.append(FiberTypeId.parse(cid))
     return out
 
 
-@pytest.mark.parametrize("tid", all_entries(), ids=str)
+def base_self_intersections(g):
+    """E_v^2 on the fiber itself: E_v . F = 0 gives m_v E_v^2 = -(sum of the
+    multiplicities of the other components meeting E_v, with multiplicity)."""
+    mult = {v.id: v.mult for v in g.vertices}
+    meets = dict.fromkeys(mult, 0)
+    for a, b in g.edges:
+        if a != b:
+            meets[a] += mult[b]
+            meets[b] += mult[a]
+    return {vid: Fraction(-meets[vid], mult[vid]) for vid in mult}
+
+
+@pytest.mark.parametrize("tid", table_entries(), ids=str)
 def test_every_entry_valid_and_integral(tid):
     g = lookup(tid)  # FiberGraph.build already validates
     checked = 0
@@ -106,12 +122,19 @@ def test_every_entry_valid_and_integral(tid):
             assert all(c <= 0 for c in si.values())
             checked += 1
     assert checked > 5
+    # the numerical conditions an enumerator of fiber types must meet
+    base = base_self_intersections(g)
+    assert all(e.denominator == 1 for e in base.values()), base
+    contractible = [v.id for v in g.vertices
+                    if v.genus == 0 and base[v.id] == -1 and g.degree(v.id) <= 2]
+    assert not contractible, "not minimal"
 
 
-@pytest.mark.parametrize("tid", all_entries(), ids=str)
+@pytest.mark.parametrize("tid", table_entries(), ids=str)
 def test_every_entry_jumps_cleanly(tid):
     g = lookup(tid)
     js = compute_jumps(g, JumpOptions(n_min=200))
     assert all(0 <= j < 1 for j in js.jumps)
     assert all(js.n_tilde % j.denominator == 0 for j in js.jumps)
     assert js.witnesses == tuple(sweep_degrees(g, JumpOptions(n_min=200)))
+    assert len(js.jumps) == adjunction_genus(g)

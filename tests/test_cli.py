@@ -4,7 +4,7 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from fibertrace import cli
+from fibertrace import cli, fiber
 from fibertrace.cli import main
 from fibertrace.resolution import Singularity, is_stable, resolve
 from fibertrace.singtrace import trace_closed_form
@@ -99,6 +99,31 @@ def test_jumps_past_genus_bound_exits_2(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and not out
     assert "genus 1000000000 exceeds MAX_GENUS = 100000" in err
+
+
+def test_many_duplicate_vertex_ids_exit_2_quickly(tmp_path, capsys):
+    # counting each id by a scan of all ids took about 8 s on this file (2-vCPU Xeon VM)
+    path = tmp_path / "duplicates.fg"
+    path.write_text("".join(f"vertex v{i // 2} genus=0 mult=1\n" for i in range(20000)),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jumps", "--graph", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "ValidationError: duplicate vertex id(s): v0, v1, v10, v100, " in err
+
+
+def test_graph_file_past_size_bound_exits_2(tmp_path, capsys):
+    # the bound counts characters: a file of MAX_GRAPH_CHARS two-byte
+    # characters is read whole, one character more is refused
+    head = "vertex a genus=1 mult=1\n#"
+    path = tmp_path / "padded.fg"
+    for extra, want in ((0, 0), (1, 2)):
+        pad = "\u00e9" * (fiber.MAX_GRAPH_CHARS + extra - len(head))
+        path.write_text(head + pad, encoding="utf-8")
+        code, out, err = run(capsys, "jumps", "--graph", str(path), "--machine")
+        assert code == want, (extra, err)
+    assert not out and f"MAX_GRAPH_CHARS = {fiber.MAX_GRAPH_CHARS}" in err
 
 
 def test_trace_sing_golden(capsys):
@@ -286,6 +311,7 @@ GRAPH_LINES = st.one_of(
               GRAPH_IDS, st.integers(-1, 2), st.integers(-1, 12)),
     st.builds("edge {} {}".format, GRAPH_IDS, GRAPH_IDS),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.binary(max_size=12),  # raw bytes, often not UTF-8
 )
 
 
@@ -297,7 +323,8 @@ def test_fuzzed_graph_files_exit_cleanly(tmp_path):
     @settings(max_examples=200, deadline=None)
     @given(st.lists(GRAPH_LINES, max_size=10))
     def check(lines):
-        path.write_text("\n".join(lines), encoding="utf-8")
+        path.write_bytes(b"\n".join(
+            line if isinstance(line, bytes) else line.encode("utf-8") for line in lines))
         code, out, err = run_captured(["jumps", "--graph", str(path), "--machine"])
         assert code in (0, 2), (lines, code)
         if code:

@@ -134,13 +134,14 @@ class TestCyclotomic:
 
 
 class TestReductionAndProduct:
-    """The fold modulo x^n - 1 with division by the tail of Phi_n, and the
-    Kronecker product, against long division and the schoolbook product
-    for every conductor up to 150.  Among them: Phi_105 has a coefficient
-    -2, a product of two numbers for 113 or 127 has 2 * phi(n) - 1 > n
-    terms, and Phi_120 has 7 nonzero terms."""
+    """The fold modulo x^n - 1, or x^(n/2) + 1 for even n, with division by
+    the tail of Phi_n, and the Kronecker product, against long division and
+    the schoolbook product for every conductor up to 150 and for 202, 214
+    and 254, twice a prime.  Among them: Phi_105 has a coefficient -2, a
+    product of two numbers for 113 or 127 has 2 * phi(n) - 1 > n terms, and
+    Phi_120 has 7 nonzero terms."""
 
-    N = range(1, 151)
+    N = [*range(1, 151), 202, 214, 254]
 
     def test_special_conductors(self):
         assert -2 in cyclotomic_polynomial(105)

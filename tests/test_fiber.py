@@ -102,6 +102,13 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_graph("# comment\n\nvortex a genus=0 mult=1\n")
         assert err.value.line == 3
+        # bytes that are not UTF-8, as a file read with errors="surrogateescape"
+        # carries them: at the start of a line and after valid UTF-8 in a comment
+        for raw in (b"vertex a genus=0 mult=1\n\xff\xfe\n",
+                    b"vertex a genus=0 mult=1\n# caf\xc3\xa9 \xe9\nedge a a\n"):
+            with pytest.raises(ParseError, match="not valid UTF-8") as err:
+                parse_graph(raw.decode("utf-8", "surrogateescape"))
+            assert err.value.line == 2
 
     def test_bad_field_rejected(self):
         with pytest.raises(ParseError):
@@ -119,6 +126,13 @@ class TestParse:
         assert parse_graph(text.format(4)).vertex("b").mult == 4
         with pytest.raises(BadInput, match="vertex b: multiplicity 5 exceeds MAX_MULTIPLICITY = 4"):
             parse_graph(text.format(5))
+
+    def test_graph_size_bound(self, monkeypatch):
+        text = "vertex a genus=1 mult=1\n"
+        monkeypatch.setattr(fiber, "MAX_GRAPH_CHARS", len(text))
+        assert parse_graph(text).vertex("a").genus == 1
+        with pytest.raises(BadInput, match=f"exceeds MAX_GRAPH_CHARS = {len(text)} characters"):
+            parse_graph(text + "#")
 
 
 class TestSelfIntersections:
