@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BadInput,
@@ -25,14 +26,14 @@ from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.
 from .singtrace import at_degree, block_sum, edge_blocks, vertex_block
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
-# more than one past it.  At the bound, jumps takes 0.55 s on a cycle of
-# 21,000 reduced curves and 1.6 s on two reduced curves meeting 111,000 times
-# (which then exits at MAX_GENUS), on a 2-vCPU Xeon VM.
+# more than one past it.  At the bound, jumps takes 0.2 s on a cycle of
+# 21,000 reduced curves and 0.13 s on two reduced curves meeting 111,000
+# times (which exits at MAX_GENUS before any trace is built), on a 2-vCPU
+# Xeon VM.
 MAX_GRAPH_CHARS = 10**6
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     genus: int
     mult: int
@@ -118,6 +119,12 @@ class FiberGraph:
     def mult_lcm(self) -> int:
         return math.lcm(*(v.mult for v in self.vertices))
 
+    def adjunction_genus(self) -> int:
+        """The arithmetic genus by adjunction, 2g - 2 = sum_v m_v (2 g_v - 2
+        + deg v), in O(V + E); for a valid fiber it is the genus on H^1."""
+        degrees = self._degrees
+        return sum(v.mult * (2 * v.genus - 2 + degrees[v.id]) for v in self.vertices) // 2 + 1
+
 
 @dataclass(frozen=True)
 class CharacterMultiset:
@@ -142,24 +149,28 @@ def parse_graph(text: str) -> FiberGraph:
     """
     if len(text) > MAX_GRAPH_CHARS:
         raise BadInput(f"graph text exceeds MAX_GRAPH_CHARS = {MAX_GRAPH_CHARS} characters")
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        # the sentinel puts a bad character that starts a line on a line of its own
-        raise ParseError(len((text[:exc.start] + "#").splitlines()), "not valid UTF-8") from None
+    ascii_text = text.isascii()  # then no token needs its own ASCII check
+    if not ascii_text:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # the sentinel puts a bad character that starts a line on a line of its own
+            line = len((text[:exc.start] + "#").splitlines())
+            raise ParseError(line, "not valid UTF-8") from None
     vertices: list[Vertex] = []
     edges: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "vertex":
             if len(tokens) != 4:
                 raise ParseError(lineno, "expected: vertex <id> genus=<int> mult=<int>")
             vid = tokens[1]
-            if not vid.isascii():
+            if not ascii_text and not vid.isascii():
                 raise ParseError(lineno, f"vertex id {vid!r} is not ASCII")
             fields = {}
             for tok in tokens[2:]:
@@ -170,33 +181,18 @@ def parse_graph(text: str) -> FiberGraph:
                     fields[key] = int(value)
                 except ValueError:
                     raise ParseError(lineno, f"{key} must be an integer, got {value!r}") from None
-            if set(fields) != {"genus", "mult"}:
+            if len(fields) != 2:
                 raise ParseError(lineno, "vertex needs both genus= and mult=")
             vertices.append(Vertex(vid, fields["genus"], fields["mult"]))
         elif kind == "edge":
             if len(tokens) != 3:
                 raise ParseError(lineno, "expected: edge <id> <id>")
-            if not (tokens[1].isascii() and tokens[2].isascii()):
+            if not ascii_text and not (tokens[1].isascii() and tokens[2].isascii()):
                 raise ParseError(lineno, "edge endpoints must be ASCII tokens")
             edges.append((tokens[1], tokens[2]))
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
     return FiberGraph.build(vertices, edges)
-
-
-def edge_singularity(g: FiberGraph, edge: tuple[str, str], n: int) -> tuple[Singularity, str, str]:
-    """The singularity sitting over one intersection point, plus which
-    endpoint carries the m1 branch and which the m2 branch.
-
-    The pair (m1, m2) is ordered as (multiplicity of the lexicographically
-    larger endpoint id, the other); branch symmetry of the trace makes the
-    choice immaterial, the fixed rule only buys determinism.
-    """
-    a, b = edge
-    lo, hi = (a, b) if a <= b else (b, a)
-    m1 = g.vertex(hi).mult
-    m2 = g.vertex(lo).mult
-    return Singularity(m1, m2, n), hi, lo
 
 
 def self_intersections(g: FiberGraph, n: int) -> dict[str, int]:
@@ -208,22 +204,30 @@ def self_intersections(g: FiberGraph, n: int) -> dict[str, int]:
     the m1 branch mu_L; a loop contributes both ends to its vertex.
     Isolated vertices get 0.
     """
+    return _edge_pass(g, n)[0]
+
+
+def _edge_pass(g: FiberGraph, n: int) -> tuple[dict[str, int], dict]:
+    """One pass over the edges, at a degree n checked first.  Every edge is a singularity (m1, m2, n),
+    m1 the multiplicity of its larger endpoint id and m2 of the other
+    (branch symmetry makes the choice immaterial; the rule buys
+    determinism), and its trace depends only on (m1, m2).  So chain_ends
+    runs once per distinct pair, and each edge adds its ends to its two
+    endpoints.  Returns the self-intersections and, per pair, the chain
+    ends and the number of edges."""
     _check_degree(g, n)
-    return _self_intersections(g, _chains(g, n))
-
-
-def _chains(g: FiberGraph, n: int) -> list[tuple[Singularity, str, str, tuple[int, int]]]:
-    """Per edge: its singularity, the m1 and m2 endpoints, and the chain ends."""
-    sings = (edge_singularity(g, edge, n) for edge in g.edges)
-    return [(sing, hi, lo, chain_ends(sing)) for sing, hi, lo in sings]
-
-
-def _self_intersections(g: FiberGraph, chains) -> dict[str, int]:
-    ends: dict[str, int] = {v.id: 0 for v in g.vertices}
-    for _, hi, lo, (mu1, mu_last) in chains:
-        ends[lo] += mu1
-        ends[hi] += mu_last
-    out: dict[str, int] = {}
+    by_id = g._by_id
+    ends = dict.fromkeys(by_id, 0)
+    classes: dict[tuple[int, int], list[int]] = {}  # (m1, m2) -> [mu_1, mu_L, count]
+    for lo, hi in g.edges:  # stored with lo <= hi
+        pair = (by_id[hi].mult, by_id[lo].mult)
+        cls = classes.get(pair)
+        if cls is None:
+            cls = classes[pair] = [*chain_ends(Singularity(*pair, n)), 0]
+        ends[lo] += cls[0]
+        ends[hi] += cls[1]
+        cls[2] += 1
+    si: dict[str, int] = {}
     for v in g.vertices:
         total = ends[v.id]
         if total % v.mult != 0:
@@ -231,22 +235,22 @@ def _self_intersections(g: FiberGraph, chains) -> dict[str, int]:
                 f"vertex {v.id}: adjacent chain-end multiplicities sum to {total}, "
                 f"not a multiple of mult {v.mult}; not a valid fiber"
             )
-        out[v.id] = -(total // v.mult)
-    return out
+        si[v.id] = -(total // v.mult)
+    return si, classes
 
 
 def rational_trace(g: FiberGraph, n: int) -> dict[int, int]:
     """The total trace at degree n as an element of Z[(1/L)Z/Z], L the
     multiplicity lcm: j -> c stands for c times the class of j/L, summed
-    over the vertex blocks and each edge's closed-form blocks.  It depends
-    on n only through the chain ends, so once n > L only through n mod L."""
-    _check_degree(g, n)
-    chains = _chains(g, n)
-    si = _self_intersections(g, chains)
-    blocks = [vertex_block(v.mult, v.genus, si[v.id]) for v in g.vertices]
-    for sing, _, _, ends in chains:
-        blocks += edge_blocks(sing.m1, sing.m2, *ends)
-    return block_sum(blocks, g.mult_lcm)
+    over the vertex blocks and each edge's closed-form blocks.  Equal
+    blocks are built once and scaled by their count.  It depends on n only
+    through the chain ends, so once n > L only through n mod L."""
+    si, classes = _edge_pass(g, n)
+    vertex_classes = Counter((v.mult, v.genus, si[v.id]) for v in g.vertices)
+    counted = [(vertex_block(*key), k) for key, k in vertex_classes.items()]
+    counted += [(block, k) for (m1, m2), (mu1, mu_last, k) in classes.items()
+                for block in edge_blocks(m1, m2, mu1, mu_last)]
+    return block_sum(((m, [k * c for c in coeffs]) for (m, coeffs), k in counted), g.mult_lcm)
 
 
 def total_trace(g: FiberGraph, n: int) -> GroupRingElement:

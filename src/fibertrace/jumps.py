@@ -25,7 +25,9 @@ MAX_SWEEPS = 1000
 
 # Largest genus, the sum of the limit character's coefficients, whose jumps
 # compute_jumps lists; it builds one Fraction per unit of genus and the CLI
-# prints one line each, so the cost grows linearly with the genus.
+# prints one line each, so the cost grows linearly with the genus.  It is
+# checked by the adjunction formula before the trace is built, and again on
+# the character.
 MAX_GENUS = 10**5
 
 
@@ -78,6 +80,11 @@ def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
     return [first + k * l for k in range(options.sweeps)]
 
 
+def _check_genus(genus: int) -> None:
+    if genus > MAX_GENUS:
+        raise BadInput(f"genus {genus} exceeds MAX_GENUS = {MAX_GENUS}")
+
+
 def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSet:
     """Jump multiset of the graph's filtration, read off 1 - the rational
     trace at the first witness degree n.  As n exceeds the lcm L, its chain
@@ -85,12 +92,12 @@ def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSe
     and the cost does not depend on ``n_min``."""
     nt = principal_lcm(g)
     degrees = _sweep_degrees(g, options, nt)
+    # the edge blocks grow as m1 + m2, so the genus is bounded before any is built
+    _check_genus(g.adjunction_genus())
     n, l = degrees[0], g.mult_lcm
     rho_inverse = pow(n, -1, l)
     terms = character_terms(rational_trace(g, n))
-    genus = sum(c for _, c in terms)
-    if genus > MAX_GENUS:
-        raise BadInput(f"genus {genus} exceeds MAX_GENUS = {MAX_GENUS}")
+    _check_genus(sum(c for _, c in terms))
     ks = sorted(j * rho_inverse % l for j, c in terms for _ in range(c))
     for k in ks:
         if k * nt % l:

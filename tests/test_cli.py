@@ -101,6 +101,19 @@ def test_jumps_past_genus_bound_exits_2(tmp_path, capsys):
     assert "genus 1000000000 exceeds MAX_GENUS = 100000" in err
 
 
+def test_jumps_past_genus_bound_exits_2_before_tracing(tmp_path, capsys):
+    # a multiplicity-4000 curve meeting a reduced curve 4000 times (36 KB):
+    # its edge blocks hold 8000 terms each, and the genus is 7,998,000
+    path = tmp_path / "heavy-edges.fg"
+    path.write_text("vertex a genus=0 mult=4000\nvertex b genus=0 mult=1\n" + "edge a b\n" * 4000,
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jumps", "--graph", str(path), "--machine")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "BadInput: genus 7998000 exceeds MAX_GENUS = 100000" in err
+
+
 def test_many_duplicate_vertex_ids_exit_2_quickly(tmp_path, capsys):
     # counting each id by a scan of all ids took about 8 s on this file (2-vCPU Xeon VM)
     path = tmp_path / "duplicates.fg"

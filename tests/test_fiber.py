@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,7 @@ from fibertrace.fiber import (
     FiberGraph,
     h1_character,
     parse_graph,
+    rational_trace,
     self_intersections,
     total_trace,
 )
@@ -109,6 +112,45 @@ class TestParse:
             with pytest.raises(ParseError, match="not valid UTF-8") as err:
                 parse_graph(raw.decode("utf-8", "surrogateescape"))
             assert err.value.line == 2
+
+    def test_comments_whitespace_and_field_order(self):
+        v = "vertex a genus=0 mult=1\n"
+        ab = (("a", 0, 1), ("b", 0, 1))
+        cases = {
+            v + "vertex b genus=0 mult=1\nedge a b#c\n": (ab, (("a", "b"),)),
+            "# only a comment\n" + v + "   # indented\n": ((("a", 0, 1),), ()),
+            "vertex\ta\u3000genus=0\xa0mult=1\nvertex b genus=1 mult=1\nedge a\tb\n":
+                ((("a", 0, 1), ("b", 1, 1)), (("a", "b"),)),
+            "vertex a mult=1 genus=2\n": ((("a", 2, 1),), ()),
+            # int() reads any Unicode decimal digit: U+0663 is Arabic-Indic three
+            v + "vertex b genus=0 mult=\u0663\nedge a b\n":
+                ((("a", 0, 1), ("b", 0, 3)), (("a", "b"),)),
+            v + "edge a a # caf\u00e9\n": ((("a", 0, 1),), (("a", "a"),)),
+        }
+        for text, (vertices, edges) in cases.items():
+            g = parse_graph(text)
+            assert tuple((v.id, v.genus, v.mult) for v in g.vertices) == vertices, text
+            assert g.edges == edges, text
+
+    def test_field_and_id_errors_keep_message_and_line(self):
+        v = "vertex a genus=0 mult=1\n"
+        cases = {
+            "vertex a genus=0 genus=1\n": (1, "vertex needs both genus= and mult="),
+            v + "vertex \u00e9 genus=0 mult=1\n": (2, "vertex id '\u00e9' is not ASCII"),
+            v + "edge a \u00e9\n": (2, "edge endpoints must be ASCII tokens"),
+            "vertex a genus=\u00e9 mult=1\n": (1, "genus must be an integer, got '\u00e9'"),
+            "vertex# a genus=0 mult=1\n": (1, "expected: vertex <id> genus=<int> mult=<int>"),
+        }
+        for text, (line, message) in cases.items():
+            with pytest.raises(ParseError) as err:
+                parse_graph(text)
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}"), text
+
+    def test_vertex_is_an_immutable_record(self):
+        v = parse_graph("vertex a genus=2 mult=1\n").vertex("a")
+        assert (v.id, v.genus, v.mult) == ("a", 2, 1)
+        with pytest.raises(AttributeError):
+            v.mult = 2
 
     def test_bad_field_rejected(self):
         with pytest.raises(ParseError):
@@ -440,3 +482,159 @@ class TestHotPathAgreesWithNodeSum:
             g = lookup(FiberTypeId.parse(cid))
             blown = blow_up(g, rng, 2)
             assert compute_jumps(blown, options).jumps == compute_jumps(g, options).jumps, cid
+
+
+def star_fiber(rng):
+    """A random star-shaped fiber: a genus-0 center of multiplicity m with
+    three or four chains, each running from m through a unit a mod m down
+    to multiplicity 1 (mu_{i+1} = -mu_{i-1} mod mu_i), where the first
+    multiplicities a sum to a multiple of m. Every self-intersection is
+    then integral, and n_tilde = m need not divide 24, so the jumps are not
+    fixed by every unit of n_tilde, as catalog jumps are."""
+    while True:
+        m = rng.randint(2, 12)
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        firsts = [rng.choice(units) for _ in range(rng.randint(2, 3))]
+        if -sum(firsts) % m in units:
+            break
+    vertices, edges = [("c", 0, m)], []
+    for branch, a in enumerate(firsts + [-sum(firsts) % m]):
+        prev, cur, here = m, a, "c"
+        while cur:
+            vid = f"{branch}.{cur}"
+            vertices.append((vid, 0, cur))
+            edges.append((here, vid))
+            prev, cur, here = cur, -prev % cur, vid
+    return FiberGraph.build(vertices, edges)
+
+
+def per_edge_trace(g: FiberGraph, n: int):
+    """Reference for the class-counted trace: one Singularity, one
+    chain_ends call and one edge_blocks triple per edge, one vertex block
+    per vertex, all summed by block_sum.  Returns the self-intersections
+    and the rational trace; raises NonIntegralSelfIntersection with the id
+    of the first vertex, in sorted order, whose chain ends do not divide."""
+    mult = {v.id: v.mult for v in g.vertices}
+    ends = dict.fromkeys(mult, 0)
+    blocks = []
+    for a, b in g.edges:
+        lo, hi = sorted((a, b))
+        sing = Singularity(mult[hi], mult[lo], n)
+        mu1, mu_last = resolution.chain_ends(sing)
+        ends[lo] += mu1
+        ends[hi] += mu_last
+        blocks += singtrace.edge_blocks(sing.m1, sing.m2, mu1, mu_last)
+    si = {}
+    for v in g.vertices:
+        if ends[v.id] % v.mult:
+            raise NonIntegralSelfIntersection(v.id)
+        si[v.id] = -(ends[v.id] // v.mult)
+    blocks += [singtrace.vertex_block(v.mult, v.genus, si[v.id]) for v in g.vertices]
+    return si, singtrace.block_sum(blocks, g.mult_lcm)
+
+
+def relabel(g: FiberGraph, rng: random.Random):
+    """The graph with its ids permuted at random, so that the sorted order
+    of the endpoints, and with it which endpoint carries the m1 branch,
+    flips on some edges; also returns the map from old ids to new."""
+    ids = [v.id for v in g.vertices]
+    names = dict(zip(ids, rng.sample([f"w{i:03}" for i in range(len(ids))], len(ids))))
+    vertices = [(names[v.id], v.genus, v.mult) for v in g.vertices]
+    return FiberGraph.build(vertices, [(names[a], names[b]) for a, b in g.edges]), names
+
+
+def matches_per_edge(g: FiberGraph, n: int) -> bool:
+    """rational_trace and self_intersections equal the per-edge reference,
+    or both refuse the same vertex, and the genus of the reference trace is
+    the adjunction genus; True when a trace was compared."""
+    try:
+        want_si, want_trace = per_edge_trace(g, n)
+    except NonIntegralSelfIntersection as exc:
+        for route in (rational_trace, self_intersections):
+            match = f"^vertex {re.escape(str(exc))}: "
+            with pytest.raises(NonIntegralSelfIntersection, match=match):
+                route(g, n)
+        return False
+    assert self_intersections(g, n) == want_si, (g, n)
+    assert rational_trace(g, n) == want_trace, (g, n)
+    # so the genus check that compute_jumps makes first refuses no valid fiber
+    assert 1 - sum(want_trace.values()) == g.adjunction_genus(), (g, n)
+    return True
+
+
+def degrees_around_lcm(g: FiberGraph, rng: random.Random) -> list[int]:
+    """Four degrees coprime to the multiplicity lcm L: two below L, where
+    some chains have not reached their large-degree shape (the two
+    smallest when fewer lie below), and two above."""
+    coprime = [n for n in range(2, 4 * g.mult_lcm + 60) if math.gcd(n, g.mult_lcm) == 1]
+    low = [n for n in coprime if n < g.mult_lcm]
+    high = [n for n in coprime if n > g.mult_lcm]
+    return (rng.sample(low, 2) if len(low) > 1 else coprime[:2]) + rng.sample(high, 2)
+
+
+def random_multigraph(rng: random.Random) -> FiberGraph:
+    """A connected multigraph of one to seven vertices with loops and
+    parallel edges; most vertices reduced, the rest of small multiplicity."""
+    k = rng.randint(1, 7)
+    mults = [1] + [rng.choice((1, 1, 2, 2, 3, 4, 6)) for _ in range(k - 1)]
+    vertices = [(f"v{i}", rng.randint(0, 2), mults[i]) for i in range(k)]
+    edges = [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, k)]
+    edges += [(f"v{rng.randrange(k)}", f"v{rng.randrange(k)}") for _ in range(rng.randint(0, 5))]
+    return FiberGraph.build(vertices, edges)
+
+
+class TestClassCountedTrace:
+    """rational_trace builds each distinct edge and vertex block once and
+    scales it by its count; the per-edge block sum is the reference."""
+
+    @pytest.mark.parametrize("cid", CATALOG)
+    def test_catalog(self, cid):
+        g = lookup(FiberTypeId.parse(cid))
+        for n in agreement_degrees(g):
+            assert matches_per_edge(g, n), (cid, n)
+
+    def test_blow_ups_and_star_fibers(self):
+        rng = random.Random(11)
+        graphs = [blow_up(lookup(FiberTypeId.parse(rng.choice(CATALOG))), rng, rng.randint(1, 4))
+                  for _ in range(60)]
+        graphs += [star_fiber(rng) for _ in range(60)]
+        for g in graphs:
+            moved, names = relabel(g, rng)
+            for n in degrees_around_lcm(g, rng):
+                assert matches_per_edge(g, n) and matches_per_edge(moved, n), (g, n)
+                assert rational_trace(moved, n) == rational_trace(g, n)
+                si = self_intersections(g, n)
+                assert self_intersections(moved, n) == {names[v]: c for v, c in si.items()}
+
+    def test_random_multigraphs(self):
+        rng = random.Random(12)
+        compared = flipped = 0
+        for _ in range(400):
+            g = random_multigraph(rng)
+            moved, names = relabel(g, rng)
+            flipped += any((names[a] <= names[b]) != (a <= b) for a, b in g.edges if a != b)
+            for n in degrees_around_lcm(g, rng):
+                compared += matches_per_edge(g, n)
+                matches_per_edge(moved, n)
+        # enough graphs pass the integrality check for the traces to be compared
+        assert compared > 300 and flipped > 200, (compared, flipped)
+
+    def test_work_per_class_not_per_edge(self, monkeypatch):
+        # In*:1000 has 1004 edges and 1005 vertices but two edge classes,
+        # (2, 2) and (2, 1), and two vertex classes, (2, 0, -2) and (1, 0, -1)
+        calls = {"chain_ends": [], "vertex_block": []}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name].append(args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(fiber, "chain_ends", counting("chain_ends", resolution.chain_ends))
+        monkeypatch.setattr(fiber, "vertex_block", counting("vertex_block", singtrace.vertex_block))
+        g = lookup(FiberTypeId.parse("kodaira:In*:1000"))
+        assert (len(g.edges), len(g.vertices)) == (1004, 1005)
+        assert compute_jumps(g).jumps == (Fraction(1, 2),)
+        pairs = [(sing.m1, sing.m2) for (sing,) in calls["chain_ends"]]
+        assert sorted(pairs) == [(2, 1), (2, 2)]
+        assert sorted(calls["vertex_block"]) == [(1, 0, -1), (2, 0, -2)]

@@ -15,7 +15,7 @@ from fibertrace.jumps import (
     principal_lcm,
     sweep_degrees,
 )
-from test_fiber import CATALOG, blow_up
+from test_fiber import CATALOG, blow_up, star_fiber
 
 
 def cat(s):
@@ -101,6 +101,19 @@ class TestComputeJumps:
         with pytest.raises(BadInput, match="genus 4 exceeds MAX_GENUS = 3"):
             compute_jumps(parse_graph(text.format(4)))
 
+    def test_genus_bound_before_any_block(self, monkeypatch):
+        # the adjunction formula gives the genus from the graph alone: a
+        # multiplicity-4 curve meeting a reduced one 4 times has genus 6
+        def refuse(graph, n):
+            raise AssertionError("rational_trace ran before the genus check")
+
+        monkeypatch.setattr(jumps, "MAX_GENUS", 5)
+        monkeypatch.setattr(jumps, "rational_trace", refuse)
+        g = FiberGraph.build([("a", 0, 4), ("b", 0, 1)], [("a", "b")] * 4)
+        assert g.adjunction_genus() == 6
+        with pytest.raises(BadInput, match="genus 6 exceeds MAX_GENUS = 5"):
+            compute_jumps(g)
+
     def test_kodaira_iv(self):
         js = compute_jumps(cat("kodaira:IV"))
         assert list(js.jumps) == [Fraction(1, 3)]
@@ -177,30 +190,6 @@ class TestComputeJumps:
         monkeypatch.setattr(jumps, "rational_trace", lambda graph, n: {0: 1, 1: 2})
         with pytest.raises(NegativeCharacterCoefficient, match=r"\[\(1, -2\)\]"):
             compute_jumps(cat("kodaira:IV"))
-
-
-def star_fiber(rng):
-    """A random star-shaped fiber: a genus-0 center of multiplicity m with
-    three or four chains, each running from m through a unit a mod m down
-    to multiplicity 1 (mu_{i+1} = -mu_{i-1} mod mu_i), where the first
-    multiplicities a sum to a multiple of m. Every self-intersection is
-    then integral, and n_tilde = m need not divide 24, so the jumps are not
-    fixed by every unit of n_tilde, as catalog jumps are."""
-    while True:
-        m = rng.randint(2, 12)
-        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-        firsts = [rng.choice(units) for _ in range(rng.randint(2, 3))]
-        if -sum(firsts) % m in units:
-            break
-    vertices, edges = [("c", 0, m)], []
-    for branch, a in enumerate(firsts + [-sum(firsts) % m]):
-        prev, cur, here = m, a, "c"
-        while cur:
-            vid = f"{branch}.{cur}"
-            vertices.append((vid, 0, cur))
-            edges.append((here, vid))
-            prev, cur, here = cur, -prev % cur, vid
-    return FiberGraph.build(vertices, edges)
 
 
 class TestAgainstSweepOracle:
