@@ -31,8 +31,12 @@ B = max|a| * max|b| * min(len a, len b) < 2^k with k = B.bit_length();
 slots of w >= k + 1 bits, rounded up to whole bytes, hold it as a signed
 value with no carry into the next slot.
 
-The fixed-point evaluation route needs no general inverse, only the
-closed form of (1 - zeta_n^c)^(-1) in ``inverse_of_one_minus_root``.
+The fixed-point evaluation route needs no general inverse and no field
+arithmetic: ``packed_inverse_numerators`` gives n * (1 - zeta_n^c)^(-1) in
+closed form as an integer polynomial, already packed for Kronecker
+substitution, so ``singtrace.trace_oracle`` keeps its whole sum as one
+integer over the denominator n^2 and calls ``from_poly`` once.  Sums and
+products of CyclotomicNumbers remain the field's reference arithmetic.
 """
 
 from __future__ import annotations
@@ -268,6 +272,50 @@ def _product(a, b) -> list[int]:
     return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
 
 
+def packed_inverse_numerators(n: int, width: int):
+    """The function c -> the numerator N(c) of n * (1 - zeta_n^c)^(-1), for
+    c != 0 mod n, packed as sum_e N(c)_e * 2^(8 * width * e) over the n
+    exponents e mod n; it packs each c once.  Every |N(c)_e| must fit in
+    ``width`` bytes (``int.to_bytes`` raises otherwise).
+
+    N(c) = -sum_{j<n} (j+1) x^(cj mod n): multiplying the sum by 1 - x^c
+    telescopes it to n - sum_{j<n} x^(cj), and the geometric sum vanishes
+    at zeta_n since zeta_n^c != 1, so no Euclidean algorithm is needed.
+    With g = gcd(c, n), m = n/g and u the inverse of c/g mod m, the
+    exponent g*e collects the g terms with j = k mod m, k = e*u mod m:
+    N(c)_(g*e) = -(g*(k + 1) + n(g - 1)/2), and every other coefficient is
+    0.  So the coefficients are at most 0, sum to -n(n+1)/2 and have
+    absolute value at most n(g + 1)/2 (n when c is a unit).
+
+    The slot values for k = 0..m-1 are written once per g, one byte plane
+    per byte of the slot; a plane repeated u times and read with step u
+    is the plane permuted by e -> e*u mod m, so each N(c) is packed by
+    width slicings instead of n conversions."""
+    planes: dict[int, list[bytes]] = {}
+    packed: dict[int, int] = {}
+
+    def numerator(c: int) -> int:
+        c %= n
+        if c in packed:
+            return packed[c]
+        if c == 0:
+            raise ZeroDivisionError("1 - zeta^0 is zero")
+        g = math.gcd(c, n)
+        m = n // g
+        if g not in planes:
+            base = n * (g - 1) // 2
+            table = b"".join([(g * k + base).to_bytes(width, "little") for k in range(1, m + 1)])
+            planes[g] = [table[b::width] for b in range(width)]
+        u = pow(c // g, -1, m)
+        digits = bytearray(n * width)
+        for b, plane in enumerate(planes[g]):
+            digits[b::g * width] = (plane * u)[::u]
+        packed[c] = -int.from_bytes(digits, "little")
+        return packed[c]
+
+    return numerator
+
+
 class CyclotomicNumber:
     """Element of Q(zeta_n), stored as an integer numerator vector of
     length phi(n) over a single positive denominator, reduced so that
@@ -393,20 +441,3 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber({self.n}, {list(self.num)}, den={self.den})"
-
-
-def inverse_of_one_minus_root(n: int, c: int) -> CyclotomicNumber:
-    """(1 - zeta_n^c)^(-1) for c != 0 mod n, via the closed form
-    -(1/n) * sum_{j=0}^{n-1} (j+1) zeta^{cj} (no Euclidean algorithm:
-    multiplying by 1 - zeta^c telescopes the sum to -n)."""
-    c %= n
-    if c == 0:
-        raise ZeroDivisionError("1 - zeta^0 is zero")
-    buf = [0] * n
-    e = 0
-    for j in range(n):
-        buf[e] -= j + 1
-        e += c
-        if e >= n:
-            e -= n
-    return CyclotomicNumber.from_poly(n, buf, n)

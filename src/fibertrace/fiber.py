@@ -32,6 +32,14 @@ from .singtrace import at_degree, block_sum, edge_blocks, vertex_block
 # Xeon VM.
 MAX_GRAPH_CHARS = 10**6
 
+# Most block terms rational_trace builds: m1 + m2 + gcd(m1, m2) per distinct
+# edge pair and mult per distinct vertex class.  A valid fiber of genus 0 can
+# need about 1.5 M^2 of them, as the chain 1 - M - (M-1) - ... - 2 - 1 does,
+# which neither MAX_GENUS nor MAX_GRAPH_CHARS bounds.  At the bound that
+# chain (M = 706, a 30 KB file) takes about 1 s in jumps on a 2-vCPU Xeon
+# VM; every catalog entry needs fewer than 100 terms.
+MAX_BLOCK_TERMS = 750_000
+
 
 class Vertex(NamedTuple):
     id: str
@@ -247,6 +255,13 @@ def rational_trace(g: FiberGraph, n: int) -> dict[int, int]:
     through the chain ends, so once n > L only through n mod L."""
     si, classes = _edge_pass(g, n)
     vertex_classes = Counter((v.mult, v.genus, si[v.id]) for v in g.vertices)
+    terms = sum(m1 + m2 + math.gcd(m1, m2) for m1, m2 in classes)
+    terms += sum(mult for mult, _, _ in vertex_classes)
+    if terms > MAX_BLOCK_TERMS:
+        raise BadInput(
+            f"the trace would build {terms} block terms, more than "
+            f"MAX_BLOCK_TERMS = {MAX_BLOCK_TERMS}"
+        )
     counted = [(vertex_block(*key), k) for key, k in vertex_classes.items()]
     counted += [(block, k) for (m1, m2), (mu1, mu_last, k) in classes.items()
                 for block in edge_blocks(m1, m2, mu1, mu_last)]

@@ -5,8 +5,10 @@ chains, computed three independent ways.
 is valid for every admissible degree.  ``trace_closed_form`` is the short
 polynomial that the chain collapses to; it needs only the two outermost
 multiplicities at each end of the chain.  ``trace_oracle`` evaluates the
-fixed-point rational-function form exactly in Q(zeta_n) and is kept
-independent of the other two so it can arbitrate between them.
+fixed-point rational-function form exactly in Q(zeta_n), summing its node
+terms as one integer polynomial over the common denominator n^2 and
+reducing it once, and is kept independent of the other two so it can
+arbitrate between them.
 
 ``singularity_trace`` is the one production route: the closed form from
 the chain ends alone, at every admissible degree, so its cost does not
@@ -23,7 +25,7 @@ import math
 
 from .arith import ceil_div, mod_inverse
 from .errors import BadInput
-from .exactalg import CyclotomicNumber, GroupRingElement, inverse_of_one_minus_root
+from .exactalg import CyclotomicNumber, GroupRingElement, _unpack, packed_inverse_numerators
 from .resolution import ResolutionData, Singularity, chain_ends
 
 # Most cells the node sum may allocate and touch (about 1 s on a 2-vCPU Xeon
@@ -32,12 +34,13 @@ from .resolution import ResolutionData, Singularity, chain_ends
 MAX_NODE_SUM_CELLS = 10**7
 
 # Most cells the cyclotomic oracle may touch, counted as (L + 1) * n^2 for a
-# chain of L curves at degree n: each of the L + 1 node terms reduces a few
-# polynomials modulo Phi_n, at most about n^2 / 4 cell updates each for odd
-# n and n^2 / 16 for even n (see exactalg).  Near the bound the slowest
-# shapes found, all of odd n such as (1, 2144, 2145), take about 0.4 s on a
-# 2-vCPU Xeon VM, and (1, 1, 214) takes 0.1 s; n <= 150 needs at most 150^3
-# cells.  No production route calls it.
+# chain of L curves at degree n: L + 1 node terms of up to n^2 cells each.
+# The oracle makes one big-integer product of n-slot integers per node and
+# reduces modulo Phi_n once, at most about n^2 / 4 cell updates for odd n
+# and n^2 / 16 for even n (see exactalg).  Near the bound the slowest shape
+# found, (1, 2144, 2145), takes about 0.3 s on a 2-vCPU Xeon VM, nearly all
+# in that reduction, and (1, 1, 214) and (1, 1, 215), the longest chains,
+# 0.02 s; n <= 150 needs at most 150^3 cells.  No production route calls it.
 MAX_ORACLE_CELLS = 10**7
 
 __all__ = [
@@ -184,11 +187,20 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     """Fixed-point evaluation of the trace at zeta_n^power, exactly in
     Q(zeta_n).  Requires gcd(power, n) = 1 so that no denominator
     vanishes.  Raises BadInput when the evaluation would touch more than
-    MAX_ORACLE_CELLS cells."""
+    MAX_ORACLE_CELLS cells.
+
+    The node terms are mu_1 / (1 - chi(-r_0)) and mu_L / (1 - chi(r_{L-1}))
+    at the two ends and (1 - chi(r_{l-1} mu_{l+1} - r_l mu_l)) /
+    ((1 - chi(r_{l-1})) (1 - chi(-r_l))) in between, chi(e) =
+    zeta_n^(power * alpha1 * e).  Over the common denominator n^2 each is
+    an integer polynomial in zeta_n built from the numerators N(c) of
+    n / (1 - zeta_n^c) (``packed_inverse_numerators``): mu * n * N(c) at an
+    end, (1 - x^a) N(c1) N(c2) in between.  The whole sum is kept as one
+    Kronecker integer, each N(c) packed once, and is reduced modulo Phi_n
+    once at the end."""
     n = res.n
     if math.gcd(power, n) != 1:
         raise BadInput(f"power {power} must be coprime to {n}")
-    a1 = res.alpha1
     mu = res.mu
     L = res.length
     cells = (L + 1) * n * n
@@ -197,34 +209,41 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
             f"({res.sing.m1},{res.sing.m2},{n}): the oracle would touch {cells} cells, "
             f"more than MAX_ORACLE_CELLS = {MAX_ORACLE_CELLS}"
         )
-    r = res.r_at
+    unit = power * res.alpha1
 
-    def chi(e: int) -> CyclotomicNumber:
-        return CyclotomicNumber.root_power(n, power * a1 * e)
+    # Every N(c) has coefficients in [-M(c), 0] with M(c) = n(g+1)/2,
+    # g = gcd(c, n), summing to -S, S = n(n+1)/2 (packed_inverse_numerators).
+    # So a middle node's product p = N(c1) N(c2) has coefficients in
+    # [0, min(M(c1), M(c2)) * S], and p - x^a p, a difference of two such,
+    # lies within that bound too; an end node's mu * n * N(c) lies within
+    # mu * n * M(c).  The sum is linear, so only its final coefficients
+    # must fit: each has absolute value at most the sum of the node bounds,
+    # below 2^k for k = bound.bit_length(), and a slot of k + 1 bits,
+    # rounded up to whole bytes, holds it signed.  The end nodes alone make
+    # the bound at least n^2 >= M(c), so each N(c) fits its slots too.
+    s = n * (n + 1) // 2
 
-    cache: dict[int, CyclotomicNumber] = {}
+    def top(c: int) -> int:
+        return n * (math.gcd(c, n) + 1) // 2
 
-    def inv_one_minus_chi(e: int) -> CyclotomicNumber:
-        c = (power * a1 * e) % n
-        if c not in cache:
-            cache[c] = inverse_of_one_minus_root(n, c)
-        return cache[c]
+    rs = res.jh.rseq  # r_{l-1} = rs[l]
+    first = (-unit * rs[1]) % n
+    last = (unit * rs[L]) % n
+    # (c1, c2, a) of node l = 1..L-1, from r_{l-1}, r_l, mu_l, mu_{l+1}
+    middle = [(unit * x % n, -unit * y % n, unit * (x * nu - y * m) % n)
+              for x, y, m, nu in zip(rs[1:L], rs[2:], mu[1:L], mu[2:])]
+    bound = n * (mu[1] * top(first) + mu[L] * top(last))
+    bound += s * sum(min(top(c1), top(c2)) for c1, c2, _ in middle)
+    width = (bound.bit_length() + 8) // 8
+    shift = 8 * width
 
-    one = CyclotomicNumber.one(n)
-    acc = CyclotomicNumber.zero(n)
-    for l in range(L + 1):
-        if l == 0:
-            term = mu[1] * inv_one_minus_chi(-r(0))
-        elif l == L:
-            term = mu[L] * inv_one_minus_chi(r(L - 1))
-        else:
-            term = (
-                (one - chi(r(l - 1) * mu[l + 1] - r(l) * mu[l]))
-                * inv_one_minus_chi(r(l - 1))
-                * inv_one_minus_chi(-r(l))
-            )
-        acc += term
-    return acc
+    numerator = packed_inverse_numerators(n, width)
+    acc = n * (mu[1] * numerator(first) + mu[L] * numerator(last))
+    for c1, c2, a in middle:
+        p = numerator(c1) * numerator(c2)
+        acc += p - (p << shift * a)
+    # p has degree at most 2n - 2 and a <= n - 1
+    return CyclotomicNumber.from_poly(n, _unpack(acc, 3 * n - 2, width), n * n)
 
 
 def vertex_trace(mult: int, genus: int, self_int: int, n: int) -> GroupRingElement:

@@ -114,6 +114,21 @@ def test_jumps_past_genus_bound_exits_2_before_tracing(tmp_path, capsys):
     assert "BadInput: genus 7998000 exceeds MAX_GENUS = 100000" in err
 
 
+def test_jumps_past_block_term_bound_exits_2_quickly(tmp_path, capsys):
+    # the genus-0 chain 1 - 800 - 799 - ... - 2 - 1 (35 KB) needs 962,000
+    # block terms; building them took about 1.2 s (2-vCPU Xeon VM)
+    path = tmp_path / "long-chain.fg"
+    lines = ["vertex a genus=0 mult=1", "vertex b genus=0 mult=1", "edge a v800", "edge v2 b"]
+    lines += [f"vertex v{k} genus=0 mult={k}" for k in range(2, 801)]
+    lines += [f"edge v{k} v{k - 1}" for k in range(3, 801)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jumps", "--graph", str(path), "--machine")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not out
+    assert "BadInput: the trace would build 962000 block terms, more than MAX_BLOCK_TERMS" in err
+
+
 def test_many_duplicate_vertex_ids_exit_2_quickly(tmp_path, capsys):
     # counting each id by a scan of all ids took about 8 s on this file (2-vCPU Xeon VM)
     path = tmp_path / "duplicates.fg"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,8 +10,9 @@ from fibertrace.exactalg import (
     GroupRingElement,
     _poly_divmod_monic,
     _product,
+    _unpack,
     cyclotomic_polynomial,
-    inverse_of_one_minus_root,
+    packed_inverse_numerators,
 )
 
 
@@ -125,12 +127,35 @@ class TestCyclotomic:
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 12, 15, 105, 113, 120])
     def test_unit_inverse_closed_form(self, n):
         one = CyclotomicNumber.one(n)
+        width = inverse_width(n)
+        numerator = packed_inverse_numerators(n, width)
         for c in range(1, n):
             u = one - CyclotomicNumber.root_power(n, c)
-            inv = inverse_of_one_minus_root(n, c)
-            assert inv * u == one
+            inv = CyclotomicNumber.from_poly(n, _unpack(numerator(c), n, width), n)
+            assert u * inv == one
         with pytest.raises(ZeroDivisionError):
-            inverse_of_one_minus_root(n, 0)
+            numerator(0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 15, 30, 105, 120, 214])
+    def test_inverse_numerator_by_definition(self, n):
+        # -sum_{j<n} (j+1) x^(cj mod n), term by term, for every c, units and
+        # zero divisors alike; the largest coefficient is n(g+1)/2
+        width = inverse_width(n)
+        numerator = packed_inverse_numerators(n, width)
+        for c in range(1, 2 * n):
+            if c % n == 0:
+                continue
+            want = [0] * n
+            for j in range(n):
+                want[c * j % n] -= j + 1
+            assert _unpack(numerator(c), n, width) == want, (n, c)
+            assert -min(want) == n * (math.gcd(c, n) + 1) // 2
+
+
+def inverse_width(n):
+    """Bytes per slot that hold n(n+1)/2 signed: the sum of a numerator's
+    coefficients, all of one sign, so a bound on each."""
+    return ((n * (n + 1) // 2).bit_length() + 8) // 8
 
 
 class TestReductionAndProduct:

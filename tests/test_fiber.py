@@ -28,6 +28,16 @@ from fibertrace.jumps import JumpOptions, compute_jumps
 from fibertrace.resolution import Singularity, resolve
 from fibertrace.singtrace import trace_polynomial, vertex_trace
 
+
+def decreasing_chain(top):
+    """The chain 1 - top - (top - 1) - ... - 2 - 1 of genus-0 curves, a valid
+    fiber of genus 0 whose edge pairs are all distinct."""
+    lines = ["vertex a genus=0 mult=1", "vertex b genus=0 mult=1", f"edge a v{top}", "edge v2 b"]
+    lines += [f"vertex v{k} genus=0 mult={k}" for k in range(2, top + 1)]
+    lines += [f"edge v{k} v{k - 1}" for k in range(3, top + 1)]
+    return "\n".join(lines) + "\n"
+
+
 KODAIRA_IV = """\
 # star: three reduced leaves around a triple curve
 vertex t1 genus=0 mult=1
@@ -618,6 +628,29 @@ class TestClassCountedTrace:
                 matches_per_edge(moved, n)
         # enough graphs pass the integrality check for the traces to be compared
         assert compared > 300 and flipped > 200, (compared, flipped)
+
+    def test_block_term_bound(self, monkeypatch):
+        # the chain 1 - 4 - 3 - 2 - 1: the edge pairs (4, 1), (4, 3), (3, 2)
+        # and (2, 1) build 6 + 8 + 6 + 4 terms, and the vertex classes of
+        # mult 4, 3, 2 and 1 (both ends have self-intersection -1) 10 more
+        g = parse_graph(decreasing_chain(4))
+        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 34)
+        assert compute_jumps(g).jumps == ()
+        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 33)
+
+        def refuse(*args):
+            raise AssertionError("a block was built past MAX_BLOCK_TERMS")
+
+        monkeypatch.setattr(fiber, "vertex_block", refuse)
+        monkeypatch.setattr(fiber, "edge_blocks", refuse)
+        for route in (compute_jumps, lambda g: total_trace(g, 1009)):
+            with pytest.raises(BadInput, match="build 34 block terms, more than MAX_BLOCK_TERMS = 33"):
+                route(g)
+
+    def test_catalog_far_below_block_term_bound(self, monkeypatch):
+        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 100)
+        for cid in CATALOG + ["kodaira:In:10000", "kodaira:In*:10000"]:
+            compute_jumps(lookup(FiberTypeId.parse(cid)))
 
     def test_work_per_class_not_per_edge(self, monkeypatch):
         # In*:1000 has 1004 edges and 1005 vertices but two edge classes,

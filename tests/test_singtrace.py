@@ -5,10 +5,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibertrace import singtrace
+from fibertrace import exactalg, singtrace
 from fibertrace.arith import mod_inverse
 from fibertrace.errors import BadInput
-from fibertrace.exactalg import GroupRingElement
+from fibertrace.exactalg import CyclotomicNumber, GroupRingElement
 from fibertrace.resolution import Singularity, is_stable, resolve
 from fibertrace.singtrace import (
     closed_form_coefficients,
@@ -218,6 +218,67 @@ class TestOracle:
         with pytest.raises(BadInput, match="MAX_ORACLE_CELLS = 10000000"):
             trace_oracle(res, 1)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("m1,m2,n", [(1, 1, 214), (1, 1, 215), (1, 2144, 2145)])
+    def test_slowest_admitted_shapes(self, m1, m2, n):
+        res = resolve(Singularity(m1, m2, n))
+        assert (res.length + 1) * n * n <= singtrace.MAX_ORACLE_CELLS
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        value = trace_polynomial(res)
+        for power in units[:2] + units[-1:]:
+            assert trace_oracle(res, power) == value.evaluate(power), power
+
+    def test_large_end_multiplicities_fill_the_slots(self, monkeypatch):
+        # with mu_1 and mu_L in the thousands the end terms dominate the
+        # slot bound: the largest final coefficient needs every bit of its
+        # slot but the sign in some samples, and fewer than 8 bits less in
+        # most, where a slot one byte narrower would not hold it.  The
+        # closed form is the reference: mu_0 * mu_1 is past the node sum's
+        # bound
+        headroom = []
+
+        def unpack(value, count, width):
+            coeffs = exactalg._unpack(value, count, width)
+            headroom.append(8 * width - 1 - max(map(abs, coeffs)).bit_length())
+            return coeffs
+
+        monkeypatch.setattr(singtrace, "_unpack", unpack)
+        rng = random.Random(10)
+        checked = 0
+        while checked < 30:
+            m1, m2, n = rng.randrange(1, 10**4), rng.randrange(1, 10**4), rng.randrange(2, 200)
+            if math.gcd(n, m1 * m2) != 1:
+                continue
+            res = resolve(Singularity(m1, m2, n))
+            if (res.length + 1) * n * n > singtrace.MAX_ORACLE_CELLS:
+                continue
+            power = rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])
+            want = singularity_trace(res.sing).evaluate(power)
+            assert trace_oracle(res, power) == want, (m1, m2, n, power)
+            checked += 1
+        assert min(headroom) == 0 and sum(h < 8 for h in headroom) > 20, headroom
+
+    def test_one_reduction_and_no_field_arithmetic(self, monkeypatch):
+        # (3, 4, 13) has L = 3: two end nodes and two middle nodes
+        calls = {"from_poly": 0, "__mul__": 0, "__add__": 0}
+        from_poly = CyclotomicNumber.from_poly.__func__
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(CyclotomicNumber, "from_poly",
+                            classmethod(counting("from_poly", from_poly)))
+        for name in ("__mul__", "__add__"):
+            monkeypatch.setattr(CyclotomicNumber, name,
+                                counting(name, getattr(CyclotomicNumber, name)))
+        res = resolve(Singularity(3, 4, 13))
+        value = trace_oracle(res, 2)
+        assert calls == {"from_poly": 1, "__mul__": 0, "__add__": 0}
+        monkeypatch.undo()
+        assert value == trace_polynomial(res).evaluate(2)
 
     def test_full_coprime_sweep(self):
         # every coprime pair up to 6, every admissible degree up to 60,
