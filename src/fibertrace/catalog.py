@@ -19,8 +19,8 @@ from .errors import BadInput, UnknownType
 from .fiber import FiberGraph
 
 # Largest k of In:k and In*:k.  The graph has about k components and the
-# work grows linearly in k: jumps on In:100000 took 5.8 s and a 143 MB peak
-# on a 2-vCPU Xeon VM.
+# work grows linearly in k: jumps on In:10000 and In*:10000 takes about
+# 0.12 s and a 22 MB peak on a 2-vCPU Xeon VM.
 MAX_PARAMETER = 10**4
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -26,8 +27,8 @@ from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.
 from .singtrace import at_degree, block_sum, edge_blocks, vertex_block
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
-# more than one past it.  At the bound, jumps takes 0.2 s on a cycle of
-# 21,000 reduced curves and 0.13 s on two reduced curves meeting 111,000
+# more than one past it.  At the bound, jumps takes about 0.25 s on a cycle
+# of 21,527 reduced curves and 0.23 s on two reduced curves meeting 111,105
 # times (which exits at MAX_GENUS before any trace is built), on a 2-vCPU
 # Xeon VM.
 MAX_GRAPH_CHARS = 10**6
@@ -55,83 +56,81 @@ class FiberGraph:
 
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[str, str], ...]
+    # id -> vertex, multiplicity and number of edge-ends, filled by build
+    _index: dict[str, Vertex] = field(compare=False, repr=False)
+    _mult: dict[str, int] = field(compare=False, repr=False)
+    _degree: dict[str, int] = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, vertices, edges) -> "FiberGraph":
-        vs = tuple(Vertex(*v) if not isinstance(v, Vertex) else v for v in vertices)
-        ids = [v.id for v in vs]
-        known = set(ids)
-        if len(known) != len(ids):
+        """Validate and index in one walk over the edges, which checks each
+        endpoint, counts degrees and merges components by union-find."""
+        vs = [v if isinstance(v, Vertex) else Vertex(*v) for v in vertices]
+        ids, genera, mults = zip(*vs) if vs else ((), (), ())
+        index = dict(zip(ids, vs))
+        if len(index) != len(vs):
             dup = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValidationError(f"duplicate vertex id(s): {', '.join(dup)}")
-        for v in vs:
-            if v.genus < 0:
-                raise ValidationError(f"vertex {v.id}: genus must be >= 0")
-            if v.mult < 1:
-                raise ValidationError(f"vertex {v.id}: multiplicity must be >= 1")
-            if v.mult > MAX_MULTIPLICITY:
-                raise BadInput(
-                    f"vertex {v.id}: multiplicity {v.mult} exceeds "
-                    f"MAX_MULTIPLICITY = {MAX_MULTIPLICITY}"
-                )
+        if vs and (min(genera) < 0 or min(mults) < 1 or max(mults) > MAX_MULTIPLICITY):
+            for v in vs:  # only to name the first offending vertex
+                if v.genus < 0:
+                    raise ValidationError(f"vertex {v.id}: genus must be >= 0")
+                if v.mult < 1:
+                    raise ValidationError(f"vertex {v.id}: multiplicity must be >= 1")
+                if v.mult > MAX_MULTIPLICITY:
+                    raise BadInput(
+                        f"vertex {v.id}: multiplicity {v.mult} exceeds "
+                        f"MAX_MULTIPLICITY = {MAX_MULTIPLICITY}"
+                    )
+        degree = dict.fromkeys(ids, 0)
+        parent = dict(zip(ids, ids))
+        parts = len(vs)
         es = []
         for a, b in edges:
-            if a not in known or b not in known:
-                missing = a if a not in known else b
-                raise ValidationError(f"edge endpoint {missing!r} is not a declared vertex")
+            try:
+                degree[a] += 1
+                degree[b] += 1
+            except KeyError:
+                missing = a if a not in degree else b
+                raise ValidationError(
+                    f"edge endpoint {missing!r} is not a declared vertex"
+                ) from None
             es.append((a, b) if a <= b else (b, a))
-        g = cls(vertices=tuple(sorted(vs, key=lambda v: v.id)), edges=tuple(sorted(es)))
-        g._validate()
-        return g
-
-    def _validate(self) -> None:
-        if not self.vertices:
+            a, b = parent[a], parent[b]
+            if a != b:  # not yet seen to share a component: find both roots
+                while parent[a] != a:  # path halving
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    parent[a] = b
+                    parts -= 1
+        if not vs:
             raise ValidationError("graph has no vertices")
-        if not self._connected():
+        if parts != 1:
             raise ValidationError("graph is not connected")
-        if all(v.mult != 1 for v in self.vertices):
+        if min(mults) != 1:
             raise ValidationError("no vertex has multiplicity 1")
-
-    def _connected(self) -> bool:
-        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        start = self.vertices[0].id
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.vertices)
-
-    # The indexes and the lcm are built on first use, so parsing pays nothing for them.
-    @cached_property
-    def _by_id(self) -> dict[str, Vertex]:
-        return {v.id: v for v in self.vertices}
-
-    @cached_property
-    def _degrees(self) -> Counter:
-        return Counter(end for edge in self.edges for end in edge)
+        # a key on the id alone sorts faster than comparing whole vertices
+        return cls(tuple(sorted(vs, key=itemgetter(0))), tuple(sorted(es)),
+                   index, dict(zip(ids, mults)), degree)
 
     def vertex(self, vid: str) -> Vertex:
-        return self._by_id[vid]
+        return self._index[vid]
 
     def degree(self, vid: str) -> int:
         """Number of edge-ends at the vertex; a loop counts twice."""
-        return self._degrees[vid]
+        return self._degree.get(vid, 0)
 
     @cached_property
     def mult_lcm(self) -> int:
-        return math.lcm(*(v.mult for v in self.vertices))
+        return math.lcm(*self._mult.values())
 
     def adjunction_genus(self) -> int:
         """The arithmetic genus by adjunction, 2g - 2 = sum_v m_v (2 g_v - 2
         + deg v), in O(V + E); for a valid fiber it is the genus on H^1."""
-        degrees = self._degrees
-        return sum(v.mult * (2 * v.genus - 2 + degrees[v.id]) for v in self.vertices) // 2 + 1
+        degree = self._degree
+        return sum(m * (2 * genus - 2 + degree[vid]) for vid, genus, m in self.vertices) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,15 @@ def parse_graph(text: str) -> FiberGraph:
         if kind == "vertex":
             if len(tokens) != 4:
                 raise ParseError(lineno, "expected: vertex <id> genus=<int> mult=<int>")
-            vid = tokens[1]
+            _, vid, genus, mult = tokens
             if not ascii_text and not vid.isascii():
                 raise ParseError(lineno, f"vertex id {vid!r} is not ASCII")
+            if genus[:6] == "genus=" and mult[:5] == "mult=":  # the documented order
+                try:
+                    vertices.append(Vertex(vid, int(genus[6:]), int(mult[5:])))
+                    continue
+                except ValueError:
+                    pass  # the field loop names the bad field
             fields = {}
             for tok in tokens[2:]:
                 key, eq, value = tok.partition("=")
@@ -224,11 +229,11 @@ def _edge_pass(g: FiberGraph, n: int) -> tuple[dict[str, int], dict]:
     endpoints.  Returns the self-intersections and, per pair, the chain
     ends and the number of edges."""
     _check_degree(g, n)
-    by_id = g._by_id
-    ends = dict.fromkeys(by_id, 0)
+    mult = g._mult
+    ends = dict.fromkeys(mult, 0)
     classes: dict[tuple[int, int], list[int]] = {}  # (m1, m2) -> [mu_1, mu_L, count]
     for lo, hi in g.edges:  # stored with lo <= hi
-        pair = (by_id[hi].mult, by_id[lo].mult)
+        pair = (mult[hi], mult[lo])
         cls = classes.get(pair)
         if cls is None:
             cls = classes[pair] = [*chain_ends(Singularity(*pair, n)), 0]
@@ -236,14 +241,14 @@ def _edge_pass(g: FiberGraph, n: int) -> tuple[dict[str, int], dict]:
         ends[hi] += cls[1]
         cls[2] += 1
     si: dict[str, int] = {}
-    for v in g.vertices:
-        total = ends[v.id]
-        if total % v.mult != 0:
+    for vid, _, m in g.vertices:
+        total = ends[vid]
+        if total % m != 0:
             raise NonIntegralSelfIntersection(
-                f"vertex {v.id}: adjacent chain-end multiplicities sum to {total}, "
-                f"not a multiple of mult {v.mult}; not a valid fiber"
+                f"vertex {vid}: adjacent chain-end multiplicities sum to {total}, "
+                f"not a multiple of mult {m}; not a valid fiber"
             )
-        si[v.id] = -(total // v.mult)
+        si[vid] = -(total // m)
     return si, classes
 
 
@@ -254,7 +259,7 @@ def rational_trace(g: FiberGraph, n: int) -> dict[int, int]:
     blocks are built once and scaled by their count.  It depends on n only
     through the chain ends, so once n > L only through n mod L."""
     si, classes = _edge_pass(g, n)
-    vertex_classes = Counter((v.mult, v.genus, si[v.id]) for v in g.vertices)
+    vertex_classes = Counter((m, genus, si[vid]) for vid, genus, m in g.vertices)
     terms = sum(m1 + m2 + math.gcd(m1, m2) for m1, m2 in classes)
     terms += sum(mult for mult, _, _ in vertex_classes)
     if terms > MAX_BLOCK_TERMS:

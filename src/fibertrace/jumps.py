@@ -56,7 +56,8 @@ def principal_lcm(g: FiberGraph) -> int:
     genus, or meeting the rest of the fiber in at least three points
     (loop ends count twice, parallel edges separately).  1 when no vertex
     qualifies."""
-    mults = [v.mult for v in g.vertices if v.genus > 0 or g.degree(v.id) >= 3]
+    degree = g._degree
+    mults = [m for vid, genus, m in g.vertices if genus > 0 or degree[vid] >= 3]
     return math.lcm(*mults) if mults else 1
 
 

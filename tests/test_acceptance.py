@@ -1,14 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
 line (run with ``pytest -s`` to see the lines as they happen)."""
 
+import io
 import math
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 from fibertrace.catalog import FiberTypeId, lookup
-from fibertrace.fiber import FiberGraph, h1_character
+from fibertrace.cli import main
+from fibertrace.fiber import MAX_GRAPH_CHARS, FiberGraph, h1_character
 from fibertrace.jumps import JumpOptions, compute_jumps
 from fibertrace.resolution import Singularity, is_stable, resolve, universal_polys
 from fibertrace.singtrace import (
@@ -247,3 +249,23 @@ def test_criterion_7_degree_independence():
                 for r in range(1, l) if math.gcd(r, l) == 1
             }
             assert len(by_residue) == 1, (cid, by_residue)
+
+
+def test_criterion_8_graph_file_at_the_bound(tmp_path):
+    with criterion(8, "graph file at MAX_GRAPH_CHARS"):
+        # a cycle of reduced curves (the fiber In:k) with ids of equal width,
+        # as many as fit, padded with a comment to the bound exactly
+        curve = "vertex v{0:05} genus=0 mult=1\nedge v{0:05} v{1:05}\n"
+        k = MAX_GRAPH_CHARS // len(curve.format(0, 0))
+        text = "".join(curve.format(i, (i + 1) % k) for i in range(k))
+        text += "#" * (MAX_GRAPH_CHARS - len(text))
+        assert len(text) == MAX_GRAPH_CHARS and k > 20000
+        path = tmp_path / "cycle.fg"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out):
+            code = main(["jumps", "--graph", str(path), "--machine"])
+        elapsed = time.perf_counter() - start
+        assert (code, out.getvalue()) == (0, "jump 0/1\n")
+        assert elapsed < 2.0, f"parse, build and jumps took {elapsed:.2f}s, budget 2s"

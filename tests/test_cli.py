@@ -334,9 +334,16 @@ def test_fuzzed_argv_exits_cleanly_and_leaves_parser_intact(tmp_path, monkeypatc
 
 
 GRAPH_IDS = st.sampled_from(["a", "b", "c", "d"])
+# what int() reads besides plain digits: signs, underscores, other decimal digits
+SPELLED_INTS = st.sampled_from(["+1", "-0", "0_1", "1_2", "\u0661", "01", "1_", "", "1.0"])
 GRAPH_LINES = st.one_of(
     st.builds("vertex {} genus={} mult={}".format,
               GRAPH_IDS, st.integers(-1, 2), st.integers(-1, 12)),
+    # the other field order, spelled integers, tabs and a trailing comment
+    st.builds("vertex\t{} mult={}  genus={}{}".format, GRAPH_IDS,
+              st.one_of(st.integers(-1, 12).map(str), SPELLED_INTS),
+              st.one_of(st.integers(-1, 2).map(str), SPELLED_INTS),
+              st.sampled_from(["", " # note", "#", "\t#mult=0"])),
     st.builds("edge {} {}".format, GRAPH_IDS, GRAPH_IDS),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
     st.binary(max_size=12),  # raw bytes, often not UTF-8

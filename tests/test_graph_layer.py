@@ -1,0 +1,235 @@
+"""parse_graph and FiberGraph.build against the line walk and the
+validation they replaced, kept here as references: on generated inputs
+both must give the same graph, or the same error with the same message."""
+
+import random
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from fibertrace import fiber
+from fibertrace.errors import BadInput, FibertraceError, ParseError, ValidationError
+from fibertrace.fiber import MAX_GRAPH_CHARS, FiberGraph, Vertex, parse_graph
+from test_cli import GRAPH_IDS, GRAPH_LINES, SPELLED_INTS
+
+
+def reference_build(vertices, edges):
+    """FiberGraph.build before it validated in one walk over the edges:
+    every vertex checked in input order, every endpoint looked up in a set,
+    connectivity by a search over adjacency sets, degrees counted last.
+    Returns (vertices, edges, degrees)."""
+    vs = tuple(Vertex(*v) if not isinstance(v, Vertex) else v for v in vertices)
+    ids = [v.id for v in vs]
+    known = set(ids)
+    if len(known) != len(ids):
+        dup = sorted(i for i, count in Counter(ids).items() if count > 1)
+        raise ValidationError(f"duplicate vertex id(s): {', '.join(dup)}")
+    for v in vs:
+        if v.genus < 0:
+            raise ValidationError(f"vertex {v.id}: genus must be >= 0")
+        if v.mult < 1:
+            raise ValidationError(f"vertex {v.id}: multiplicity must be >= 1")
+        if v.mult > fiber.MAX_MULTIPLICITY:
+            raise BadInput(
+                f"vertex {v.id}: multiplicity {v.mult} exceeds "
+                f"MAX_MULTIPLICITY = {fiber.MAX_MULTIPLICITY}"
+            )
+    es = []
+    for a, b in edges:
+        if a not in known or b not in known:
+            missing = a if a not in known else b
+            raise ValidationError(f"edge endpoint {missing!r} is not a declared vertex")
+        es.append((a, b) if a <= b else (b, a))
+    vs, es = tuple(sorted(vs, key=lambda v: v.id)), tuple(sorted(es))
+    if not vs:
+        raise ValidationError("graph has no vertices")
+    adj = {v.id: set() for v in vs}
+    for a, b in es:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, stack = {vs[0].id}, [vs[0].id]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    if len(seen) != len(vs):
+        raise ValidationError("graph is not connected")
+    if all(v.mult != 1 for v in vs):
+        raise ValidationError("no vertex has multiplicity 1")
+    return vs, es, Counter(end for edge in es for end in edge)
+
+
+def reference_parse(text):
+    """parse_graph before it read the fields by position: one field loop
+    for every vertex line; the lists go to reference_build."""
+    if len(text) > MAX_GRAPH_CHARS:
+        raise BadInput(f"graph text exceeds MAX_GRAPH_CHARS = {MAX_GRAPH_CHARS} characters")
+    ascii_text = text.isascii()
+    if not ascii_text:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            line = len((text[:exc.start] + "#").splitlines())
+            raise ParseError(line, "not valid UTF-8") from None
+    vertices, edges = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if kind == "vertex":
+            if len(tokens) != 4:
+                raise ParseError(lineno, "expected: vertex <id> genus=<int> mult=<int>")
+            vid = tokens[1]
+            if not ascii_text and not vid.isascii():
+                raise ParseError(lineno, f"vertex id {vid!r} is not ASCII")
+            fields = {}
+            for tok in tokens[2:]:
+                key, eq, value = tok.partition("=")
+                if not eq or key not in ("genus", "mult"):
+                    raise ParseError(lineno, f"expected genus=<int> or mult=<int>, got {tok!r}")
+                try:
+                    fields[key] = int(value)
+                except ValueError:
+                    raise ParseError(lineno, f"{key} must be an integer, got {value!r}") from None
+            if len(fields) != 2:
+                raise ParseError(lineno, "vertex needs both genus= and mult=")
+            vertices.append(Vertex(vid, fields["genus"], fields["mult"]))
+        elif kind == "edge":
+            if len(tokens) != 3:
+                raise ParseError(lineno, "expected: edge <id> <id>")
+            if not ascii_text and not (tokens[1].isascii() and tokens[2].isascii()):
+                raise ParseError(lineno, "edge endpoints must be ASCII tokens")
+            edges.append((tokens[1], tokens[2]))
+        else:
+            raise ParseError(lineno, f"unknown directive {kind!r}")
+    return reference_build(vertices, edges)
+
+
+def outcome(route, *args):
+    """What a route made of its input, in a form both routes share: the
+    error's class, message and line, or the sorted vertices and edges with
+    each vertex as looked up by id and its degree."""
+    try:
+        result = route(*args)
+    except FibertraceError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(result, FiberGraph):
+        ids = [v.id for v in result.vertices]
+        return (result.vertices, result.edges, [result.vertex(i) for i in ids],
+                [result.degree(i) for i in ids])
+    vertices, edges, degrees = result
+    return vertices, edges, list(vertices), [degrees[v.id] for v in vertices]
+
+
+def random_build_input(rng):
+    """Vertex and edge lists of up to six vertices: half with a bad genus
+    or multiplicity allowed on any vertex, some with a duplicate id or an
+    undeclared endpoint, most spanned by a tree, with loops and parallel
+    edges on top; tuples and Vertex records mixed."""
+    top = fiber.MAX_MULTIPLICITY
+    k = rng.choice((0, 1, 1, 2, 3, 4, 5, 6))
+    ids = [f"v{i}" for i in range(k)]
+    if k > 1 and rng.random() < 0.1:
+        ids[rng.randrange(k)] = rng.choice(ids)
+    bad = rng.random() < 0.5
+    genera = (0, 0, 1, 2, -1) if bad else (0, 0, 1, 2)
+    mults = (1, 2, 3, 0, -1, top, top + 1) if bad else (1, 1, 2, 3, top)
+    vertices = [(vid, rng.choice(genera), rng.choice(mults)) for vid in ids]
+    vertices = [Vertex(*v) if rng.random() < 0.5 else v for v in vertices]
+    edges = []
+    if rng.random() < 0.8:
+        edges += [(ids[rng.randrange(i)], ids[i]) for i in range(1, k)]
+    edges += [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 3)) if ids]
+    edges += rng.sample(edges, min(len(edges), rng.randint(0, 2)))  # parallel edges
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    if rng.random() < 0.08:
+        edges.append((rng.choice(ids + ["w"]), "w"))
+    rng.shuffle(edges)
+    return vertices, edges
+
+
+ERRORS = ("duplicate vertex id", "genus must be >= 0", "multiplicity must be >= 1",
+          "exceeds MAX_MULTIPLICITY", "is not a declared vertex", "has no vertices",
+          "is not connected", "no vertex has multiplicity 1")
+
+
+def test_build_matches_reference_build():
+    rng = random.Random(2611)
+    seen = Counter()
+    for _ in range(4000):
+        vertices, edges = random_build_input(rng)
+        want = outcome(reference_build, vertices, edges)
+        assert outcome(FiberGraph.build, vertices, edges) == want, (vertices, edges)
+        # two offending vertices, so that the first in input order must be named
+        seen["two bad vertices"] += sum(
+            v[1] < 0 or not 1 <= v[2] <= fiber.MAX_MULTIPLICITY for v in vertices) > 1
+        if isinstance(want[0], type):
+            seen[next(error for error in ERRORS if error in want[1])] += 1
+        else:
+            seen["valid"] += 1
+            seen["loop"] += any(a == b for a, b in want[1])
+            seen["parallel edges"] += len(set(want[1])) < len(want[1])
+            seen["single vertex"] += len(want[0]) == 1
+    assert len(seen) == len(ERRORS) + 5 and min(seen.values()) >= 30, seen
+
+
+# every line break str.splitlines knows
+BREAKS = st.sampled_from(
+    ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+ODD_LINES = st.one_of(
+    GRAPH_LINES,
+    st.builds("vertex {} genus={} mult={}{}".format,
+              st.one_of(GRAPH_IDS, st.sampled_from(["\u00e9", "\uff56", "a\udcff"])),
+              SPELLED_INTS, st.one_of(SPELLED_INTS, st.just("1")),
+              st.sampled_from(["", "#", " # c", "\t"])),
+    # near-miss keys and separators, in either order
+    st.builds("vertex {} {}{}{} {}{}{}".format, GRAPH_IDS,
+              *[st.sampled_from(["genus", "mult", "genu", "mul", "multi", "Mult"]),
+                st.sampled_from(["=", "==", ":"]), st.integers(0, 12)] * 2),
+    st.builds("edge\t{} {}#{}".format, GRAPH_IDS, st.sampled_from(["a", "\u00e9", "\udcff"]),
+              st.text(max_size=3)),
+    st.sampled_from(["\udcff", "# \ud800", "vertex", "edge a", "# only a comment"]),
+)
+
+
+def graph_text(lines):
+    return "".join(
+        (line.decode("utf-8", "surrogateescape") if isinstance(line, bytes) else line) + brk
+        for line, brk in lines)
+
+
+PARSE_CASES = [
+    "vertex a genus=1 mult=1\n",
+    "vertex a mult=1 genus=1\r\nvertex b genus=0 mult=2\redge a b\x85edge a b\u2028",
+    "vertex a genus=+0 mult=0_1 # a comment\tgenus=x\nedge a a#edge a b\n",
+    "vertex\ta\tgenus=0\tmult=1\fvertex b genus=-0 mult=1\vedge a b\x1c",
+    "vertex a genus=0 mult=\u0661\nvertex b genus=1_0 mult=+1\u2029edge b a\x1d\x1e",
+    "vertex a genus=0 mult=1\nvertex b genus=0 genus=1\n",
+    "vertex a genus=0 mult=1\nvertex b genus=0 mult=1_\n",
+    "vertex a genus=0 mult=1\nvertex b mult=x genus=y\n",
+    "vertex a genus=0 mul=11\n",
+    "vertex a genera=0 mult=1\n",
+    "vertex a genus=0 mult=1\nvertex \u00e9 genus=0 mult=1\n",
+    "vertex a genus=0 mult=1\nedge a \udcff\n",
+    "vertex a genus=0 mult=1\n# \udcff\nedge a a\n",
+    "vertex a genus=0 mult=2\nvertex b genus=-1 mult=1\nvertex c genus=0 mult=0\n",
+    "edge a b\n",
+    "",
+]
+
+
+def test_parse_matches_reference_parse_on_named_cases():
+    outcomes = [outcome(parse_graph, text) for text in PARSE_CASES]
+    assert outcomes == [outcome(reference_parse, text) for text in PARSE_CASES]
+    assert [i for i, o in enumerate(outcomes) if isinstance(o[0], tuple)] == [0, 1, 2, 3, 4]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(ODD_LINES, BREAKS), max_size=10))
+def test_parse_matches_reference_parse(lines):
+    text = graph_text(lines)
+    assert outcome(parse_graph, text) == outcome(reference_parse, text)

@@ -1,12 +1,18 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from fibertrace import jumps
 from fibertrace.catalog import FiberTypeId, lookup
-from fibertrace.errors import BadInput, BadJumpDenominator, NegativeCharacterCoefficient
+from fibertrace.errors import (
+    BadInput,
+    BadJumpDenominator,
+    NegativeCharacterCoefficient,
+    ValidationError,
+)
 from fibertrace.fiber import FiberGraph, h1_character, parse_graph
 from fibertrace.jumps import (
     JumpOptions,
@@ -15,7 +21,8 @@ from fibertrace.jumps import (
     principal_lcm,
     sweep_degrees,
 )
-from test_fiber import CATALOG, blow_up, star_fiber
+from test_catalog import table_entries
+from test_fiber import CATALOG, blow_up, random_multigraph, star_fiber
 
 
 def cat(s):
@@ -229,3 +236,58 @@ class TestAgainstSweepOracle:
             for n_min in self.N_MINS:
                 options = JumpOptions(n_min=n_min, residue=residue)
                 assert compute_jumps(g, options) == sweep_oracle(g, options), (g, options)
+
+
+def unit_stable(classes: Counter, l: int) -> bool:
+    """Whether a multiset of classes k/L has constant multiplicity on each
+    orbit of (Z/L)^*, that is, is fixed by every unit."""
+    return all(Counter({u * k % l: c for k, c in classes.items()}) == classes
+               for u in range(2, l) if math.gcd(u, l) == 1)
+
+
+def jump_classes(js: JumpSet) -> Counter:
+    return Counter(j.numerator * (js.n_tilde // j.denominator) for j in js.jumps)
+
+
+def galois_closed(js: JumpSet) -> bool:
+    """Whether J with -J mod 1 is fixed by every unit mod n_tilde: the
+    jumps and their negatives are the exponents of the tame monodromy on the
+    etale H^1 of the generic fiber, whose characteristic polynomial has
+    integer coefficients (SGA 7 IX; Serre-Tate)."""
+    classes = jump_classes(js)
+    return unit_stable(classes + Counter({-k % js.n_tilde: c for k, c in classes.items()}),
+                       js.n_tilde)
+
+
+class TestGaloisClosure:
+    def test_checker(self):
+        def fifths(*ks):
+            return JumpSet(tuple(Fraction(k, 5) for k in ks), 5, (11,))
+
+        # 1/5 and 2/5 are closed only together with 4/5 and 3/5
+        assert not galois_closed(fifths(1)) and not galois_closed(fifths(1, 4))
+        assert galois_closed(fifths(1, 2)) and galois_closed(fifths(1, 2, 3, 4))
+        assert not unit_stable(jump_classes(fifths(1, 2)), 5)
+
+    def test_every_catalog_row(self):
+        entries = table_entries() + [FiberTypeId.parse(f"kodaira:{name}:{k}")
+                                     for name in ("In", "In*") for k in (7, 12, 10**4)]
+        for tid in entries:
+            assert galois_closed(compute_jumps(lookup(tid))), tid
+
+    def test_generated_fibers(self):
+        rng = random.Random(303)
+        graphs = [star_fiber(rng) for _ in range(200)]
+        graphs += [blow_up(cat(rng.choice(CATALOG)), rng, rng.randint(1, 4)) for _ in range(100)]
+        graphs += [random_multigraph(rng) for _ in range(600)]
+        held = jumps_alone_open = 0
+        for g in graphs:
+            try:
+                js = compute_jumps(g)
+            except (ValidationError, NegativeCharacterCoefficient, BadJumpDenominator):
+                continue  # not a fiber: the closure says nothing about it
+            assert galois_closed(js), (g, js.jumps)
+            held += 1
+            jumps_alone_open += not unit_stable(jump_classes(js), js.n_tilde)
+        # many of the jump sets are closed only together with their negatives
+        assert held > 400 and jumps_alone_open > 50, (held, jumps_alone_open)
