@@ -30,10 +30,8 @@ from .resolution import (
     chain_ends,
     is_stable,
     resolve,
-    universal_polys,
 )
 from .singtrace import (
-    closed_form_coefficients,
     singularity_trace,
     trace_closed_form,
     trace_oracle,
@@ -55,7 +53,6 @@ __all__ = [
     "Vertex",
     "catalog_ids",
     "chain_ends",
-    "closed_form_coefficients",
     "compute_jumps",
     "cyclotomic_polynomial",
     "h1_character",
@@ -73,6 +70,5 @@ __all__ = [
     "trace_closed_form",
     "trace_oracle",
     "trace_polynomial",
-    "universal_polys",
     "vertex_trace",
 ]

@@ -275,8 +275,8 @@ def _product(a, b) -> list[int]:
 def packed_inverse_numerators(n: int, width: int):
     """The function c -> the numerator N(c) of n * (1 - zeta_n^c)^(-1), for
     c != 0 mod n, packed as sum_e N(c)_e * 2^(8 * width * e) over the n
-    exponents e mod n; it packs each c once.  Every |N(c)_e| must fit in
-    ``width`` bytes (``int.to_bytes`` raises otherwise).
+    exponents e mod n; it computes each c once.  Every |N(c)_e| must fit
+    in ``width`` bytes (``int.to_bytes`` raises otherwise).
 
     N(c) = -sum_{j<n} (j+1) x^(cj mod n): multiplying the sum by 1 - x^c
     telescopes it to n - sum_{j<n} x^(cj), and the geometric sum vanishes
@@ -290,8 +290,15 @@ def packed_inverse_numerators(n: int, width: int):
     The slot values for k = 0..m-1 are written once per g, one byte plane
     per byte of the slot; a plane repeated u times and read with step u
     is the plane permuted by e -> e*u mod m, so each N(c) is packed by
-    width slicings instead of n conversions."""
+    width slicings instead of n conversions.
+
+    -c has the same g and k -> m - k for k != 0, so the formula gives
+    N(c) + N(-c) = n - g(n+2) * J_g with J_g = sum_{e<m} x^(g*e).  Packing
+    is evaluation at 2^(8 * width), a ring homomorphism, so once N(-c) is
+    packed, N(c) is the same integer n - N(-c) - g(n+2) * J_g, two
+    big-integer subtractions instead of a pack."""
     planes: dict[int, list[bytes]] = {}
+    sums: dict[int, int] = {}  # g -> g(n+2) * J_g, packed
     packed: dict[int, int] = {}
 
     def numerator(c: int) -> int:
@@ -302,6 +309,12 @@ def packed_inverse_numerators(n: int, width: int):
             raise ZeroDivisionError("1 - zeta^0 is zero")
         g = math.gcd(c, n)
         m = n // g
+        if n - c in packed:
+            if g not in sums:
+                slot = b"\x01" + bytes(width * g - 1)
+                sums[g] = g * (n + 2) * int.from_bytes(slot * m, "little")
+            packed[c] = n - packed[n - c] - sums[g]
+            return packed[c]
         if g not in planes:
             base = n * (g - 1) // 2
             table = b"".join([(g * k + base).to_bytes(width, "little") for k in range(1, m + 1)])

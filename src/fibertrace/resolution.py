@@ -115,15 +115,6 @@ def chain_ends(sing: Singularity) -> tuple[int, int]:
     return (m1 + r * m2) // n, (m2 + r_swapped * m1) // n
 
 
-def universal_polys(res: ResolutionData) -> list[int]:
-    """P_{-1} = 0, P_0 = 1, P_l = b_l P_{l-1} - P_{l-2}; these satisfy
-    r_l = P_l * r_0 (mod n) for every l."""
-    p = [0, 1]
-    for b in res.b:
-        p.append(b * p[-1] - p[-2])
-    return p
-
-
 def is_stable(res: ResolutionData) -> bool:
     """True iff the multiplicity chain has reached its large-degree shape:
     strictly decreasing to m = gcd(m1, m2), flat at m, then strictly

@@ -28,18 +28,21 @@ from .errors import BadInput
 from .exactalg import CyclotomicNumber, GroupRingElement, _unpack, packed_inverse_numerators
 from .resolution import ResolutionData, Singularity, chain_ends
 
-# Most cells the node sum may allocate and touch (about 1 s on a 2-vCPU Xeon
+# Most cells the node sum may allocate and touch (about 1.2 s on a 2-vCPU Xeon
 # VM).  Its work grows as n plus the cube of the branch multiplicities, so
 # large inputs would otherwise run for hours.  No production route calls it.
 MAX_NODE_SUM_CELLS = 10**7
 
 # Most cells the cyclotomic oracle may touch, counted as (L + 1) * n^2 for a
 # chain of L curves at degree n: L + 1 node terms of up to n^2 cells each.
-# The oracle makes one big-integer product of n-slot integers per node and
-# reduces modulo Phi_n once, at most about n^2 / 4 cell updates for odd n
-# and n^2 / 16 for even n (see exactalg).  Near the bound the slowest shape
-# found, (1, 2144, 2145), takes about 0.3 s on a 2-vCPU Xeon VM, nearly all
-# in that reduction, and (1, 1, 214) and (1, 1, 215), the longest chains,
+# The oracle makes one big-integer product of n-slot integers per node, folds
+# it back to n slots, and reduces the n-slot sum modulo Phi_n once: one
+# update per nonzero term of Phi_n below its leading one in each of
+# h - phi(n) steps, at most (h/2)^2 updates with h = n for odd n and n/2 for
+# even n (see exactalg).  Near the bound the slowest shape found,
+# (1, 2144, 2145), takes about 0.3 s on a 2-vCPU Xeon VM: about 0.15 s to
+# build Phi_2145, cached per n, and about 0.1 s for the 1185 * 808 updates
+# of that reduction.  (1, 1, 214) and (1, 1, 215), the longest chains, take
 # 0.02 s; n <= 150 needs at most 150^3 cells.  No production route calls it.
 MAX_ORACLE_CELLS = 10**7
 
@@ -47,7 +50,6 @@ __all__ = [
     "singularity_trace",
     "trace_polynomial",
     "trace_closed_form",
-    "closed_form_coefficients",
     "trace_oracle",
     "vertex_trace",
 ]
@@ -67,7 +69,7 @@ def trace_polynomial(res: ResolutionData) -> GroupRingElement:
     mu = res.mu
     b = res.b
     L = res.length
-    r = res.r_at
+    rs = res.jh.rseq  # r_{l-1} = rs[l]
     # the buffer, the node products and the correction counts below
     cells = n + sum(mu[l] * mu[l + 1] for l in range(L + 1))
     cells += sum(b[l] * mu[l + 1] * (mu[l + 1] + 1) // 2 - mu[l + 1] for l in range(L))
@@ -78,49 +80,39 @@ def trace_polynomial(res: ResolutionData) -> GroupRingElement:
         )
     buf = [0] * n
 
-    def add_geom(base: int, step: int, count: int, sign: int) -> None:
-        e = base % n
-        s = step % n
-        for _ in range(count):
-            buf[e] += sign
-            e += s
-            if e >= n:
-                e -= n
-
-    # products of geometric sums, one per node y_0..y_L
+    # products of geometric sums, one per node y_0..y_L: the factor in
+    # xi^(-a1 r_l) has mu_l terms, the one in xi^(a1 r_{l-1}) mu_{l+1}; the
+    # smaller factor is expanded term by term against the other
     for l in range(L + 1):
-        step_z = (-a1 * r(l)) % n
-        step_w = (a1 * r(l - 1)) % n
-        # expand the smaller factor term by term against the other
-        if mu[l] <= mu[l + 1]:
-            e = 0
-            for _ in range(mu[l]):
-                add_geom(e, step_w, mu[l + 1], +1)
-                e = (e + step_z) % n
-        else:
-            e = 0
-            for _ in range(mu[l + 1]):
-                add_geom(e, step_z, mu[l], +1)
-                e = (e + step_w) % n
+        outer, outer_step = mu[l], -a1 * rs[l + 1] % n
+        inner, inner_step = mu[l + 1], a1 * rs[l] % n
+        if outer > inner:
+            outer, outer_step, inner, inner_step = inner, inner_step, outer, outer_step
+        base = 0
+        for _ in range(outer):
+            e = base
+            for _ in range(inner):
+                buf[e] += 1
+                e += inner_step
+                if e >= n:
+                    e -= n
+            base = (base + outer_step) % n
 
-    # combined correction terms, one per exceptional component
+    # combined correction terms, one per exceptional component: for each k,
+    # b_l (mu_{l+1} - k) - 1 terms of the progression in xi^(a1 r_l)
     for l in range(L):
-        head = -r(l) * (mu[l] - 1)
-        for k in range(mu[l + 1]):
-            count = b[l] * (mu[l + 1] - k) - 1
-            add_geom(a1 * (r(l - 1) * k + head), a1 * r(l), count, -1)
+        r_prev, r_l, nu = rs[l], rs[l + 1], mu[l + 1]
+        head = -r_l * (mu[l] - 1)
+        step = a1 * r_l % n
+        for k in range(nu):
+            e = a1 * (r_prev * k + head) % n
+            for _ in range(b[l] * (nu - k) - 1):
+                buf[e] -= 1
+                e += step
+                if e >= n:
+                    e -= n
 
     return GroupRingElement(n, buf)
-
-
-def closed_form_coefficients(res: ResolutionData) -> tuple[list[int], list[int], int]:
-    """The three coefficient sequences of the closed-form trace, before
-    any exponent mapping: coefficients over mu_0 in powers of xi^{alpha2},
-    over mu_{L+1} in powers of xi^{alpha1}, and the length-m all-ones
-    block that is subtracted.  Once n * gcd(m1, m2) >= lcm(m1, m2) these
-    depend only on the residue class of n modulo lcm(m1, m2)."""
-    (_, first), (_, second), (m, _) = edge_blocks(res.sing.m1, res.sing.m2, res.mu[1], res.mu[-2])
-    return first, second, m
 
 
 def edge_blocks(m1: int, m2: int, mu1: int, mu_last: int) -> list[tuple[int, list[int]]]:
@@ -196,8 +188,8 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     an integer polynomial in zeta_n built from the numerators N(c) of
     n / (1 - zeta_n^c) (``packed_inverse_numerators``): mu * n * N(c) at an
     end, (1 - x^a) N(c1) N(c2) in between.  The whole sum is kept as one
-    Kronecker integer, each N(c) packed once, and is reduced modulo Phi_n
-    once at the end."""
+    Kronecker integer of n slots, each product folded modulo x^n - 1 as it
+    is formed, and is reduced modulo Phi_n once at the end."""
     n = res.n
     if math.gcd(power, n) != 1:
         raise BadInput(f"power {power} must be coprime to {n}")
@@ -213,37 +205,43 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
 
     # Every N(c) has coefficients in [-M(c), 0] with M(c) = n(g+1)/2,
     # g = gcd(c, n), summing to -S, S = n(n+1)/2 (packed_inverse_numerators).
-    # So a middle node's product p = N(c1) N(c2) has coefficients in
-    # [0, min(M(c1), M(c2)) * S], and p - x^a p, a difference of two such,
-    # lies within that bound too; an end node's mu * n * N(c) lies within
-    # mu * n * M(c).  The sum is linear, so only its final coefficients
-    # must fit: each has absolute value at most the sum of the node bounds,
-    # below 2^k for k = bound.bit_length(), and a slot of k + 1 bits,
-    # rounded up to whole bytes, holds it signed.  The end nodes alone make
-    # the bound at least n^2 >= M(c), so each N(c) fits its slots too.
-    s = n * (n + 1) // 2
-
-    def top(c: int) -> int:
-        return n * (math.gcd(c, n) + 1) // 2
-
+    # So a middle node's product p = N(c1) N(c2), folded modulo x^n - 1,
+    # has coefficients sum_i N(c1)_i N(c2)_(k-i) in [0, min(M(c1), M(c2)) * S],
+    # and p - x^a p, a difference of two such, lies within that bound too;
+    # an end node's mu * n * N(c) lies within mu * n * M(c).  The sum is
+    # linear, so only its final coefficients must fit: each has absolute
+    # value at most the sum of the node bounds, below 2^k for
+    # k = bound.bit_length(), and a slot of k + 1 bits, rounded up to whole
+    # bytes, holds it signed.  The end nodes alone make the bound at least
+    # n^2 >= M(c), so each N(c) fits its slots too.  Every n(g+1) is even,
+    # since g divides n, so the bound is halved once, exactly, at the end.
     rs = res.jh.rseq  # r_{l-1} = rs[l]
     first = (-unit * rs[1]) % n
     last = (unit * rs[L]) % n
-    # (c1, c2, a) of node l = 1..L-1, from r_{l-1}, r_l, mu_l, mu_{l+1}
-    middle = [(unit * x % n, -unit * y % n, unit * (x * nu - y * m) % n)
-              for x, y, m, nu in zip(rs[1:L], rs[2:], mu[1:L], mu[2:])]
-    bound = n * (mu[1] * top(first) + mu[L] * top(last))
-    bound += s * sum(min(top(c1), top(c2)) for c1, c2, _ in middle)
+    # (c1, c2, a) of node l = 1..L-1, from r_{l-1}, r_l, mu_l, mu_{l+1},
+    # and the sum of min(g1, g2) + 1 that makes the middle nodes' bound
+    middle = []
+    gsum = 0
+    for x, y, m, nu in zip(rs[1:L], rs[2:], mu[1:L], mu[2:]):
+        c1, c2 = unit * x % n, -unit * y % n
+        middle.append((c1, c2, unit * (x * nu - y * m) % n))
+        gsum += min(math.gcd(c1, n), math.gcd(c2, n)) + 1
+    ends = mu[1] * (math.gcd(first, n) + 1) + mu[L] * (math.gcd(last, n) + 1)
+    bound = n * (n * ends + n * (n + 1) // 2 * gsum) // 2
     width = (bound.bit_length() + 8) // 8
     shift = 8 * width
+    size = shift * n
+    mask = (1 << size) - 1
 
     numerator = packed_inverse_numerators(n, width)
     acc = n * (mu[1] * numerator(first) + mu[L] * numerator(last))
     for c1, c2, a in middle:
+        # p has 2n - 1 slots, all >= 0, so masking and shifting cut it into
+        # whole slots with no borrow, and the same holds for its rotation
         p = numerator(c1) * numerator(c2)
-        acc += p - (p << shift * a)
-    # p has degree at most 2n - 2 and a <= n - 1
-    return CyclotomicNumber.from_poly(n, _unpack(acc, 3 * n - 2, width), n * n)
+        p = (p & mask) + (p >> size)
+        acc += p - (((p << shift * a) & mask) + (p >> shift * (n - a)))
+    return CyclotomicNumber.from_poly(n, _unpack(acc, n, width), n * n)
 
 
 def vertex_trace(mult: int, genus: int, self_int: int, n: int) -> GroupRingElement:

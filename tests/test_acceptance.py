@@ -12,13 +12,9 @@ from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.cli import main
 from fibertrace.fiber import MAX_GRAPH_CHARS, FiberGraph, h1_character
 from fibertrace.jumps import JumpOptions, compute_jumps
-from fibertrace.resolution import Singularity, is_stable, resolve, universal_polys
-from fibertrace.singtrace import (
-    closed_form_coefficients,
-    trace_closed_form,
-    trace_oracle,
-    trace_polynomial,
-)
+from fibertrace.resolution import Singularity, is_stable, resolve
+from fibertrace.singtrace import trace_closed_form, trace_oracle, trace_polynomial
+from reference import closed_form_coefficients, universal_polys
 from test_fiber import subdivide_equal_edges
 
 

@@ -139,17 +139,20 @@ class TestCyclotomic:
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 15, 30, 105, 120, 214])
     def test_inverse_numerator_by_definition(self, n):
         # -sum_{j<n} (j+1) x^(cj mod n), term by term, for every c, units and
-        # zero divisors alike; the largest coefficient is n(g+1)/2
+        # zero divisors alike; the largest coefficient is n(g+1)/2.  N(c) is
+        # packed when N(-c) is not yet known and derived from it otherwise,
+        # so walking c up derives it for c > n/2 and walking down for c < n/2
         width = inverse_width(n)
-        numerator = packed_inverse_numerators(n, width)
-        for c in range(1, 2 * n):
-            if c % n == 0:
-                continue
-            want = [0] * n
-            for j in range(n):
-                want[c * j % n] -= j + 1
-            assert _unpack(numerator(c), n, width) == want, (n, c)
-            assert -min(want) == n * (math.gcd(c, n) + 1) // 2
+        for order in (range(1, 2 * n), range(2 * n - 1, 0, -1)):
+            numerator = packed_inverse_numerators(n, width)
+            for c in order:
+                if c % n == 0:
+                    continue
+                want = [0] * n
+                for j in range(n):
+                    want[c * j % n] -= j + 1
+                assert _unpack(numerator(c), n, width) == want, (n, c, order)
+                assert -min(want) == n * (math.gcd(c, n) + 1) // 2
 
 
 def inverse_width(n):

@@ -5,13 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from fibertrace import resolution
 from fibertrace.errors import BadInput
-from fibertrace.resolution import (
-    Singularity,
-    chain_ends,
-    is_stable,
-    resolve,
-    universal_polys,
-)
+from fibertrace.resolution import Singularity, chain_ends, is_stable, resolve
+from reference import universal_polys
 
 
 def brute_r(m1, m2, n):

@@ -11,13 +11,13 @@ from fibertrace.errors import BadInput
 from fibertrace.exactalg import CyclotomicNumber, GroupRingElement
 from fibertrace.resolution import Singularity, is_stable, resolve
 from fibertrace.singtrace import (
-    closed_form_coefficients,
     singularity_trace,
     trace_closed_form,
     trace_oracle,
     trace_polynomial,
     vertex_trace,
 )
+from reference import closed_form_coefficients
 
 
 def G(n, d):

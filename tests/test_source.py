@@ -26,6 +26,22 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_oracles_stay_independent_of_the_closed_form():
+    # the node sum and the cyclotomic oracle arbitrate the closed form, so
+    # neither may reach the chain ends or the block arithmetic it is built on
+    closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree", "_blocks_at"}
+    oracles = {"trace_polynomial", "trace_oracle", "packed_inverse_numerators"}
+    found = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in oracles:
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                found[node.name] = sorted(names & closed_form)
+    assert set(found) == oracles
+    assert not any(found.values()), f"oracles that use the closed form: {found}"
+
+
 def test_star_import_resolves_every_export():
     # a name deleted from a module but left in __all__ breaks the star import
     namespace = {}
