@@ -49,10 +49,6 @@ class JHExpansion:
     def length(self) -> int:
         return len(self.b)
 
-    def r_at(self, l: int) -> int:
-        """r_l for -1 <= l <= L."""
-        return self.rseq[l + 1]
-
 
 def jh_expand(n: int, r: int) -> JHExpansion:
     """Compute the Jung-Hirzebruch expansion of n/r.

@@ -22,30 +22,27 @@ denominator.  The remainder is canonical, so equality is exact.
   (h/2)^2 updates: n^2/4 for odd n, n^2/16 for even n.  For n = 2p, p an
   odd prime, it is a single step, where folding modulo x^n - 1 left p + 1.
 
-A product is formed by Kronecker substitution: each numerator vector a
-is packed into one integer, sum a_i * 2^(w i), the two integers are
-multiplied once, and the coefficients of the product are read off its
-w-bit slots.  Each coefficient sums at most min(len a, len b) products
-a_i * b_j, so its absolute value is at most
-B = max|a| * max|b| * min(len a, len b) < 2^k with k = B.bit_length();
-slots of w >= k + 1 bits, rounded up to whole bytes, hold it as a signed
-value with no carry into the next slot.
+Phi_n itself comes from the product formula, with no polynomial
+division: Phi_n(x) = Phi_rad(x^(n/rad)) for rad the squarefree kernel of
+n, and Phi_rad = prod_{d | rad} (1 - x^d)^mu(rad/d) for rad > 1, a power
+series that is a polynomial of degree phi(rad), so it is exact when
+truncated above that degree.
 
 The fixed-point evaluation route needs no general inverse and no field
 arithmetic: ``packed_inverse_numerators`` gives n * (1 - zeta_n^c)^(-1) in
-closed form as an integer polynomial, already packed for Kronecker
-substitution, so ``singtrace.trace_oracle`` keeps its whole sum as one
-integer over the denominator n^2 and calls ``from_poly`` once.  Sums and
-products of CyclotomicNumbers remain the field's reference arithmetic.
+closed form as an integer polynomial, packed into one integer with one
+signed slot of whole bytes per coefficient, so that a product of two is a
+single big-integer multiplication (Kronecker substitution) and
+``singtrace.trace_oracle`` keeps its whole sum as one integer over the
+denominator n^2 and calls ``from_poly`` once.
 """
-
 from __future__ import annotations
 
 import math
 import operator
 from functools import lru_cache
 
-from .errors import BadInput, InvariantError, ModulusMismatch
+from .errors import BadInput, ModulusMismatch
 
 
 class GroupRingElement:
@@ -90,73 +87,30 @@ class GroupRingElement:
             acc[e] = acc.get(e, 0) + c
         return cls._of(n, {e: c for e, c in acc.items() if c})
 
-    @classmethod
-    def zero(cls, n: int) -> "GroupRingElement":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "GroupRingElement":
-        return cls.monomial(n, 0, 1)
-
-    @classmethod
-    def monomial(cls, n: int, exponent: int, coefficient: int = 1) -> "GroupRingElement":
-        return cls.from_terms(n, [(exponent, coefficient)])
-
-    def _check(self, other: "GroupRingElement") -> None:
-        if self.n != other.n:
-            raise ModulusMismatch(f"moduli differ: {self.n} != {other.n}")
-
-    def _combine(self, other, sign: int) -> "GroupRingElement":
-        if isinstance(other, int):
-            other = GroupRingElement.monomial(self.n, 0, other)
+    def __add__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        self._check(other)
+        if self.n != other.n:
+            raise ModulusMismatch(f"moduli differ: {self.n} != {other.n}")
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            total = terms.get(e, 0) + sign * c
+            total = terms.get(e, 0) + c
             if total:
                 terms[e] = total
             else:
                 del terms[e]
         return GroupRingElement._of(self.n, terms)
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
     __radd__ = __add__
 
-    def __neg__(self):
-        return GroupRingElement._of(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement.monomial(self.n, 0, other) - self
-        return NotImplemented
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.monomial(self.n, 0, other)
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coefficient(self, exponent: int) -> int:
-        return self.terms.get(exponent % self.n, 0)
-
     def items(self) -> list[tuple[int, int]]:
         """Nonzero (exponent, coefficient) pairs, exponents ascending."""
         return sorted(self.terms.items())
-
-    def eval_at_one(self) -> int:
-        """Sum of coefficients (the value at the trivial group element)."""
-        return sum(self.terms.values())
 
     def evaluate(self, power: int = 1) -> "CyclotomicNumber":
         """Evaluate the formal sum at zeta_n^power, exactly in Q(zeta_n)."""
@@ -190,45 +144,47 @@ class GroupRingElement:
         return f"GroupRingElement({self.n}, {dict(self.items())})"
 
 
-# ----------------------------------------------------------------------
-# Integer polynomial helpers (ascending coefficient lists).
-
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod_monic(a, d):
-    """Divide a by the monic integer polynomial d; stays in Z[x].  Builds
-    ``cyclotomic_polynomial``; numbers are reduced by ``from_poly``."""
-    a = list(a)
-    dd = len(d) - 1
-    q = [0] * max(len(a) - dd, 0)
-    for i in range(len(a) - 1, dd - 1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        q[i - dd] = c
-        for j, y in enumerate(d):
-            a[i - dd + j] -= c * y
-    return q, _poly_trim(a)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending.
 
-    Built by exact division of x^n - 1 by the cyclotomic polynomials of
-    the proper divisors of n.
+    Phi_n(x) = Phi_rad(x^(n/rad)), rad the product of the primes p | n,
+    and for rad > 1, Phi_rad = prod_{d | rad} (1 - x^d)^mu(rad/d): the
+    signs of x^d - 1 cancel, as the mu(rad/d) sum to 0.  Taken as power
+    series truncated above phi(rad), multiplying by 1 - x^d is one
+    descending pass and dividing by it one ascending pass.
     """
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise InvariantError(f"Phi_{d} does not divide x^{n} - 1 exactly")
-    return tuple(num)
+    if n < 1:
+        raise BadInput(f"cyclotomic polynomials need n >= 1, got {n}")
+    if n == 1:
+        return (-1, 1)
+    primes = []
+    rest, p = n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    # (d, mu(rad/d)) for every divisor d of rad
+    divisors = [(1, (-1) ** len(primes))]
+    for p in primes:
+        divisors += [(d * p, -sign) for d, sign in divisors]
+    phi = math.prod(p - 1 for p in primes)  # phi(rad)
+    coeffs = [1] + [0] * phi
+    for d, sign in divisors:
+        if sign > 0:
+            for i in range(phi, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        else:
+            for i in range(d, phi + 1):
+                coeffs[i] += coeffs[i - d]
+    stride = n // math.prod(primes)
+    out = [0] * (phi * stride + 1)
+    out[::stride] = coeffs
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -237,15 +193,6 @@ def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     below its leading x^phi(n)."""
     p = cyclotomic_polynomial(n)
     return len(p) - 1, tuple((k, c) for k, c in enumerate(p[:-1]) if c)
-
-
-def _pack(coeffs, width: int) -> int:
-    """sum c_i * 2^(8 * width * i), one signed slot of ``width`` bytes per
-    coefficient."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value << (8 * width)) + c
-    return value
 
 
 def _unpack(value: int, count: int, width: int) -> list[int]:
@@ -260,16 +207,6 @@ def _unpack(value: int, count: int, width: int) -> list[int]:
         int.from_bytes(digits[i:i + width], "little") - half
         for i in range(0, count * width, width)
     ]
-
-
-def _product(a, b) -> list[int]:
-    """The product of two nonempty integer polynomials, by Kronecker
-    substitution: one big-integer multiplication of the packed vectors."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    # every product coefficient has absolute value at most bound, below 2^k
-    # for k = bound.bit_length(), so a slot of k + 1 bits holds it signed
-    width = (bound.bit_length() + 8) // 8
-    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
 
 
 def packed_inverse_numerators(n: int, width: int):
@@ -380,77 +317,10 @@ class CyclotomicNumber:
         del buf[phi:]
         return cls(n, buf, den)
 
-    @classmethod
-    def zero(cls, n: int) -> "CyclotomicNumber":
-        return cls(n, [0] * _phi_tail(n)[0])
-
-    @classmethod
-    def from_integer(cls, n: int, value: int) -> "CyclotomicNumber":
-        return cls.from_poly(n, [value])
-
-    @classmethod
-    def one(cls, n: int) -> "CyclotomicNumber":
-        return cls.from_integer(n, 1)
-
-    @classmethod
-    def root_power(cls, n: int, e: int) -> "CyclotomicNumber":
-        """zeta_n^e, reduced."""
-        buf = [0] * n
-        buf[e % n] = 1
-        return cls.from_poly(n, buf)
-
-    def _check(self, other: "CyclotomicNumber") -> None:
-        if self.n != other.n:
-            raise ModulusMismatch(f"conductors differ: {self.n} != {other.n}")
-
-    def __bool__(self):
-        return any(self.num)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicNumber.from_integer(self.n, other)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        self._check(other)
-        da, db = self.den, other.den
-        num = [a * db + b * da for a, b in zip(self.num, other.num)]
-        return CyclotomicNumber(self.n, num, da * db)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicNumber(self.n, [-a for a in self.num], self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicNumber.from_integer(self.n, other)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicNumber(self.n, [other * a for a in self.num], self.den)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        self._check(other)
-        prod = _product(self.num, other.num)
-        return CyclotomicNumber.from_poly(self.n, prod, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicNumber.from_integer(self.n, other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         return self.n == other.n and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.n, self.num, self.den))
 
     def __repr__(self):
         return f"CyclotomicNumber({self.n}, {list(self.num)}, den={self.den})"

@@ -61,14 +61,10 @@ def principal_lcm(g: FiberGraph) -> int:
     return math.lcm(*mults) if mults else 1
 
 
-def sweep_degrees(g: FiberGraph, options: JumpOptions = JumpOptions()) -> list[int]:
+def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
     """The witness degrees of compute_jumps: the first ``sweeps`` integers
     congruent to ``residue`` mod the multiplicity lcm and exceeding
-    max(2 * n_tilde * lcm, n_min)."""
-    return _sweep_degrees(g, options, principal_lcm(g))
-
-
-def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
+    max(2 * nt * lcm, n_min), nt the principal lcm."""
     l = g.mult_lcm
     if math.gcd(options.residue, l) != 1:
         raise BadInput(f"residue {options.residue} is not coprime to the multiplicity lcm {l}")

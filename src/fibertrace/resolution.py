@@ -70,10 +70,6 @@ class ResolutionData:
     def b(self) -> tuple[int, ...]:
         return self.jh.b
 
-    def r_at(self, l: int) -> int:
-        """r_l for -1 <= l <= L (r_{-1} = n, r_L = 0)."""
-        return self.jh.r_at(l)
-
 
 def resolve(sing: Singularity) -> ResolutionData:
     """Compute the full resolution data of the singularity."""

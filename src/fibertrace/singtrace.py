@@ -40,10 +40,11 @@ MAX_NODE_SUM_CELLS = 10**7
 # update per nonzero term of Phi_n below its leading one in each of
 # h - phi(n) steps, at most (h/2)^2 updates with h = n for odd n and n/2 for
 # even n (see exactalg).  Near the bound the slowest shape found,
-# (1, 2144, 2145), takes about 0.3 s on a 2-vCPU Xeon VM: about 0.15 s to
-# build Phi_2145, cached per n, and about 0.1 s for the 1185 * 808 updates
-# of that reduction.  (1, 1, 214) and (1, 1, 215), the longest chains, take
-# 0.02 s; n <= 150 needs at most 150^3 cells.  No production route calls it.
+# (1, 2144, 2145), takes 0.10-0.13 s in a fresh interpreter on a 2-vCPU Xeon
+# VM, most of it the 1185 * 808 updates of that reduction; building Phi_2145,
+# cached per n, takes about 1 ms of it.  (1, 1, 214) and (1, 1, 215), the
+# longest chains, take 0.02 s; n <= 150 needs at most 150^3 cells.  No
+# production route calls it.
 MAX_ORACLE_CELLS = 10**7
 
 __all__ = [

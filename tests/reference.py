@@ -1,5 +1,8 @@
 """Reference arithmetic that only the tests use, kept out of the package."""
 
+from functools import lru_cache
+
+from fibertrace.exactalg import CyclotomicNumber
 from fibertrace.resolution import ResolutionData
 from fibertrace.singtrace import edge_blocks
 
@@ -21,3 +24,54 @@ def closed_form_coefficients(res: ResolutionData) -> tuple[list[int], list[int],
     depend only on the residue class of n modulo lcm(m1, m2)."""
     (_, first), (_, second), (m, _) = edge_blocks(res.sing.m1, res.sing.m2, res.mu[1], res.mu[-2])
     return first, second, m
+
+
+def schoolbook(a, b) -> list[int]:
+    """The product of two integer polynomials, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def field_product(x: CyclotomicNumber, y: CyclotomicNumber) -> CyclotomicNumber:
+    """x * y in Q(zeta_n): the schoolbook product of the numerators,
+    reduced by ``from_poly``."""
+    return CyclotomicNumber.from_poly(x.n, schoolbook(x.num, y.num), x.den * y.den)
+
+
+def root_power(n: int, e: int) -> CyclotomicNumber:
+    """zeta_n^e, reduced."""
+    buf = [0] * n
+    buf[e % n] = 1
+    return CyclotomicNumber.from_poly(n, buf)
+
+
+def poly_divmod_monic(a, d) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic integer polynomial d, by
+    long division; the remainder has no trailing zeros."""
+    a = list(a)
+    dd = len(d) - 1
+    q = [0] * max(len(a) - dd, 0)
+    for i in range(len(a) - 1, dd - 1, -1):
+        c = q[i - dd] = a[i]
+        if c:
+            for j, y in enumerate(d):
+                a[i - dd + j] -= c * y
+    rem = a[:dd]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return q, rem
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int) -> tuple[int, ...]:
+    """Phi_n by exact long division of x^n - 1 by Phi_d for every proper
+    divisor d of n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = poly_divmod_monic(num, cyclotomic_by_division(d))
+            assert not rem, (n, d)
+    return tuple(num)

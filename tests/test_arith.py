@@ -101,10 +101,10 @@ def test_jh_invariants(pair):
     L = e.length
     # recurrence r_{l-1} = b_{l+1} r_l - r_{l+1} everywhere
     for l in range(0, L):
-        assert e.r_at(l - 1) == e.b[l] * e.r_at(l) - e.r_at(l + 1)
+        assert e.rseq[l] == e.b[l] * e.rseq[l + 1] - e.rseq[l + 2]
     # partial quotients are the stated ceilings, all >= 2
     for l in range(1, L + 1):
-        assert e.b[l - 1] == ceil_div(e.r_at(l - 2), e.r_at(l - 1)) >= 2
+        assert e.b[l - 1] == ceil_div(e.rseq[l - 1], e.rseq[l]) >= 2
     # strictly decreasing, ending 1, 0
     assert all(x > y for x, y in zip(e.rseq, e.rseq[1:]))
     assert e.rseq[-2:] == (1, 0)

@@ -8,7 +8,7 @@ from fibertrace import catalog
 from fibertrace.catalog import FiberTypeId, catalog_ids, lookup
 from fibertrace.errors import BadInput, UnknownType
 from fibertrace.fiber import self_intersections
-from fibertrace.jumps import JumpOptions, compute_jumps, sweep_degrees
+from fibertrace.jumps import JumpOptions, compute_jumps
 
 
 def test_parse_ids():
@@ -136,5 +136,10 @@ def test_every_entry_jumps_cleanly(tid):
     js = compute_jumps(g, JumpOptions(n_min=200))
     assert all(0 <= j < 1 for j in js.jumps)
     assert all(js.n_tilde % j.denominator == 0 for j in js.jumps)
-    assert js.witnesses == tuple(sweep_degrees(g, JumpOptions(n_min=200)))
+    # three witnesses, the first degrees = 1 mod the lcm above max(2 * n_tilde * lcm, 200)
+    l = g.mult_lcm
+    floor = max(2 * js.n_tilde * l, 200)
+    first = js.witnesses[0]
+    assert floor < first <= floor + l and first % l == 1 % l
+    assert js.witnesses == (first, first + l, first + 2 * l)
     assert len(js.jumps) == adjunction_genus(g)

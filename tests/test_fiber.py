@@ -237,7 +237,7 @@ class TestTotalTrace:
 
     def test_good_reduction_vertex(self):
         g = FiberGraph.build([("e", 1, 1)], [])
-        assert total_trace(g, 7) == GroupRingElement.zero(7)
+        assert total_trace(g, 7) == GroupRingElement(7)
 
     def test_relabeling_invariance(self):
         base = parse_graph(KODAIRA_IV)
@@ -264,11 +264,11 @@ class TestTotalTrace:
             else:
                 es = [(f"v{i}", f"v{i + 1}") for i in range(1, k)] + [(f"v{k}", "v1")]
             g = FiberGraph.build(vs, es)
-            assert total_trace(g, 10) == GroupRingElement.zero(10)
+            assert total_trace(g, 10) == GroupRingElement(10)
 
     def test_genus_constant_across_degrees(self):
         g = parse_graph(OGG_4)
-        genera = {1 - total_trace(g, n).eval_at_one() for n in (5, 7, 11, 13, 25, 49)}
+        genera = {1 - sum(total_trace(g, n).terms.values()) for n in (5, 7, 11, 13, 25, 49)}
         assert genera == {2}
 
 
@@ -385,7 +385,7 @@ class TestSubdivision:
             g2 = subdivide_equal_edges(g)
             assert len(g2.vertices) == 2 * k
             for n in (7, 11):
-                assert total_trace(g, n).eval_at_one() == total_trace(g2, n).eval_at_one()
+                assert sum(total_trace(g, n).terms.values()) == sum(total_trace(g2, n).terms.values())
 
 
 CATALOG = (
@@ -423,7 +423,7 @@ def node_sum_total_trace(g: FiberGraph, n: int):
     its ends read off the walked chain and its trace from the node sum."""
     mult = {v.id: v.mult for v in g.vertices}
     ends = {v.id: 0 for v in g.vertices}
-    acc = GroupRingElement.zero(n)
+    acc = GroupRingElement(n)
     for a, b in g.edges:
         lo, hi = sorted((a, b))
         res = resolve(Singularity(mult[hi], mult[lo], n))

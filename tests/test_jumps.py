@@ -19,7 +19,6 @@ from fibertrace.jumps import (
     JumpSet,
     compute_jumps,
     principal_lcm,
-    sweep_degrees,
 )
 from test_catalog import table_entries
 from test_fiber import CATALOG, blow_up, random_multigraph, star_fiber
@@ -48,7 +47,7 @@ def sweep_oracle(g, options=JumpOptions()):
     """The sweep route, independent of the limit character: the character
     at every sweep degree, each sweep rounded, and all sweeps agreeing."""
     nt = principal_lcm(g)
-    degrees = sweep_degrees(g, options)
+    degrees = compute_jumps(g, options).witnesses
     rounded = {reference_round(h1_character(g, n), nt) for n in degrees}
     if len(rounded) != 1:
         raise AssertionError(f"sweeps at degrees {degrees} disagree: {rounded}")
@@ -73,11 +72,11 @@ class TestPrincipalLcm:
 class TestSweepDegrees:
     def test_floor_and_class(self):
         g = cat("kodaira:IV")
-        ds = sweep_degrees(g, JumpOptions())
-        assert ds == [1003, 1006, 1009]
+        ds = compute_jumps(g, JumpOptions()).witnesses
+        assert ds == (1003, 1006, 1009)
         assert all(d % 3 == 1 for d in ds)
-        ds = sweep_degrees(g, JumpOptions(n_min=5000, sweeps=2))
-        assert ds == [5002, 5005]
+        ds = compute_jumps(g, JumpOptions(n_min=5000, sweeps=2)).witnesses
+        assert ds == (5002, 5005)
 
     def test_rounding_unambiguity(self):
         # degrees exceed 2 * n_tilde * lcm, so distinct denominator-n_tilde
@@ -85,18 +84,18 @@ class TestSweepDegrees:
         for cid in ("kodaira:IV", "kodaira:II*", "ogg:4"):
             g = cat(cid)
             nt = principal_lcm(g)
-            for n in sweep_degrees(g, JumpOptions()):
+            for n in compute_jumps(g, JumpOptions()).witnesses:
                 assert Fraction(1, nt) > 2 * Fraction(1, n)
 
     def test_bad_residue(self):
         with pytest.raises(BadInput):
-            sweep_degrees(cat("kodaira:IV"), JumpOptions(residue=3))
+            compute_jumps(cat("kodaira:IV"), JumpOptions(residue=3))
 
     def test_sweep_count_bound(self, monkeypatch):
         monkeypatch.setattr(jumps, "MAX_SWEEPS", 4)
-        assert len(sweep_degrees(cat("kodaira:IV"), JumpOptions(sweeps=4))) == 4
+        assert len(compute_jumps(cat("kodaira:IV"), JumpOptions(sweeps=4)).witnesses) == 4
         with pytest.raises(BadInput, match="5 sweeps exceed MAX_SWEEPS = 4"):
-            sweep_degrees(cat("kodaira:IV"), JumpOptions(sweeps=5))
+            compute_jumps(cat("kodaira:IV"), JumpOptions(sweeps=5))
 
 
 class TestComputeJumps:

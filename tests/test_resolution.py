@@ -94,10 +94,10 @@ def test_resolution_invariants_sweep():
         # universal polynomials track the r-sequence
         p = universal_polys(res)
         for l in range(-1, L + 1):
-            assert (p[l + 1] * res.r - res.r_at(l)) % n == 0
+            assert (p[l + 1] * res.r - res.jh.rseq[l + 1]) % n == 0
         # cross-term identity linking both ends of the chain
         for l in range(L + 1):
-            assert mu[l + 1] * res.r_at(l - 1) - mu[l] * res.r_at(l) == m1
+            assert mu[l + 1] * res.jh.rseq[l] - mu[l] * res.jh.rseq[l + 1] == m1
         checked += 1
     assert checked > 5000
 

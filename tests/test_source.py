@@ -42,6 +42,28 @@ def test_oracles_stay_independent_of_the_closed_form():
     assert not any(found.values()), f"oracles that use the closed form: {found}"
 
 
+def test_every_definition_is_used():
+    # a function, method or class that no package module and no benchmark
+    # script refers to, and that is not exported, only exists for itself
+    bench = sorted((README.parent / "bench").glob("*.py"))
+    assert bench
+    defined, used = [], set()
+    for path in SOURCES + bench:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path in SOURCES:
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+    unused = [
+        f"{name} ({where})" for name, where in defined
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in used and name not in fibertrace.__all__
+    ]
+    assert not unused, f"definitions nothing refers to: {unused}"
+
+
 def test_star_import_resolves_every_export():
     # a name deleted from a module but left in __all__ breaks the star import
     namespace = {}
