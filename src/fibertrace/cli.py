@@ -108,7 +108,7 @@ def _run(parser: _Parser, args) -> int:
         g = _load_graph(parser, args)
         trace = total_trace(g, args.n)
         if not args.machine:
-            print(f"graph: {len(g.vertices)} vertices, {len(g.edges)} edges")
+            print(f"graph: {len(g.ids)} vertices, {len(g.pairs)} edges")
             print(f"n={args.n}")
         _print_trace(trace, args.machine)
     elif args.verb == "character":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -27,10 +27,10 @@ from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.
 from .singtrace import at_degree, block_sum, edge_blocks, vertex_block
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
-# more than one past it.  At the bound, jumps takes about 0.25 s on a cycle
-# of 21,527 reduced curves and 0.23 s on two reduced curves meeting 111,105
-# times (which exits at MAX_GENUS before any trace is built), on a 2-vCPU
-# Xeon VM.
+# more than one past it.  At the bound, jumps takes about 0.12 s on a cycle
+# of 20,833 reduced curves with five-digit ids and 0.15 s on two reduced
+# curves meeting 111,105 times (which exits at MAX_GENUS before any trace is
+# built), on a 2-vCPU Xeon VM.
 MAX_GRAPH_CHARS = 10**6
 
 # Most block terms rational_trace builds: m1 + m2 + gcd(m1, m2) per distinct
@@ -48,89 +48,121 @@ class Vertex(NamedTuple):
     mult: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FiberGraph:
     """Connected multigraph (loops and parallel edges allowed) with at
-    least one multiplicity-1 vertex.  Edges are unordered id pairs,
-    stored sorted for determinism."""
+    least one multiplicity-1 vertex, held as columns in input order:
+    ``ids``, ``genera``, ``mults`` and ``degrees`` (edge-ends, a loop
+    counting twice) by vertex position, and ``pairs``, each edge as the
+    positions (lo, hi) of its endpoints with ids[lo] <= ids[hi].
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[str, str], ...]
-    # id -> vertex, multiplicity and number of edge-ends, filled by build
-    _index: dict[str, Vertex] = field(compare=False, repr=False)
-    _mult: dict[str, int] = field(compare=False, repr=False)
-    _degree: dict[str, int] = field(compare=False, repr=False)
+    The sorted views ``vertices`` (Vertex records by id) and ``edges``
+    (sorted id pairs) are built on first use; equality, hashing and repr
+    are those of the views, so two inputs listing the same vertices and
+    edges in any order give equal graphs."""
+
+    ids: tuple[str, ...]
+    genera: tuple[int, ...]
+    mults: tuple[int, ...]
+    degrees: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    _position: dict[str, int]  # id -> position, filled by build
 
     @classmethod
     def build(cls, vertices, edges) -> "FiberGraph":
         """Validate and index in one walk over the edges, which checks each
-        endpoint, counts degrees and merges components by union-find."""
-        vs = [v if isinstance(v, Vertex) else Vertex(*v) for v in vertices]
-        ids, genera, mults = zip(*vs) if vs else ((), (), ())
-        index = dict(zip(ids, vs))
-        if len(index) != len(vs):
+        endpoint, counts degrees and merges components by union-find.
+        ``vertices`` holds (id, genus, mult) rows, ``edges`` id pairs."""
+        rows = list(vertices)
+        ids, genera, mults = zip(*rows, strict=True) if rows else ((), (), ())
+        position = dict(zip(ids, range(len(ids))))
+        if len(position) != len(ids):
             dup = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValidationError(f"duplicate vertex id(s): {', '.join(dup)}")
-        if vs and (min(genera) < 0 or min(mults) < 1 or max(mults) > MAX_MULTIPLICITY):
-            for v in vs:  # only to name the first offending vertex
-                if v.genus < 0:
-                    raise ValidationError(f"vertex {v.id}: genus must be >= 0")
-                if v.mult < 1:
-                    raise ValidationError(f"vertex {v.id}: multiplicity must be >= 1")
-                if v.mult > MAX_MULTIPLICITY:
+        if rows and (min(genera) < 0 or min(mults) < 1 or max(mults) > MAX_MULTIPLICITY):
+            for vid, genus, mult in rows:  # only to name the first offending vertex
+                if genus < 0:
+                    raise ValidationError(f"vertex {vid}: genus must be >= 0")
+                if mult < 1:
+                    raise ValidationError(f"vertex {vid}: multiplicity must be >= 1")
+                if mult > MAX_MULTIPLICITY:
                     raise BadInput(
-                        f"vertex {v.id}: multiplicity {v.mult} exceeds "
+                        f"vertex {vid}: multiplicity {mult} exceeds "
                         f"MAX_MULTIPLICITY = {MAX_MULTIPLICITY}"
                     )
-        degree = dict.fromkeys(ids, 0)
-        parent = dict(zip(ids, ids))
-        parts = len(vs)
-        es = []
+        degree = [0] * len(ids)
+        parent = list(range(len(ids)))
+        parts = len(ids)
+        pairs = []
         for a, b in edges:
             try:
-                degree[a] += 1
-                degree[b] += 1
+                i, j = position[a], position[b]
             except KeyError:
-                missing = a if a not in degree else b
+                missing = a if a not in position else b
                 raise ValidationError(
                     f"edge endpoint {missing!r} is not a declared vertex"
                 ) from None
-            es.append((a, b) if a <= b else (b, a))
-            a, b = parent[a], parent[b]
-            if a != b:  # not yet seen to share a component: find both roots
-                while parent[a] != a:  # path halving
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a != b:
-                    parent[a] = b
+            degree[i] += 1
+            degree[j] += 1
+            pairs.append((i, j) if a <= b else (j, i))
+            i, j = parent[i], parent[j]
+            if i != j:  # not yet seen to share a component: find both roots
+                while parent[i] != i:  # path halving
+                    parent[i] = i = parent[parent[i]]
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if i != j:
+                    parent[i] = j
                     parts -= 1
-        if not vs:
+        if not rows:
             raise ValidationError("graph has no vertices")
         if parts != 1:
             raise ValidationError("graph is not connected")
         if min(mults) != 1:
             raise ValidationError("no vertex has multiplicity 1")
-        # a key on the id alone sorts faster than comparing whole vertices
-        return cls(tuple(sorted(vs, key=itemgetter(0))), tuple(sorted(es)),
-                   index, dict(zip(ids, mults)), degree)
+        return cls(ids, genera, mults, tuple(degree), tuple(pairs), position)
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertices sorted by id."""
+        return tuple(sorted(map(Vertex._make, zip(self.ids, self.genera, self.mults)),
+                            key=itemgetter(0)))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """The edges as id pairs, each with the smaller id first, sorted."""
+        ids = self.ids
+        return tuple(sorted((ids[lo], ids[hi]) for lo, hi in self.pairs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"FiberGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def vertex(self, vid: str) -> Vertex:
-        return self._index[vid]
+        """The vertex of an id; KeyError for an undeclared id, as degree."""
+        i = self._position[vid]
+        return Vertex(vid, self.genera[i], self.mults[i])
 
     def degree(self, vid: str) -> int:
         """Number of edge-ends at the vertex; a loop counts twice."""
-        return self._degree.get(vid, 0)
+        return self.degrees[self._position[vid]]
 
     @cached_property
     def mult_lcm(self) -> int:
-        return math.lcm(*self._mult.values())
+        return math.lcm(*self.mults)
 
     def adjunction_genus(self) -> int:
         """The arithmetic genus by adjunction, 2g - 2 = sum_v m_v (2 g_v - 2
         + deg v), in O(V + E); for a valid fiber it is the genus on H^1."""
-        degree = self._degree
-        return sum(m * (2 * genus - 2 + degree[vid]) for vid, genus, m in self.vertices) // 2 + 1
+        return sum(m * (2 * genus - 2 + d)
+                   for genus, m, d in zip(self.genera, self.mults, self.degrees)) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -164,7 +196,7 @@ def parse_graph(text: str) -> FiberGraph:
             # the sentinel puts a bad character that starts a line on a line of its own
             line = len((text[:exc.start] + "#").splitlines())
             raise ParseError(line, "not valid UTF-8") from None
-    vertices: list[Vertex] = []
+    vertices: list[tuple[str, int, int]] = []
     edges: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
@@ -181,7 +213,7 @@ def parse_graph(text: str) -> FiberGraph:
                 raise ParseError(lineno, f"vertex id {vid!r} is not ASCII")
             if genus[:6] == "genus=" and mult[:5] == "mult=":  # the documented order
                 try:
-                    vertices.append(Vertex(vid, int(genus[6:]), int(mult[5:])))
+                    vertices.append((vid, int(genus[6:]), int(mult[5:])))
                     continue
                 except ValueError:
                     pass  # the field loop names the bad field
@@ -196,7 +228,7 @@ def parse_graph(text: str) -> FiberGraph:
                     raise ParseError(lineno, f"{key} must be an integer, got {value!r}") from None
             if len(fields) != 2:
                 raise ParseError(lineno, "vertex needs both genus= and mult=")
-            vertices.append(Vertex(vid, fields["genus"], fields["mult"]))
+            vertices.append((vid, fields["genus"], fields["mult"]))
         elif kind == "edge":
             if len(tokens) != 3:
                 raise ParseError(lineno, "expected: edge <id> <id>")
@@ -217,39 +249,37 @@ def self_intersections(g: FiberGraph, n: int) -> dict[str, int]:
     the m1 branch mu_L; a loop contributes both ends to its vertex.
     Isolated vertices get 0.
     """
-    return _edge_pass(g, n)[0]
+    return dict(sorted(zip(g.ids, _edge_pass(g, n)[0])))
 
 
-def _edge_pass(g: FiberGraph, n: int) -> tuple[dict[str, int], dict]:
+def _edge_pass(g: FiberGraph, n: int) -> tuple[list[int], dict]:
     """One pass over the edges, at a degree n checked first.  Every edge is a singularity (m1, m2, n),
     m1 the multiplicity of its larger endpoint id and m2 of the other
     (branch symmetry makes the choice immaterial; the rule buys
     determinism), and its trace depends only on (m1, m2).  So chain_ends
     runs once per distinct pair, and each edge adds its ends to its two
-    endpoints.  Returns the self-intersections and, per pair, the chain
-    ends and the number of edges."""
+    endpoints.  Returns the self-intersections by vertex position and,
+    per pair, the chain ends and the number of edges.  A non-integral
+    self-intersection names the smallest failing id."""
     _check_degree(g, n)
-    mult = g._mult
-    ends = dict.fromkeys(mult, 0)
+    mults = g.mults
+    ends = [0] * len(mults)  # by vertex position
     classes: dict[tuple[int, int], list[int]] = {}  # (m1, m2) -> [mu_1, mu_L, count]
-    for lo, hi in g.edges:  # stored with lo <= hi
-        pair = (mult[hi], mult[lo])
+    for lo, hi in g.pairs:  # ids[lo] <= ids[hi]
+        pair = (mults[hi], mults[lo])
         cls = classes.get(pair)
         if cls is None:
             cls = classes[pair] = [*chain_ends(Singularity(*pair, n)), 0]
         ends[lo] += cls[0]
         ends[hi] += cls[1]
         cls[2] += 1
-    si: dict[str, int] = {}
-    for vid, _, m in g.vertices:
-        total = ends[vid]
-        if total % m != 0:
-            raise NonIntegralSelfIntersection(
-                f"vertex {vid}: adjacent chain-end multiplicities sum to {total}, "
-                f"not a multiple of mult {m}; not a valid fiber"
-            )
-        si[vid] = -(total // m)
-    return si, classes
+    if any(total % m for total, m in zip(ends, mults)):
+        vid, total, m = min(row for row in zip(g.ids, ends, mults) if row[1] % row[2])
+        raise NonIntegralSelfIntersection(
+            f"vertex {vid}: adjacent chain-end multiplicities sum to {total}, "
+            f"not a multiple of mult {m}; not a valid fiber"
+        )
+    return [-(total // m) for total, m in zip(ends, mults)], classes
 
 
 def rational_trace(g: FiberGraph, n: int) -> dict[int, int]:
@@ -259,7 +289,7 @@ def rational_trace(g: FiberGraph, n: int) -> dict[int, int]:
     blocks are built once and scaled by their count.  It depends on n only
     through the chain ends, so once n > L only through n mod L."""
     si, classes = _edge_pass(g, n)
-    vertex_classes = Counter((m, genus, si[vid]) for vid, genus, m in g.vertices)
+    vertex_classes = Counter(zip(g.mults, g.genera, si))
     terms = sum(m1 + m2 + math.gcd(m1, m2) for m1, m2 in classes)
     terms += sum(mult for mult, _, _ in vertex_classes)
     if terms > MAX_BLOCK_TERMS:

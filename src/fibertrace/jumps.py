@@ -56,8 +56,7 @@ def principal_lcm(g: FiberGraph) -> int:
     genus, or meeting the rest of the fiber in at least three points
     (loop ends count twice, parallel edges separately).  1 when no vertex
     qualifies."""
-    degree = g._degree
-    mults = [m for vid, genus, m in g.vertices if genus > 0 or degree[vid] >= 3]
+    mults = [m for genus, m, d in zip(g.genera, g.mults, g.degrees) if genus > 0 or d >= 3]
     return math.lcm(*mults) if mults else 1
 
 

@@ -671,3 +671,31 @@ class TestClassCountedTrace:
         pairs = [(sing.m1, sing.m2) for (sing,) in calls["chain_ends"]]
         assert sorted(pairs) == [(2, 1), (2, 2)]
         assert sorted(calls["vertex_block"]) == [(1, 0, -1), (2, 0, -2)]
+
+
+def test_integrality_does_not_depend_on_the_degree():
+    # a vertex's chain ends sum to a multiple of its multiplicity exactly when
+    # its neighbours' multiplicities do (a loop counting the vertex twice), at
+    # every admissible degree alike; the error names the smallest failing id,
+    # which relabelling moves away from the first failing vertex in input order
+    rng = random.Random(14)
+    raised = several = 0
+    for _ in range(300):
+        g, _ = relabel(random_multigraph(rng), rng)
+        mult = {v.id: v.mult for v in g.vertices}
+        around = dict.fromkeys(mult, 0)
+        for a, b in g.edges:
+            around[a] += mult[b]
+            around[b] += mult[a]
+        failing = sorted(vid for vid, total in around.items() if total % mult[vid])
+        degrees = [n for n in range(2, 200) if math.gcd(n, g.mult_lcm) == 1][:25]
+        degrees += [n for n in (1009, 10007) if math.gcd(n, g.mult_lcm) == 1]
+        for n in degrees:
+            if failing:
+                with pytest.raises(NonIntegralSelfIntersection, match=f"^vertex {failing[0]}: "):
+                    self_intersections(g, n)
+            else:
+                self_intersections(g, n)
+        raised += bool(failing)
+        several += len(failing) > 1
+    assert 50 < raised < 250 and several > 50, (raised, several)

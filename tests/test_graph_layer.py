@@ -1,15 +1,21 @@
 """parse_graph and FiberGraph.build against the line walk and the
 validation they replaced, kept here as references: on generated inputs
-both must give the same graph, or the same error with the same message."""
+both must give the same graph, or the same error with the same message.
+Also the graph's value semantics: the sorted views are built only on
+use, and the input order changes neither equality, hash nor repr."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibertrace import fiber
+from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import BadInput, FibertraceError, ParseError, ValidationError
-from fibertrace.fiber import MAX_GRAPH_CHARS, FiberGraph, Vertex, parse_graph
+from fibertrace.fiber import MAX_GRAPH_CHARS, FiberGraph, Vertex, h1_character, parse_graph
+from fibertrace.jumps import compute_jumps
 from test_cli import GRAPH_IDS, GRAPH_LINES, SPELLED_INTS
 
 
@@ -233,3 +239,46 @@ def test_parse_matches_reference_parse_on_named_cases():
 def test_parse_matches_reference_parse(lines):
     text = graph_text(lines)
     assert outcome(parse_graph, text) == outcome(reference_parse, text)
+
+
+def graph_lines(g):
+    """The vertex and edge lines of a graph's text, in sorted order."""
+    vertices = [f"vertex {v.id} genus={v.genus} mult={v.mult}" for v in g.vertices]
+    return vertices, [f"edge {a} {b}" for a, b in g.edges]
+
+
+def test_jumps_and_character_build_no_sorted_view():
+    # parse, jumps and the character read only the input-order columns
+    vertices, edges = graph_lines(lookup(FiberTypeId.parse("kodaira:In*:995")))
+    g = parse_graph("\n".join(vertices + edges) + "\n")
+    assert len(g.ids) == 1000
+    assert compute_jumps(g).jumps == (Fraction(1, 2),)
+    assert h1_character(g, 1001).total == 1
+    assert "vertices" not in g.__dict__ and "edges" not in g.__dict__
+    assert len(g.vertices) == 1000 and "vertices" in g.__dict__
+
+
+def test_input_order_does_not_change_the_value():
+    rng = random.Random(14)
+    for cid in ("kodaira:II*", "ogg:4", "kodaira:In:6", "kodaira:In*:3"):
+        vertices, edges = graph_lines(lookup(FiberTypeId.parse(cid)))
+        graphs = []
+        for _ in range(4):
+            lines = vertices + [f"edge {b} {a}" if rng.random() < 0.5 else f"edge {a} {b}"
+                                for _, a, b in map(str.split, edges)]
+            rng.shuffle(lines)
+            graphs.append(parse_graph("\n".join(lines)))
+        first = graphs[0]
+        assert len({g.ids for g in graphs}) > 1, cid
+        for g in graphs[1:]:
+            assert g == first and hash(g) == hash(first) and repr(g) == repr(first), cid
+        assert repr(first) == f"FiberGraph(vertices={first.vertices!r}, edges={first.edges!r})"
+        assert first != FiberGraph.build([("a", 0, 1)], []) and first != vertices
+
+
+def test_undeclared_id_raises_key_error():
+    g = parse_graph("vertex a genus=0 mult=1\nvertex b genus=1 mult=1\nedge a a\nedge a b\n")
+    assert (g.vertex("b"), g.degree("a"), g.degree("b")) == (Vertex("b", 1, 1), 3, 1)
+    for lookup_by_id in (g.vertex, g.degree):
+        with pytest.raises(KeyError):
+            lookup_by_id("c")
