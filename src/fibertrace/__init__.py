@@ -36,7 +36,6 @@ from .singtrace import (
     trace_closed_form,
     trace_oracle,
     trace_polynomial,
-    vertex_trace,
 )
 
 __all__ = [
@@ -70,5 +69,4 @@ __all__ = [
     "trace_closed_form",
     "trace_oracle",
     "trace_polynomial",
-    "vertex_trace",
 ]

@@ -146,13 +146,9 @@ class FiberGraph:
         return f"FiberGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def vertex(self, vid: str) -> Vertex:
-        """The vertex of an id; KeyError for an undeclared id, as degree."""
+        """The vertex of an id; KeyError for an undeclared id."""
         i = self._position[vid]
         return Vertex(vid, self.genera[i], self.mults[i])
-
-    def degree(self, vid: str) -> int:
-        """Number of edge-ends at the vertex; a loop counts twice."""
-        return self.degrees[self._position[vid]]
 
     @cached_property
     def mult_lcm(self) -> int:

@@ -4,7 +4,8 @@ chains, computed three independent ways.
 ``trace_polynomial`` assembles the denominator-free node-by-node sums and
 is valid for every admissible degree.  ``trace_closed_form`` is the short
 polynomial that the chain collapses to; it needs only the two outermost
-multiplicities at each end of the chain.  ``trace_oracle`` evaluates the
+multiplicities at each end of the chain, and it is the production closed
+form, ``singularity_trace``, at ``res.sing``.  ``trace_oracle`` evaluates the
 fixed-point rational-function form exactly in Q(zeta_n), summing its node
 terms as one integer polynomial over the common denominator n^2 and
 reducing it once, and is kept independent of the other two so it can
@@ -52,7 +53,6 @@ __all__ = [
     "trace_polynomial",
     "trace_closed_form",
     "trace_oracle",
-    "vertex_trace",
 ]
 
 
@@ -133,8 +133,6 @@ def vertex_block(mult: int, genus: int, self_int: int) -> tuple[int, list[int]]:
     """Trace contribution of one fiber component fixed pointwise by the
     action, as the block over mult with coefficient
     (mult - k) * C^2 + 1 - genus at k/mult."""
-    if mult < 1 or genus < 0:
-        raise BadInput(f"need mult >= 1 and genus >= 0, got ({mult}, {genus})")
     return mult, [(mult - k) * self_int + 1 - genus for k in range(mult)]
 
 
@@ -156,16 +154,11 @@ def at_degree(terms: dict[int, int], lcm: int, n: int) -> GroupRingElement:
     return GroupRingElement.from_terms(n, ((j * u, c) for j, c in terms.items()))
 
 
-def _blocks_at(n: int, blocks) -> GroupRingElement:
-    lcm = math.lcm(*(m for m, _ in blocks))
-    return at_degree(block_sum(blocks, lcm), lcm, n)
-
-
 def trace_closed_form(res: ResolutionData) -> GroupRingElement:
     """Closed-form trace polynomial from the chain's outermost
-    multiplicities; O(m1 + m2) terms whatever n is."""
-    s = res.sing
-    return _blocks_at(s.n, edge_blocks(s.m1, s.m2, res.mu[1], res.mu[-2]))
+    multiplicities; O(m1 + m2) terms whatever n is.  It is the production
+    route at ``res.sing``, so it does not read the walked chain."""
+    return singularity_trace(res.sing)
 
 
 def singularity_trace(sing: Singularity) -> GroupRingElement:
@@ -173,7 +166,9 @@ def singularity_trace(sing: Singularity) -> GroupRingElement:
     the closed form from the chain ends, which ``chain_ends`` gives in
     O(log n), so the chain is never walked.  It holds for every chain,
     stable or not."""
-    return _blocks_at(sing.n, edge_blocks(sing.m1, sing.m2, *chain_ends(sing)))
+    lcm = math.lcm(sing.m1, sing.m2)
+    blocks = edge_blocks(sing.m1, sing.m2, *chain_ends(sing))
+    return at_degree(block_sum(blocks, lcm), lcm, sing.n)
 
 
 def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
@@ -243,9 +238,3 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
         p = (p & mask) + (p >> size)
         acc += p - (((p << shift * a) & mask) + (p >> shift * (n - a)))
     return CyclotomicNumber.from_poly(n, _unpack(acc, n, width), n * n)
-
-
-def vertex_trace(mult: int, genus: int, self_int: int, n: int) -> GroupRingElement:
-    """``vertex_block`` at degree n: sum_{k<mult} (xi^a)^k ((mult - k) * C^2
-    + 1 - genus), with a the inverse of the multiplicity mod n."""
-    return _blocks_at(n, [vertex_block(mult, genus, self_int)])

@@ -2,7 +2,8 @@
 
 from functools import lru_cache
 
-from fibertrace.exactalg import CyclotomicNumber
+from fibertrace.arith import mod_inverse
+from fibertrace.exactalg import CyclotomicNumber, GroupRingElement
 from fibertrace.resolution import ResolutionData
 from fibertrace.singtrace import edge_blocks
 
@@ -24,6 +25,17 @@ def closed_form_coefficients(res: ResolutionData) -> tuple[list[int], list[int],
     depend only on the residue class of n modulo lcm(m1, m2)."""
     (_, first), (_, second), (m, _) = edge_blocks(res.sing.m1, res.sing.m2, res.mu[1], res.mu[-2])
     return first, second, m
+
+
+def vertex_term(mult: int, genus: int, self_int: int, n: int) -> GroupRingElement:
+    """The trace term of a fiber component fixed pointwise, from its
+    definition: sum_{k < mult} x^(k * mult^{-1} mod n) ((mult - k) C^2 + 1 -
+    genus) in Z[Z/n], C^2 the self-intersection, summed in a dense buffer."""
+    buf = [0] * n
+    step = mod_inverse(mult, n)
+    for k in range(mult):
+        buf[k * step % n] += (mult - k) * self_int + 1 - genus
+    return GroupRingElement(n, buf)
 
 
 def schoolbook(a, b) -> list[int]:

@@ -16,6 +16,7 @@ from fibertrace.resolution import Singularity, is_stable, resolve
 from fibertrace.singtrace import trace_closed_form, trace_oracle, trace_polynomial
 from reference import closed_form_coefficients, universal_polys
 from test_fiber import subdivide_equal_edges
+from test_jumps import class_degrees, sweep_oracle
 
 
 @contextmanager
@@ -236,15 +237,16 @@ def test_criterion_7_degree_independence():
         high = compute_jumps(g, JumpOptions(n_min=5000))
         assert low.witnesses != high.witnesses
         assert low.jumps == high.jumps == (Fraction(1, 3),)
-        # the exact form: the same jumps in every residue class coprime to L
+        # the exact form: the jumps read in class 1 mod L are those the
+        # character rounds to at degrees of every residue class coprime to L
         for cid in ("kodaira:IV", "kodaira:II*", "ogg:4"):
             g = cat(cid)
             l = g.mult_lcm
             by_residue = {
-                compute_jumps(g, JumpOptions(residue=r)).jumps
+                sweep_oracle(g, class_degrees(g, r)).jumps
                 for r in range(1, l) if math.gcd(r, l) == 1
             }
-            assert len(by_residue) == 1, (cid, by_residue)
+            assert by_residue == {compute_jumps(g).jumps}, (cid, by_residue)
 
 
 def test_criterion_8_graph_file_at_the_bound(tmp_path):

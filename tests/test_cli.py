@@ -182,6 +182,20 @@ def test_jumps_at_huge_degree(capsys):
     assert out == "jump 1/3\n"
 
 
+def test_jumps_n_min_past_bound_exits_2(capsys):
+    # 4300 nines parse as an int, but the witnesses above them have too many
+    # digits to print; past MAX_N_MIN both modes refuse with a diagnostic
+    for n_min in ("9" * 4300, str(10**600 + 1)):
+        for tail in ((), ("--machine",)):
+            code, out, err = run(capsys, "jumps", "--catalog", "kodaira:IV", "--n-min", n_min,
+                                 *tail)
+            assert (code, out) == (2, ""), (len(n_min), tail)
+            assert err == "fibertrace: BadInput: n_min exceeds MAX_N_MIN = 10^600\n"
+    code, out, _ = run(capsys, "jumps", "--catalog", "kodaira:IV", "--n-min", str(10**600))
+    assert code == 0 and out.endswith("jump 1/3\n")
+    assert f"witnesses={10**600 + 3}," in out
+
+
 def test_trace_sing_huge_degree(capsys):
     code, out, _ = run(capsys, "trace-sing", "2", "3", "1000000000003", "--machine")
     assert code == 0

@@ -15,9 +15,8 @@ from fibertrace.singtrace import (
     trace_closed_form,
     trace_oracle,
     trace_polynomial,
-    vertex_trace,
 )
-from reference import closed_form_coefficients
+from reference import closed_form_coefficients, vertex_term
 
 
 def G(n, d):
@@ -298,21 +297,24 @@ class TestOracle:
         assert cases > 1200
 
 
+def vertex_block_at(mult, genus, self_int, n):
+    """The production vertex block at degree n, as rational_trace sums it."""
+    m, coeffs = singtrace.vertex_block(mult, genus, self_int)
+    return singtrace.at_degree(singtrace.block_sum([(m, coeffs)], m), m, n)
+
+
 class TestVertexTrace:
     def test_multiplicity_three(self):
         n = 13
         a3 = mod_inverse(3, n)
-        assert vertex_trace(3, 0, -1, n) == G(n, {0: -2, a3: -1})
+        want = G(n, {0: -2, a3: -1})
+        assert vertex_term(3, 0, -1, n) == vertex_block_at(3, 0, -1, n) == want
 
     def test_multiplicity_four(self):
         n = 13
         a4 = mod_inverse(4, n)
         want = G(n, {0: -7, a4: -5, (2 * a4) % n: -3, (3 * a4) % n: -1})
-        assert vertex_trace(4, 0, -2, n) == want
+        assert vertex_term(4, 0, -2, n) == vertex_block_at(4, 0, -2, n) == want
 
     def test_elliptic_component_is_silent(self):
-        assert vertex_trace(1, 1, 0, 11) == GroupRingElement(11)
-
-    def test_rejects_noncoprime_multiplicity(self):
-        with pytest.raises(BadInput):
-            vertex_trace(3, 0, -1, 9)
+        assert vertex_term(1, 1, 0, 11) == vertex_block_at(1, 1, 0, 11) == GroupRingElement(11)

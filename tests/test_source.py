@@ -29,7 +29,7 @@ def test_no_assert_statements():
 def test_oracles_stay_independent_of_the_closed_form():
     # the node sum and the cyclotomic oracle arbitrate the closed form, so
     # neither may reach the chain ends or the block arithmetic it is built on
-    closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree", "_blocks_at"}
+    closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree"}
     oracles = {"trace_polynomial", "trace_oracle", "packed_inverse_numerators"}
     found = {}
     for path in SOURCES:
@@ -70,6 +70,24 @@ def test_star_import_resolves_every_export():
     exec("from fibertrace import *", namespace)
     missing = [name for name in fibertrace.__all__ if name not in namespace]
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+def test_readme_names_every_bound():
+    # every module-level MAX_* constant is a bound a user can hit, so the
+    # README paragraph that lists the bounds must name each of them
+    bounds = {
+        target.id
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+    assert len(bounds) >= 10
+    [limits] = [p for p in README.read_text(encoding="utf-8").split("\n\n")
+                if "Work past a fixed bound" in p]
+    missing = sorted(name for name in bounds if f"`{name}`" not in limits)
+    assert not missing, f"bounds the README limits paragraph does not name: {missing}"
 
 
 def readme_block(heading):
