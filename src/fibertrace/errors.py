@@ -35,8 +35,12 @@ class ValidationError(FibertraceError):
 
 
 class NonIntegralSelfIntersection(ValidationError):
-    """Adjacent chain-end multiplicities do not sum to a multiple of the
-    vertex multiplicity; the input cannot be a special fiber."""
+    """A vertex's self-intersection is not an integer, so the input cannot
+    be a special fiber.  At a degree n (``character``, ``trace-fiber``) the
+    message reports the adjacent chain-end multiplicities; on ``jumps`` it
+    reports the neighbour multiplicities, a loop counting the vertex twice.
+    Either sum is a multiple of the vertex multiplicity exactly when the
+    other is."""
 
 
 class NegativeCharacterCoefficient(FibertraceError):

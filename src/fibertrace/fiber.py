@@ -33,12 +33,17 @@ from .singtrace import at_degree, block_sum, edge_blocks, vertex_block
 # built), on a 2-vCPU Xeon VM.
 MAX_GRAPH_CHARS = 10**6
 
-# Most block terms rational_trace builds: m1 + m2 + gcd(m1, m2) per distinct
-# edge pair and mult per distinct vertex class.  A valid fiber of genus 0 can
-# need about 1.5 M^2 of them, as the chain 1 - M - (M-1) - ... - 2 - 1 does,
-# which neither MAX_GENUS nor MAX_GRAPH_CHARS bounds.  At the bound that
-# chain (M = 706, a 30 KB file) takes about 1 s in jumps on a 2-vCPU Xeon
-# VM; every catalog entry needs fewer than 100 terms.
+# Most block terms a fiber trace builds, counted before any is built.
+# rational_trace (character and trace-fiber) builds m1 + m2 + gcd(m1, m2) per
+# distinct edge pair and mult per distinct vertex class: a valid fiber of
+# genus 0 can need about 1.5 M^2 of them, as the chain 1 - M - (M-1) - ... -
+# 2 - 1 does, which neither MAX_GENUS nor MAX_GRAPH_CHARS bounds; at the bound
+# that chain (M = 706, a 30 KB file) takes about 0.65 s in character on a
+# 2-vCPU Xeon VM.  jumps.limit_trace builds m (deg + 1) per principal class
+# and d per net count of (1/d)Z/Z, so chains cost it nothing; at the bound two
+# meeting genus-0 curves of multiplicity 83,311, each with two arms down to a
+# reduced tail (a 4 KB file of genus 83,310), take about 0.65 s in jumps.
+# Every catalog entry needs fewer than 100 terms.
 MAX_BLOCK_TERMS = 750_000
 
 

@@ -1,5 +1,6 @@
 """Reference arithmetic that only the tests use, kept out of the package."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 from fibertrace.arith import mod_inverse
@@ -87,3 +88,17 @@ def cyclotomic_by_division(n: int) -> tuple[int, ...]:
             num, rem = poly_divmod_monic(num, cyclotomic_by_division(d))
             assert not rem, (n, d)
     return tuple(num)
+
+
+def acampo_spectrum(g) -> dict:
+    """The exponents of the tame monodromy on H^1 by A'Campo's formula
+    for its characteristic polynomial, (t - 1)^2 prod_v (t^{m_v} -
+    1)^{2 g_v - 2 + deg v}: as a signed multiset of classes mod 1, two
+    copies of 0 and 2 g_v - 2 + deg v copies of every k/m_v, from the
+    genera, multiplicities and degrees alone."""
+    spectrum = {Fraction(0): 2}
+    for genus, m, d in zip(g.genera, g.mults, g.degrees):
+        for k in range(m) if 2 * genus - 2 + d else ():
+            x = Fraction(k, m)
+            spectrum[x] = spectrum.get(x, 0) + 2 * genus - 2 + d
+    return {x: c for x, c in spectrum.items() if c}

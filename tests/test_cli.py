@@ -114,19 +114,54 @@ def test_jumps_past_genus_bound_exits_2_before_tracing(tmp_path, capsys):
     assert "BadInput: genus 7998000 exceeds MAX_GENUS = 100000" in err
 
 
-def test_jumps_past_block_term_bound_exits_2_quickly(tmp_path, capsys):
-    # the genus-0 chain 1 - 800 - 799 - ... - 2 - 1 (35 KB) needs 962,000
-    # block terms; building them took about 1.2 s (2-vCPU Xeon VM)
-    path = tmp_path / "long-chain.fg"
-    lines = ["vertex a genus=0 mult=1", "vertex b genus=0 mult=1", "edge a v800", "edge v2 b"]
-    lines += [f"vertex v{k} genus=0 mult={k}" for k in range(2, 801)]
-    lines += [f"edge v{k} v{k - 1}" for k in range(3, 801)]
+def long_chain(tmp_path, top):
+    """A graph file of the genus-0 chain 1 - top - (top - 1) - ... - 2 - 1."""
+    path = tmp_path / f"chain-{top}.fg"
+    lines = ["vertex a genus=0 mult=1", "vertex b genus=0 mult=1", f"edge a v{top}", "edge v2 b"]
+    lines += [f"vertex v{k} genus=0 mult={k}" for k in range(2, top + 1)]
+    lines += [f"edge v{k} v{k - 1}" for k in range(3, top + 1)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_long_chain_answers_jumps_but_not_character(tmp_path, capsys):
+    # the chain 1 - 800 - ... - 2 - 1 (35 KB) has no principal component, so
+    # jumps builds one term; the block route at a degree needs 962,000 block
+    # terms, and building them took about 1.2 s (2-vCPU Xeon VM)
+    path = long_chain(tmp_path, 800)
     start = time.perf_counter()
     code, out, err = run(capsys, "jumps", "--graph", str(path), "--machine")
     assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (0, "", "")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "character", "--graph", str(path), "--n", "1009")
+    assert time.perf_counter() - start < 0.5
     assert code == 2 and not out
     assert "BadInput: the trace would build 962000 block terms, more than MAX_BLOCK_TERMS" in err
+
+
+def test_jumps_on_the_1000_chain(tmp_path, capsys):
+    # lcm(1..1000) has 433 digits; the witnesses are printed in full
+    path = long_chain(tmp_path, 1000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jumps", "--graph", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and not err
+    assert out.startswith("n_tilde=1\nwitnesses=") and "jump" not in out
+
+
+def test_jumps_past_witness_bound_exits_2(tmp_path, capsys):
+    # the chain 1 - 12000 - ... - 2 - 1 (580 KB) passes every other bound, and
+    # its first witness, above 2 * lcm(1..12000), has over 5,000 digits: more
+    # than Python prints by default
+    path = long_chain(tmp_path, 12000)
+    for machine in ((), ("--machine",)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "jumps", "--graph", str(path), *machine)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out and "Traceback" not in err
+        assert err == ("fibertrace: BadInput: 2 * n_tilde * lcm exceeds MAX_N_MIN = 10^600, "
+                       "so the witness degrees would be too long to print\n")
 
 
 def test_many_duplicate_vertex_ids_exit_2_quickly(tmp_path, capsys):

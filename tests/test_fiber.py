@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fibertrace import cli, fiber, resolution, singtrace
+from fibertrace import cli, fiber, jumps, resolution, singtrace
 from fibertrace.arith import mod_inverse
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import (
@@ -636,7 +636,7 @@ class TestClassCountedTrace:
         # mult 4, 3, 2 and 1 (both ends have self-intersection -1) 10 more
         g = parse_graph(decreasing_chain(4))
         monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 34)
-        assert compute_jumps(g).jumps == ()
+        assert h1_character(g, 1009).total == 0
         monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 33)
 
         def refuse(*args):
@@ -644,18 +644,23 @@ class TestClassCountedTrace:
 
         monkeypatch.setattr(fiber, "vertex_block", refuse)
         monkeypatch.setattr(fiber, "edge_blocks", refuse)
-        for route in (compute_jumps, lambda g: total_trace(g, 1009)):
-            with pytest.raises(BadInput, match="build 34 block terms, more than MAX_BLOCK_TERMS = 33"):
-                route(g)
+        with pytest.raises(BadInput, match="build 34 block terms, more than MAX_BLOCK_TERMS = 33"):
+            total_trace(g, 1009)
+        # compute_jumps builds no block: the chain has no principal component
+        assert compute_jumps(g).jumps == ()
 
     def test_catalog_far_below_block_term_bound(self, monkeypatch):
         monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 100)
+        monkeypatch.setattr(jumps, "MAX_BLOCK_TERMS", 100)
         for cid in CATALOG + ["kodaira:In:10000", "kodaira:In*:10000"]:
-            compute_jumps(lookup(FiberTypeId.parse(cid)))
+            g = lookup(FiberTypeId.parse(cid))
+            compute_jumps(g)
+            total_trace(g, 1009)
 
     def test_work_per_class_not_per_edge(self, monkeypatch):
         # In*:1000 has 1004 edges and 1005 vertices but two edge classes,
-        # (2, 2) and (2, 1), and two vertex classes, (2, 0, -2) and (1, 0, -1)
+        # (2, 2) and (2, 1), and two vertex classes, (2, 0, -2) and (1, 0, -1);
+        # compute_jumps calls neither chain_ends nor vertex_block
         calls = {"chain_ends": [], "vertex_block": []}
 
         def counting(name, fn):
@@ -669,6 +674,8 @@ class TestClassCountedTrace:
         g = lookup(FiberTypeId.parse("kodaira:In*:1000"))
         assert (len(g.edges), len(g.vertices)) == (1004, 1005)
         assert compute_jumps(g).jumps == (Fraction(1, 2),)
+        assert calls == {"chain_ends": [], "vertex_block": []}
+        assert h1_character(g, 1009).exponents == ((505, 1),)
         pairs = [(sing.m1, sing.m2) for (sing,) in calls["chain_ends"]]
         assert sorted(pairs) == [(2, 1), (2, 2)]
         assert sorted(calls["vertex_block"]) == [(1, 0, -1), (2, 0, -2)]

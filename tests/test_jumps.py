@@ -1,27 +1,40 @@
 import math
 import random
+import re
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from fibertrace import jumps
+from fibertrace import fiber, jumps, resolution, singtrace
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import (
     BadInput,
     BadJumpDenominator,
     NegativeCharacterCoefficient,
+    NonIntegralSelfIntersection,
     ValidationError,
 )
-from fibertrace.fiber import FiberGraph, h1_character, parse_graph
+from fibertrace.fiber import FiberGraph, h1_character, parse_graph, rational_trace
 from fibertrace.jumps import (
     JumpOptions,
     JumpSet,
     compute_jumps,
+    limit_trace,
+    principal_components,
     principal_lcm,
 )
+from reference import acampo_spectrum
 from test_catalog import table_entries
-from test_fiber import CATALOG, blow_up, random_multigraph, star_fiber
+from test_fiber import (
+    CATALOG,
+    blow_up,
+    decreasing_chain,
+    random_multigraph,
+    relabel,
+    star_fiber,
+)
 
 
 def cat(s):
@@ -113,6 +126,23 @@ class TestSweepDegrees:
         with pytest.raises(BadInput, match=r"n_min exceeds MAX_N_MIN = 10\^600$"):
             compute_jumps(cat("kodaira:IV"), JumpOptions(n_min=jumps.MAX_N_MIN + 1))
 
+    def test_witness_floor_bound(self, monkeypatch):
+        # the floor 2 * n_tilde * lcm is held to MAX_N_MIN as n_min is: kodaira:IV
+        # has n_tilde = lcm = 3, so a floor of 18
+        monkeypatch.setattr(jumps, "MAX_N_MIN", 18)
+        assert compute_jumps(cat("kodaira:IV"), JumpOptions(n_min=1)).witnesses == (19, 22, 25)
+        monkeypatch.setattr(jumps, "MAX_N_MIN", 17)
+        with pytest.raises(BadInput, match=r"^2 \* n_tilde \* lcm exceeds MAX_N_MIN = 10\^600"):
+            compute_jumps(cat("kodaira:IV"), JumpOptions(n_min=1))
+
+    def test_witness_floor_bound_on_long_chains(self):
+        # the chain 1 - M - ... - 2 - 1 has lcm(1..M) as its lcm and n_tilde 1:
+        # 2 * lcm(1..1398) is below 10^600 and 2 * lcm(1..1399) above
+        js = compute_jumps(parse_graph(decreasing_chain(1398)))
+        assert js.jumps == () and len(str(js.witnesses[-1])) == 600
+        with pytest.raises(BadInput, match="exceeds MAX_N_MIN"):
+            compute_jumps(parse_graph(decreasing_chain(1399)))
+
     def test_sweep_count_bound(self, monkeypatch):
         monkeypatch.setattr(jumps, "MAX_SWEEPS", 4)
         assert len(compute_jumps(cat("kodaira:IV"), JumpOptions(sweeps=4)).witnesses) == 4
@@ -132,11 +162,11 @@ class TestComputeJumps:
     def test_genus_bound_before_any_block(self, monkeypatch):
         # the adjunction formula gives the genus from the graph alone: a
         # multiplicity-4 curve meeting a reduced one 4 times has genus 6
-        def refuse(graph, n):
-            raise AssertionError("rational_trace ran before the genus check")
+        def refuse(graph, principal):
+            raise AssertionError("limit_trace ran before the genus check")
 
         monkeypatch.setattr(jumps, "MAX_GENUS", 5)
-        monkeypatch.setattr(jumps, "rational_trace", refuse)
+        monkeypatch.setattr(jumps, "limit_trace", refuse)
         g = FiberGraph.build([("a", 0, 4), ("b", 0, 1)], [("a", "b")] * 4)
         assert g.adjunction_genus() == 6
         with pytest.raises(BadInput, match="genus 6 exceeds MAX_GENUS = 5"):
@@ -204,17 +234,17 @@ class TestComputeJumps:
     def test_unit_denominator_enforced(self, monkeypatch):
         # a node of an I2 blown up: a mult-2 vertex of valence 2, so L = 2 but
         # n_tilde = 1; every valid fiber then has its jumps at 0, so force a
-        # limit character at 1/2 through rational_trace to prove the guard fires
+        # limit character at 1/2 through limit_trace to prove the guard fires
         g = FiberGraph.build([("a", 0, 1), ("b", 0, 1), ("e", 0, 2)],
                              [("a", "b"), ("a", "e"), ("e", "b")])
         assert (principal_lcm(g), g.mult_lcm) == (1, 2)
         assert compute_jumps(g).jumps == (Fraction(0),)
-        monkeypatch.setattr(jumps, "rational_trace", lambda graph, n: {0: 1, 1: -1})
+        monkeypatch.setattr(jumps, "limit_trace", lambda graph, principal: {0: 1, 1: -1})
         with pytest.raises(BadJumpDenominator, match=r"jump 1/2 .* n_tilde = 1"):
             compute_jumps(g)
 
     def test_negative_limit_character_rejected(self, monkeypatch):
-        monkeypatch.setattr(jumps, "rational_trace", lambda graph, n: {0: 1, 1: 2})
+        monkeypatch.setattr(jumps, "limit_trace", lambda graph, principal: {0: 1, 1: 2})
         with pytest.raises(NegativeCharacterCoefficient, match=r"\[\(1, -2\)\]"):
             compute_jumps(cat("kodaira:IV"))
 
@@ -311,3 +341,186 @@ class TestGaloisClosure:
             jumps_alone_open += not unit_stable(jump_classes(js), js.n_tilde)
         # many of the jump sets are closed only together with their negatives
         assert held > 400 and jumps_alone_open > 50, (held, jumps_alone_open)
+
+
+def limit_degrees(g):
+    """Three degrees n = 1 (mod L), L the multiplicity lcm, all above L."""
+    l = g.mult_lcm
+    return [k * l + 1 for k in (1, 2, 1000)] if l > 1 else [2, 3, 1001]
+
+
+def matches_block_route(g, n):
+    """limit_trace equals rational_trace at the degree n = 1 (mod L), or both
+    refuse the same vertex for integrality; True when a trace was compared."""
+    principal = principal_components(g)
+    try:
+        want = rational_trace(g, n)
+    except NonIntegralSelfIntersection as exc:
+        vid = re.escape(str(exc).split(":")[0])
+        with pytest.raises(NonIntegralSelfIntersection,
+                           match=f"^{vid}: neighbour multiplicities sum to "):
+            limit_trace(g, principal)
+        return False
+    got = limit_trace(g, principal)
+    assert ({j: c for j, c in got.items() if c}
+            == {j: c for j, c in want.items() if c}), (g, n)
+    return True
+
+
+def two_cusps(bridge):
+    """Two genus-0 curves p and q of multiplicity 6, each with tails of
+    multiplicities 2 and 3 (the shape of kodaira:II), joined by a bridge of
+    genus-0 curves of the multiplicities ``bridge``: a genus-2 fiber when
+    the bridge is a chain of reduced curves or a blow-up of one."""
+    vertices = [("p", 0, 6), ("q", 0, 6), ("p2", 0, 2), ("p3", 0, 3), ("q2", 0, 2), ("q3", 0, 3)]
+    vertices += [(f"b{i}", 0, m) for i, m in enumerate(bridge)]
+    path = ["p"] + [f"b{i}" for i in range(len(bridge))] + ["q"]
+    edges = [("p", "p2"), ("p", "p3"), ("q", "q2"), ("q", "q3")] + list(zip(path, path[1:]))
+    return FiberGraph.build(vertices, edges)
+
+
+class TestLimitTrace:
+    """limit_trace reads the trace at n = 1 (mod L) off the graph; the block
+    route, rational_trace with its chain ends, is its oracle there."""
+
+    @pytest.mark.parametrize("cid", CATALOG + ["kodaira:In:100", "kodaira:In*:100"])
+    def test_catalog(self, cid):
+        g = cat(cid)
+        for n in limit_degrees(g):
+            assert matches_block_route(g, n), (cid, n)
+
+    def test_blow_ups_and_star_fibers(self):
+        rng = random.Random(16)
+        graphs = [blow_up(cat(rng.choice(CATALOG)), rng, rng.randint(1, 5)) for _ in range(100)]
+        graphs += [star_fiber(rng) for _ in range(100)]
+        for g in graphs:
+            moved, _ = relabel(g, rng)
+            assert limit_trace(moved, principal_components(moved)) == limit_trace(
+                g, principal_components(g))
+            for n in limit_degrees(g):
+                assert matches_block_route(g, n) and matches_block_route(moved, n), (g, n)
+
+    def test_random_multigraphs(self):
+        # loops and parallel edges; relabelling moves the smallest failing id
+        rng = random.Random(17)
+        compared = refused = 0
+        for _ in range(500):
+            g, _ = relabel(random_multigraph(rng), rng)
+            for n in limit_degrees(g)[:2]:
+                if matches_block_route(g, n):
+                    compared += 1
+                else:
+                    refused += 1
+        assert compared > 200 and refused > 500, (compared, refused)
+
+    def test_bridges_of_every_length(self):
+        rng = random.Random(18)
+        want = compute_jumps(two_cusps([1])).jumps
+        assert len(want) == 2 and principal_lcm(two_cusps([1])) == 6
+        for length in range(1, 41):
+            # blowing up a point of the bridge, its ends at p and q included,
+            # puts in a curve of the sum of the two multiplicities there
+            chain = [6] + [1] * length + [6]
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randrange(len(chain) - 1)
+                chain.insert(i + 1, chain[i] + chain[i + 1])
+            for g in (two_cusps([1] * length), two_cusps(chain[1:-1])):
+                assert compute_jumps(g).jumps == want, g
+                assert matches_block_route(g, limit_degrees(g)[0]), g
+
+    def test_arms_and_bridges_cost_nothing(self, monkeypatch):
+        # the work is m (deg + 1) per principal class plus d per net count:
+        # kodaira:II* has one principal class (6, 0, (3, 4, 5)), and its arms
+        # cancel; In*:1000 has 1004 edges, one principal class (2, 0, (1, 1, 2))
+        # and a bridge of gcd 2; the chain 1 - 5000 - ... - 2 - 1 has no
+        # principal component and nets to (1/1)Z/Z
+        for cid, work in (("kodaira:II*", 24), ("kodaira:In*:1000", 10)):
+            monkeypatch.setattr(jumps, "MAX_BLOCK_TERMS", work)
+            compute_jumps(cat(cid))
+            monkeypatch.setattr(jumps, "MAX_BLOCK_TERMS", work - 1)
+            with pytest.raises(BadInput, match=f"build {work} block terms, more than "
+                                               f"MAX_BLOCK_TERMS = {work - 1}$"):
+                compute_jumps(cat(cid))
+        monkeypatch.setattr(jumps, "MAX_BLOCK_TERMS", 1)
+        g = parse_graph(decreasing_chain(5000))
+        assert principal_components(g) == [] and limit_trace(g, []) == {0: 1}
+
+    def test_work_bound_before_any_term(self):
+        # two genus-0 curves of multiplicity 99,991 meeting each other, each
+        # with two arms down to a reduced tail: 899,919 terms, about 1 s to
+        # build (2-vCPU Xeon VM), while the genus, 99,990, passes MAX_GENUS
+        m = 99991
+        vertices, edges = [("c", 0, m), ("d", 0, m)], [("c", "d")]
+        for center, first in (("c", 1944), ("d", 1949)):
+            for arm, a in enumerate((first, m - first)):
+                prev, cur, here = m, a, center
+                while cur:
+                    vid = f"{center}{arm}.{len(vertices)}"
+                    vertices.append((vid, 0, cur))
+                    edges.append((here, vid))
+                    prev, cur, here = cur, -prev % cur, vid
+        g = FiberGraph.build(vertices, edges)
+        assert g.adjunction_genus() == 99990 <= jumps.MAX_GENUS
+        start = time.perf_counter()
+        with pytest.raises(BadInput, match="build 899919 block terms, more than MAX_BLOCK_TERMS"):
+            compute_jumps(g)
+        assert time.perf_counter() - start < 0.2
+
+    def test_no_block_route(self, monkeypatch):
+        # compute_jumps reads the graph alone: no chain end, no block
+        rng = random.Random(19)
+        graphs = [cat(cid) for cid in CATALOG]
+        graphs += [blow_up(cat(rng.choice(CATALOG)), rng, 3) for _ in range(30)]
+        graphs += [star_fiber(rng) for _ in range(30)]
+        want = [compute_jumps(g) for g in graphs]
+
+        def refuse(*args):
+            raise AssertionError("compute_jumps reached the block route")
+
+        for module, name in ((fiber, "chain_ends"), (fiber, "edge_blocks"),
+                             (fiber, "vertex_block"), (fiber, "block_sum"),
+                             (resolution, "chain_ends"), (singtrace, "chain_ends"),
+                             (singtrace, "edge_blocks"), (singtrace, "vertex_block"),
+                             (singtrace, "block_sum"), (fiber, "rational_trace")):
+            monkeypatch.setattr(module, name, refuse)
+        assert [compute_jumps(g) for g in graphs] == want
+
+
+def signed_union(js: JumpSet) -> dict:
+    """J with -J mod 1, as a multiset of classes."""
+    union = Counter(js.jumps) + Counter(-j % 1 for j in js.jumps)
+    return dict(union)
+
+
+class TestACampoSpectrum:
+    """J with -J mod 1 is the spectrum of the tame monodromy on H^1, which
+    A'Campo's formula gives from the genera, multiplicities and degrees."""
+
+    def test_examples(self):
+        assert acampo_spectrum(cat("kodaira:II")) == {Fraction(1, 6): 1, Fraction(5, 6): 1}
+        assert acampo_spectrum(cat("kodaira:In:5")) == {Fraction(0): 2}
+        assert acampo_spectrum(cat("kodaira:In*:5")) == {Fraction(1, 2): 2}
+        assert acampo_spectrum(parse_graph(decreasing_chain(6))) == {}
+
+    def test_every_catalog_row(self):
+        entries = table_entries() + [FiberTypeId.parse(f"kodaira:{name}:{k}")
+                                     for name in ("In", "In*") for k in (7, 12, 10**4)]
+        for tid in entries:
+            g = lookup(tid)
+            assert signed_union(compute_jumps(g)) == acampo_spectrum(g), tid
+
+    def test_generated_fibers(self):
+        rng = random.Random(404)
+        graphs = [star_fiber(rng) for _ in range(300)]
+        graphs += [blow_up(cat(rng.choice(CATALOG)), rng, rng.randint(1, 5)) for _ in range(200)]
+        graphs += [two_cusps([1] * rng.randint(1, 9)) for _ in range(10)]
+        graphs += [random_multigraph(rng) for _ in range(1500)]
+        held = 0
+        for g in graphs:
+            try:
+                js = compute_jumps(g)
+            except (ValidationError, NegativeCharacterCoefficient, BadJumpDenominator):
+                continue  # not a fiber: the formula says nothing about it
+            assert signed_union(js) == acampo_spectrum(g), (g, js.jumps)
+            held += 1
+        assert held > 800, held

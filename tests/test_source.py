@@ -11,6 +11,7 @@ from fibertrace.cli import main
 
 SOURCES = sorted(Path(fibertrace.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parent.parent / "README.md"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 
 def test_no_assert_statements():
@@ -27,12 +28,15 @@ def test_no_assert_statements():
 
 
 def test_oracles_stay_independent_of_the_closed_form():
-    # the node sum and the cyclotomic oracle arbitrate the closed form, so
-    # neither may reach the chain ends or the block arithmetic it is built on
-    closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree"}
-    oracles = {"trace_polynomial", "trace_oracle", "packed_inverse_numerators"}
+    # the node sum and the cyclotomic oracle arbitrate the closed form, and
+    # A'Campo's spectrum the jumps, so none may reach the chain ends, the
+    # block arithmetic or either fiber trace
+    closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree",
+                   "rational_trace", "limit_trace"}
+    oracles = {"trace_polynomial", "trace_oracle", "packed_inverse_numerators",
+               "acampo_spectrum"}
     found = {}
-    for path in SOURCES:
+    for path in SOURCES + [REFERENCE]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.FunctionDef) and node.name in oracles:
                 names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
@@ -40,6 +44,21 @@ def test_oracles_stay_independent_of_the_closed_form():
                 found[node.name] = sorted(names & closed_form)
     assert set(found) == oracles
     assert not any(found.values()), f"oracles that use the closed form: {found}"
+
+
+def test_jumps_read_the_graph_alone():
+    # compute_jumps needs no chain end and no block: jumps.py imports nothing
+    # from the resolution or trace modules
+    [path] = [path for path in SOURCES if path.name == "jumps.py"]
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {part for alias in node.names for part in alias.name.split(".")}
+    assert "fiber" in imported
+    assert not imported & {"resolution", "singtrace"}, sorted(imported)
 
 
 def test_every_definition_is_used():
