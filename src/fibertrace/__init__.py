@@ -20,7 +20,6 @@ from .fiber import (
     h1_character,
     parse_graph,
     rational_trace,
-    self_intersections,
     total_trace,
 )
 from .jumps import JumpOptions, JumpSet, compute_jumps, principal_lcm
@@ -63,7 +62,6 @@ __all__ = [
     "principal_lcm",
     "rational_trace",
     "resolve",
-    "self_intersections",
     "singularity_trace",
     "total_trace",
     "trace_closed_form",

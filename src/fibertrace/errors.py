@@ -36,11 +36,8 @@ class ValidationError(FibertraceError):
 
 class NonIntegralSelfIntersection(ValidationError):
     """A vertex's self-intersection is not an integer, so the input cannot
-    be a special fiber.  At a degree n (``character``, ``trace-fiber``) the
-    message reports the adjacent chain-end multiplicities; on ``jumps`` it
-    reports the neighbour multiplicities, a loop counting the vertex twice.
-    Either sum is a multiple of the vertex multiplicity exactly when the
-    other is."""
+    be a special fiber: its neighbours' multiplicities, a loop counting the
+    vertex twice, do not sum to a multiple of its own."""
 
 
 class NegativeCharacterCoefficient(FibertraceError):

@@ -1,8 +1,23 @@
 """Fiber graphs: the multigraph of irreducible components of a special
-fiber, with per-vertex genus and multiplicity, plus everything computed
-from it per degree n: self-intersections on the resolved surface, the
-total trace (built over the classes j/L of (1/L)Z/Z, L the multiplicity
-lcm), and the character multiset on H^1.
+fiber, with per-vertex genus and multiplicity, plus the trace read off it.
+
+By the Brauer-trace formula the total trace of the degree-n action on the
+fiber cohomology depends only on the graph and on n mod L, L the
+multiplicity lcm.  ``limit_trace`` builds it in Z[(1/L)Z/Z] at the degrees
+n = 1 (mod L) from each component's genus, multiplicity and neighbours'
+multiplicities, with no degree, no chain end and no resolution:
+
+- a principal component (positive genus, or meeting the rest of the fiber
+  in at least three points) adds W_v(k) = 1 - g_v - sum_{w ~ v}
+  ((-k m_w) mod m_v) / m_v on the classes k/m_v;
+- any other component adds 1 on the classes of (1/d_v)Z/Z, d_v the gcd of
+  m_v with any neighbour's multiplicity (m_v = 1 without one);
+- each edge adds -1 on the classes of (1/gcd(m_v, m_w))Z/Z.
+
+The gcd stays the same along a chain of non-principal components, so a
+chain costs nothing whatever its length.  ``rational_trace`` moves each
+class j/L to (j n mod L)/L for a degree n; ``total_trace`` and
+``h1_character`` are its image in Z[Z/n] and the character multiset on H^1.
 """
 
 from __future__ import annotations
@@ -22,9 +37,9 @@ from .errors import (
     ValidationError,
 )
 from .exactalg import GroupRingElement
-from .resolution import MAX_MULTIPLICITY, Singularity, chain_ends
+from .resolution import MAX_MULTIPLICITY
 from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.resolve
-from .singtrace import at_degree, block_sum, edge_blocks, vertex_block
+from .singtrace import at_degree
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
 # more than one past it.  At the bound, jumps takes about 0.12 s on a cycle
@@ -33,17 +48,14 @@ from .singtrace import at_degree, block_sum, edge_blocks, vertex_block
 # built), on a 2-vCPU Xeon VM.
 MAX_GRAPH_CHARS = 10**6
 
-# Most block terms a fiber trace builds, counted before any is built.
-# rational_trace (character and trace-fiber) builds m1 + m2 + gcd(m1, m2) per
-# distinct edge pair and mult per distinct vertex class: a valid fiber of
-# genus 0 can need about 1.5 M^2 of them, as the chain 1 - M - (M-1) - ... -
-# 2 - 1 does, which neither MAX_GENUS nor MAX_GRAPH_CHARS bounds; at the bound
-# that chain (M = 706, a 30 KB file) takes about 0.65 s in character on a
-# 2-vCPU Xeon VM.  jumps.limit_trace builds m (deg + 1) per principal class
-# and d per net count of (1/d)Z/Z, so chains cost it nothing; at the bound two
-# meeting genus-0 curves of multiplicity 83,311, each with two arms down to a
-# reduced tail (a 4 KB file of genus 83,310), take about 0.65 s in jumps.
-# Every catalog entry needs fewer than 100 terms.
+# Most block terms limit_trace builds, counted before any is built: m per row
+# of principal multiplicity m and per distinct end pair (m, m_w) at it, plus d
+# per subgroup (1/d)Z/Z with a nonzero net count.  Chains cost nothing, so
+# jumps, character and trace-fiber meet the bound on the same fibers.  Near
+# it the slowest shape found, two meeting genus-0 curves of multiplicities
+# 93,749 and 93,747, each with two arms down to a reduced tail (749,985
+# terms, genus 93,747), takes 0.7-0.9 s in jumps and 0.5-0.7 s in character
+# on a 2-vCPU Xeon VM.  Every catalog entry needs fewer than 100 terms.
 MAX_BLOCK_TERMS = 750_000
 
 
@@ -241,67 +253,97 @@ def parse_graph(text: str) -> FiberGraph:
     return FiberGraph.build(vertices, edges)
 
 
-def self_intersections(g: FiberGraph, n: int) -> dict[str, int]:
-    """Self-intersection of each surviving component on the resolved
-    degree-n surface: minus the sum of the adjacent exceptional chain-end
-    multiplicities, divided by the component multiplicity.
-
-    The end of a chain on the m2 branch has multiplicity mu_1, the end on
-    the m1 branch mu_L; a loop contributes both ends to its vertex.
-    Isolated vertices get 0.
-    """
-    return dict(sorted(zip(g.ids, _edge_pass(g, n)[0])))
+def principal_components(g: FiberGraph) -> list[int]:
+    """Positions of the principal components: positive genus, or meeting
+    the rest of the fiber in at least three points (loop ends count twice,
+    parallel edges separately)."""
+    return [i for i, (genus, d) in enumerate(zip(g.genera, g.degrees)) if genus > 0 or d >= 3]
 
 
-def _edge_pass(g: FiberGraph, n: int) -> tuple[list[int], dict]:
-    """One pass over the edges, at a degree n checked first.  Every edge is a singularity (m1, m2, n),
-    m1 the multiplicity of its larger endpoint id and m2 of the other
-    (branch symmetry makes the choice immaterial; the rule buys
-    determinism), and its trace depends only on (m1, m2).  So chain_ends
-    runs once per distinct pair, and each edge adds its ends to its two
-    endpoints.  Returns the self-intersections by vertex position and,
-    per pair, the chain ends and the number of edges.  A non-integral
-    self-intersection names the smallest failing id."""
-    _check_degree(g, n)
-    mults = g.mults
-    ends = [0] * len(mults)  # by vertex position
-    classes: dict[tuple[int, int], list[int]] = {}  # (m1, m2) -> [mu_1, mu_L, count]
-    for lo, hi in g.pairs:  # ids[lo] <= ids[hi]
-        pair = (mults[hi], mults[lo])
-        cls = classes.get(pair)
-        if cls is None:
-            cls = classes[pair] = [*chain_ends(Singularity(*pair, n)), 0]
-        ends[lo] += cls[0]
-        ends[hi] += cls[1]
-        cls[2] += 1
-    if any(total % m for total, m in zip(ends, mults)):
-        vid, total, m = min(row for row in zip(g.ids, ends, mults) if row[1] % row[2])
+def limit_trace(g: FiberGraph, principal: list[int]) -> dict[int, int]:
+    """The total trace at every degree n = 1 (mod L) as an element of
+    Z[(1/L)Z/Z], L the multiplicity lcm: j -> c stands for c times the
+    class of j/L.  ``principal`` holds the positions of the principal
+    components (``principal_components``).
+
+    One walk over the edges sums each vertex's neighbour multiplicities,
+    which must be a multiple of its own (a non-integral self-intersection
+    names the smallest failing id), and counts the ends at principal
+    components by their neighbour's multiplicity.  Each edge's
+    -(1/gcd)Z/Z is split in halves between its ends, so a component on a
+    chain nets to zero, a non-principal one of degree d < 2 to (2 - d)/2
+    times (1/m_v)Z/Z, and each end at a principal component to -1/2 times
+    (1/gcd(m_v, m_w))Z/Z.  The principal components of one multiplicity m
+    share one row over the classes k/m: the sum of their 1 - g_v, less
+    the sum over their ends of ((-k m_w) mod m), divided by m once, which
+    integrality makes exact.  The work, m per row and per distinct pair
+    (m, m_w), plus d per d with a nonzero net count, is bounded by
+    MAX_BLOCK_TERMS before any term is built."""
+    mults, genera = g.mults, g.genera
+    around = [0] * len(mults)  # neighbour multiplicity sum by position
+    constants: dict[int, int] = {}  # principal multiplicity m -> sum of 1 - g_v
+    rows: dict[int, Counter] = {}  # m -> the ends at its components, by m_w
+    ends: list[Counter | None] = [None] * len(mults)  # by position, principal only
+    for i in principal:
+        m = mults[i]
+        if m not in rows:
+            constants[m], rows[m] = 0, Counter()
+        constants[m] += 1 - genera[i]
+        ends[i] = rows[m]
+    for lo, hi in g.pairs:
+        a = mults[lo]
+        b = mults[hi]
+        around[lo] += b
+        around[hi] += a
+        if ends[lo] is not None:
+            ends[lo][b] += 1
+        if ends[hi] is not None:
+            ends[hi][a] += 1
+    if any(total % m for total, m in zip(around, mults)):
+        vid, total, m = min(row for row in zip(g.ids, around, mults) if row[1] % row[2])
         raise NonIntegralSelfIntersection(
-            f"vertex {vid}: adjacent chain-end multiplicities sum to {total}, "
+            f"vertex {vid}: neighbour multiplicities sum to {total}, "
             f"not a multiple of mult {m}; not a valid fiber"
         )
-    return [-(total // m) for total, m in zip(ends, mults)], classes
-
-
-def rational_trace(g: FiberGraph, n: int) -> dict[int, int]:
-    """The total trace at degree n as an element of Z[(1/L)Z/Z], L the
-    multiplicity lcm: j -> c stands for c times the class of j/L, summed
-    over the vertex blocks and each edge's closed-form blocks.  Equal
-    blocks are built once and scaled by their count.  It depends on n only
-    through the chain ends, so once n > L only through n mod L."""
-    si, classes = _edge_pass(g, n)
-    vertex_classes = Counter(zip(g.mults, g.genera, si))
-    terms = sum(m1 + m2 + math.gcd(m1, m2) for m1, m2 in classes)
-    terms += sum(mult for mult, _, _ in vertex_classes)
+    degrees = g.degrees
+    halves: dict[int, int] = {}  # d -> twice the net count of (1/d)Z/Z
+    for i in [i for i, d in enumerate(degrees) if d < 2 and ends[i] is None]:
+        halves[mults[i]] = halves.get(mults[i], 0) + 2 - degrees[i]
+    for m, counts in rows.items():
+        for w, count in counts.items():
+            d = math.gcd(m, w)
+            halves[d] = halves.get(d, 0) - count
+    net = {d: h // 2 for d, h in halves.items() if h}
+    terms = sum(m * (len(counts) + 1) for m, counts in rows.items()) + sum(net)
     if terms > MAX_BLOCK_TERMS:
         raise BadInput(
             f"the trace would build {terms} block terms, more than "
             f"MAX_BLOCK_TERMS = {MAX_BLOCK_TERMS}"
         )
-    counted = [(vertex_block(*key), k) for key, k in vertex_classes.items()]
-    counted += [(block, k) for (m1, m2), (mu1, mu_last, k) in classes.items()
-                for block in edge_blocks(m1, m2, mu1, mu_last)]
-    return block_sum(((m, [k * c for c in coeffs]) for (m, coeffs), k in counted), g.mult_lcm)
+    lcm = g.mult_lcm
+    acc: dict[int, int] = {}
+    for m, counts in rows.items():
+        step = lcm // m
+        constant, by_w = constants[m], list(counts.items())
+        for k in range(m):
+            value = constant - sum(c * (-k * w % m) for w, c in by_w) // m
+            acc[step * k] = acc.get(step * k, 0) + value
+    for d, count in net.items():
+        step = lcm // d
+        for k in range(d):
+            acc[step * k] = acc.get(step * k, 0) + count
+    return acc
+
+
+def rational_trace(g: FiberGraph, n: int) -> dict[int, int]:
+    """The total trace at degree n as an element of Z[(1/L)Z/Z], L the
+    multiplicity lcm: j -> c stands for c times the class of j/L, every c
+    nonzero.  By the Brauer-trace formula it depends on n only through
+    n mod L: it is ``limit_trace`` with each class j/L moved to
+    (j n mod L)/L."""
+    _check_degree(g, n)
+    lcm = g.mult_lcm
+    return {j * n % lcm: c for j, c in limit_trace(g, principal_components(g)).items() if c}
 
 
 def total_trace(g: FiberGraph, n: int) -> GroupRingElement:

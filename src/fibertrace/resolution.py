@@ -16,7 +16,7 @@ from .arith import JHExpansion, jh_expand, mod_inverse
 from .errors import BadInput, InvariantError
 
 # Largest branch or vertex multiplicity accepted: the closed-form trace and
-# vertex_block build O(m1 + m2) and O(mult) terms.  `trace-sing 100000 99999
+# the fiber trace build O(m1 + m2) and O(mult) terms.  `trace-sing 100000 99999
 # 100001` takes 0.35 s and 64 MB on a 2-vCPU Xeon VM; 10^8 would need tens of GB.
 MAX_MULTIPLICITY = 10**5
 

@@ -129,13 +129,6 @@ def edge_blocks(m1: int, m2: int, mu1: int, mu_last: int) -> list[tuple[int, lis
     ]
 
 
-def vertex_block(mult: int, genus: int, self_int: int) -> tuple[int, list[int]]:
-    """Trace contribution of one fiber component fixed pointwise by the
-    action, as the block over mult with coefficient
-    (mult - k) * C^2 + 1 - genus at k/mult."""
-    return mult, [(mult - k) * self_int + 1 - genus for k in range(mult)]
-
-
 def block_sum(blocks, lcm: int) -> dict[int, int]:
     """The sum of the blocks in Z[(1/lcm)Z/Z], every block's m dividing
     lcm: j -> c stands for c times [j/lcm], 0 <= j < lcm."""

@@ -4,9 +4,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fibertrace.arith import mod_inverse
+from fibertrace.errors import NonIntegralSelfIntersection
 from fibertrace.exactalg import CyclotomicNumber, GroupRingElement
-from fibertrace.resolution import ResolutionData
-from fibertrace.singtrace import edge_blocks
+from fibertrace.resolution import ResolutionData, Singularity, chain_ends
+from fibertrace.singtrace import block_sum, edge_blocks
 
 
 def universal_polys(res: ResolutionData) -> list[int]:
@@ -37,6 +38,51 @@ def vertex_term(mult: int, genus: int, self_int: int, n: int) -> GroupRingElemen
     for k in range(mult):
         buf[k * step % n] += (mult - k) * self_int + 1 - genus
     return GroupRingElement(n, buf)
+
+
+def vertex_block(mult: int, genus: int, self_int: int) -> tuple[int, list[int]]:
+    """Trace contribution of one fiber component fixed pointwise by the
+    action, as the block over mult with coefficient
+    (mult - k) * C^2 + 1 - genus at k/mult."""
+    return mult, [(mult - k) * self_int + 1 - genus for k in range(mult)]
+
+
+def per_edge_trace(g, n: int) -> tuple[dict[str, int], dict[int, int]]:
+    """The total trace at degree n by the per-edge block route: one
+    Singularity (m1, m2, n) per edge, m1 the multiplicity of the larger
+    endpoint id, its chain ends and closed-form edge blocks, then one
+    vertex block per vertex from its self-intersection on the resolved
+    surface, all summed in Z[(1/L)Z/Z], L the multiplicity lcm.  Returns
+    the self-intersections by id and the trace.
+
+    The end of a chain on the m2 branch has multiplicity mu_1, the end on
+    the m1 branch mu_L; a loop gives both ends to its vertex.  A vertex
+    whose chain ends do not sum to a multiple of its multiplicity raises
+    NonIntegralSelfIntersection, the smallest such id first."""
+    mult = {v.id: v.mult for v in g.vertices}
+    ends = dict.fromkeys(mult, 0)
+    blocks = []
+    for lo, hi in g.edges:  # lo <= hi
+        sing = Singularity(mult[hi], mult[lo], n)
+        mu1, mu_last = chain_ends(sing)
+        ends[lo] += mu1
+        ends[hi] += mu_last
+        blocks += edge_blocks(sing.m1, sing.m2, mu1, mu_last)
+    si = {}
+    for v in g.vertices:
+        if ends[v.id] % v.mult:
+            raise NonIntegralSelfIntersection(
+                f"vertex {v.id}: chain ends sum to {ends[v.id]}, not a multiple of mult {v.mult}")
+        si[v.id] = -(ends[v.id] // v.mult)
+    blocks += [vertex_block(v.mult, v.genus, si[v.id]) for v in g.vertices]
+    return si, block_sum(blocks, g.mult_lcm)
+
+
+def self_intersections(g, n: int) -> dict[str, int]:
+    """Self-intersection of each component on the resolved degree-n
+    surface: minus the sum of its chain ends, divided by its multiplicity;
+    0 for an isolated vertex."""
+    return per_edge_trace(g, n)[0]
 
 
 def schoolbook(a, b) -> list[int]:

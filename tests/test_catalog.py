@@ -2,12 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from reference import self_intersections
 from test_fiber import adjunction_genus
 
 from fibertrace import catalog
 from fibertrace.catalog import FiberTypeId, catalog_ids, lookup
 from fibertrace.errors import BadInput, UnknownType
-from fibertrace.fiber import self_intersections
 from fibertrace.jumps import JumpOptions, compute_jumps
 
 

@@ -124,20 +124,51 @@ def long_chain(tmp_path, top):
     return path
 
 
-def test_long_chain_answers_jumps_but_not_character(tmp_path, capsys):
+def test_long_chain_answers_jumps_and_character(tmp_path, capsys):
     # the chain 1 - 800 - ... - 2 - 1 (35 KB) has no principal component, so
-    # jumps builds one term; the block route at a degree needs 962,000 block
-    # terms, and building them took about 1.2 s (2-vCPU Xeon VM)
+    # its trace is one term at every degree; the per-edge block route would
+    # build 962,000 block terms there
     path = long_chain(tmp_path, 800)
     start = time.perf_counter()
     code, out, err = run(capsys, "jumps", "--graph", str(path), "--machine")
     assert time.perf_counter() - start < 0.5
     assert (code, out, err) == (0, "", "")
-    start = time.perf_counter()
-    code, out, err = run(capsys, "character", "--graph", str(path), "--n", "1009")
-    assert time.perf_counter() - start < 0.5
-    assert code == 2 and not out
-    assert "BadInput: the trace would build 962000 block terms, more than MAX_BLOCK_TERMS" in err
+    for verb, want in (("character", "n=1009\ngenus=0\n"), ("trace-fiber", "tr 0 1\n")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, "--graph", str(path), "--n", "1009")
+        assert time.perf_counter() - start < 0.5
+        assert code == 0 and not err
+        assert out.endswith(want), verb
+        assert "char " not in out
+
+
+def test_character_of_a_curve_with_many_tails(tmp_path, capsys):
+    # a multiplicity-1000 curve with 1000 reduced tails: the trace has one
+    # row of 1000 classes and the end pair (1000, 1), 2000 terms, where
+    # counting each component's neighbours would make it 1,001,000; the limit
+    # character is 999 - k at each class k/1000, k = 1..998, which degree n
+    # moves to the class (k n mod 1000)/1000
+    path = tmp_path / "tails.fg"
+    path.write_text("vertex c genus=0 mult=1000\n"
+                    + "".join(f"vertex t{i} genus=0 mult=1\nedge c t{i}\n" for i in range(1000)),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "character", "--graph", str(path), "--n", "1009", "--machine")
+    assert code == 0 and not err
+    inverse = pow(1000, -1, 1009)
+    want = sorted((k * 1009 % 1000 * inverse % 1009, 999 - k) for k in range(1, 999))
+    assert out == "".join(f"char {e} {c}\n" for e, c in want)
+
+
+def test_integrality_message_on_every_verb(tmp_path, capsys):
+    # a double curve meeting a reduced one once is refused in the same words
+    # by every verb that reads a graph
+    path = tmp_path / "half.fg"
+    path.write_text("vertex a genus=0 mult=2\nvertex b genus=0 mult=1\nedge a b\n",
+                    encoding="utf-8")
+    want = ("fibertrace: NonIntegralSelfIntersection: vertex a: neighbour multiplicities "
+            "sum to 1, not a multiple of mult 2; not a valid fiber\n")
+    for argv in (["jumps"], ["character", "--n", "5"], ["trace-fiber", "--n", "5"]):
+        assert run(capsys, *argv, "--graph", str(path)) == (2, "", want), argv
 
 
 def test_jumps_on_the_1000_chain(tmp_path, capsys):

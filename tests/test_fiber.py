@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fibertrace import cli, fiber, jumps, resolution, singtrace
+from fibertrace import cli, fiber, resolution, singtrace
 from fibertrace.arith import mod_inverse
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import (
@@ -18,16 +18,17 @@ from fibertrace.errors import (
 from fibertrace.exactalg import GroupRingElement
 from fibertrace.fiber import (
     FiberGraph,
+    character_terms,
     h1_character,
     parse_graph,
     rational_trace,
-    self_intersections,
     total_trace,
 )
 from fibertrace.jumps import JumpOptions, compute_jumps
 from fibertrace.resolution import Singularity, resolve
-from fibertrace.singtrace import trace_polynomial
-from reference import vertex_term
+from fibertrace.singtrace import at_degree, trace_polynomial
+from reference import per_edge_trace, self_intersections, vertex_term
+from test_graph_layer import graph_lines
 
 
 def decreasing_chain(top):
@@ -189,6 +190,8 @@ class TestParse:
 
 
 class TestSelfIntersections:
+    """The self-intersections of the per-edge reference route."""
+
     def test_kodaira_iv_center(self):
         g = parse_graph(KODAIRA_IV)
         for n in (7, 13):  # degrees congruent to 1 mod 3
@@ -212,13 +215,15 @@ class TestSelfIntersections:
     def test_non_integral_rejected(self):
         # a double curve meeting the rest of the fiber once, reduced
         g = FiberGraph.build([("a", 0, 2), ("b", 0, 1)], [("a", "b")])
-        with pytest.raises(NonIntegralSelfIntersection):
-            self_intersections(g, 5)
+        for route in (self_intersections, rational_trace):
+            with pytest.raises(NonIntegralSelfIntersection, match="^vertex a: "):
+                route(g, 5)
 
     def test_degree_must_be_coprime(self):
         g = parse_graph(KODAIRA_IV)
-        with pytest.raises(BadInput):
-            self_intersections(g, 6)
+        for route in (self_intersections, rational_trace):
+            with pytest.raises(BadInput):
+                route(g, 6)
 
 
 class TestTotalTrace:
@@ -519,31 +524,6 @@ def star_fiber(rng):
     return FiberGraph.build(vertices, edges)
 
 
-def per_edge_trace(g: FiberGraph, n: int):
-    """Reference for the class-counted trace: one Singularity, one
-    chain_ends call and one edge_blocks triple per edge, one vertex block
-    per vertex, all summed by block_sum.  Returns the self-intersections
-    and the rational trace; raises NonIntegralSelfIntersection with the id
-    of the first vertex, in sorted order, whose chain ends do not divide."""
-    mult = {v.id: v.mult for v in g.vertices}
-    ends = dict.fromkeys(mult, 0)
-    blocks = []
-    for a, b in g.edges:
-        lo, hi = sorted((a, b))
-        sing = Singularity(mult[hi], mult[lo], n)
-        mu1, mu_last = resolution.chain_ends(sing)
-        ends[lo] += mu1
-        ends[hi] += mu_last
-        blocks += singtrace.edge_blocks(sing.m1, sing.m2, mu1, mu_last)
-    si = {}
-    for v in g.vertices:
-        if ends[v.id] % v.mult:
-            raise NonIntegralSelfIntersection(v.id)
-        si[v.id] = -(ends[v.id] // v.mult)
-    blocks += [singtrace.vertex_block(v.mult, v.genus, si[v.id]) for v in g.vertices]
-    return si, singtrace.block_sum(blocks, g.mult_lcm)
-
-
 def relabel(g: FiberGraph, rng: random.Random):
     """The graph with its ids permuted at random, so that the sorted order
     of the endpoints, and with it which endpoint carries the m1 branch,
@@ -555,19 +535,18 @@ def relabel(g: FiberGraph, rng: random.Random):
 
 
 def matches_per_edge(g: FiberGraph, n: int) -> bool:
-    """rational_trace and self_intersections equal the per-edge reference,
-    or both refuse the same vertex, and the genus of the reference trace is
+    """rational_trace has the nonzero terms of the per-edge reference, or
+    both refuse the same vertex, and the genus of the reference trace is
     the adjunction genus; True when a trace was compared."""
     try:
-        want_si, want_trace = per_edge_trace(g, n)
+        _, want_trace = per_edge_trace(g, n)
     except NonIntegralSelfIntersection as exc:
-        for route in (rational_trace, self_intersections):
-            match = f"^vertex {re.escape(str(exc))}: "
-            with pytest.raises(NonIntegralSelfIntersection, match=match):
-                route(g, n)
+        vid = re.escape(str(exc).split(":")[0])
+        with pytest.raises(NonIntegralSelfIntersection,
+                           match=f"^{vid}: neighbour multiplicities sum to "):
+            rational_trace(g, n)
         return False
-    assert self_intersections(g, n) == want_si, (g, n)
-    assert rational_trace(g, n) == want_trace, (g, n)
+    assert rational_trace(g, n) == {j: c for j, c in want_trace.items() if c}, (g, n)
     # so the genus check that compute_jumps makes first refuses no valid fiber
     assert 1 - sum(want_trace.values()) == g.adjunction_genus(), (g, n)
     return True
@@ -595,8 +574,10 @@ def random_multigraph(rng: random.Random) -> FiberGraph:
 
 
 class TestClassCountedTrace:
-    """rational_trace builds each distinct edge and vertex block once and
-    scales it by its count; the per-edge block sum is the reference."""
+    """rational_trace builds the limit trace once per row of principal
+    multiplicity and per distinct end pair, and moves it to the degree;
+    the per-edge block route of the reference is its oracle at every
+    degree, below the multiplicity lcm and above it."""
 
     @pytest.mark.parametrize("cid", CATALOG)
     def test_catalog(self, cid):
@@ -610,12 +591,10 @@ class TestClassCountedTrace:
                   for _ in range(60)]
         graphs += [star_fiber(rng) for _ in range(60)]
         for g in graphs:
-            moved, names = relabel(g, rng)
+            moved, _ = relabel(g, rng)
             for n in degrees_around_lcm(g, rng):
                 assert matches_per_edge(g, n) and matches_per_edge(moved, n), (g, n)
                 assert rational_trace(moved, n) == rational_trace(g, n)
-                si = self_intersections(g, n)
-                assert self_intersections(moved, n) == {names[v]: c for v, c in si.items()}
 
     def test_random_multigraphs(self):
         rng = random.Random(12)
@@ -631,61 +610,87 @@ class TestClassCountedTrace:
         assert compared > 300 and flipped > 200, (compared, flipped)
 
     def test_block_term_bound(self, monkeypatch):
-        # the chain 1 - 4 - 3 - 2 - 1: the edge pairs (4, 1), (4, 3), (3, 2)
-        # and (2, 1) build 6 + 8 + 6 + 4 terms, and the vertex classes of
-        # mult 4, 3, 2 and 1 (both ends have self-intersection -1) 10 more
-        g = parse_graph(decreasing_chain(4))
-        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 34)
-        assert h1_character(g, 1009).total == 0
-        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 33)
-
-        def refuse(*args):
-            raise AssertionError("a block was built past MAX_BLOCK_TERMS")
-
-        monkeypatch.setattr(fiber, "vertex_block", refuse)
-        monkeypatch.setattr(fiber, "edge_blocks", refuse)
-        with pytest.raises(BadInput, match="build 34 block terms, more than MAX_BLOCK_TERMS = 33"):
-            total_trace(g, 1009)
-        # compute_jumps builds no block: the chain has no principal component
-        assert compute_jumps(g).jumps == ()
+        # one count serves every verb: ogg:4 has one row, m = 4, with the
+        # distinct end pairs (4, 3), (4, 2) and (4, 1), so 4 * (3 + 1) = 16
+        # terms, and its arms cancel; the chain 1 - 4 - 3 - 2 - 1 has no
+        # principal component and nets to (1/1)Z/Z, one term
+        for g, work in ((lookup(FiberTypeId.parse("ogg:4")), 16),
+                        (parse_graph(decreasing_chain(4)), 1)):
+            monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", work)
+            compute_jumps(g)
+            for n in (5, 1009):
+                h1_character(g, n)
+            monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", work - 1)
+            match = f"build {work} block terms, more than MAX_BLOCK_TERMS = {work - 1}$"
+            for run in (compute_jumps, lambda g: total_trace(g, 5),
+                        lambda g: h1_character(g, 1009)):
+                with pytest.raises(BadInput, match=match):
+                    run(g)
 
     def test_catalog_far_below_block_term_bound(self, monkeypatch):
         monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 100)
-        monkeypatch.setattr(jumps, "MAX_BLOCK_TERMS", 100)
         for cid in CATALOG + ["kodaira:In:10000", "kodaira:In*:10000"]:
             g = lookup(FiberTypeId.parse(cid))
             compute_jumps(g)
             total_trace(g, 1009)
 
     def test_work_per_class_not_per_edge(self, monkeypatch):
-        # In*:1000 has 1004 edges and 1005 vertices but two edge classes,
-        # (2, 2) and (2, 1), and two vertex classes, (2, 0, -2) and (1, 0, -1);
-        # compute_jumps calls neither chain_ends nor vertex_block
-        calls = {"chain_ends": [], "vertex_block": []}
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name].append(args)
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(fiber, "chain_ends", counting("chain_ends", resolution.chain_ends))
-        monkeypatch.setattr(fiber, "vertex_block", counting("vertex_block", singtrace.vertex_block))
+        # In*:1000 has 1004 edges and 1005 vertices, but one row, m = 2, with
+        # the end pairs (2, 1) and (2, 2), so 2 * (2 + 1) = 6 terms, and a
+        # bridge of gcd 2 netting to -(1/2)Z/Z, 2 terms more
         g = lookup(FiberTypeId.parse("kodaira:In*:1000"))
         assert (len(g.edges), len(g.vertices)) == (1004, 1005)
+        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 8)
         assert compute_jumps(g).jumps == (Fraction(1, 2),)
-        assert calls == {"chain_ends": [], "vertex_block": []}
         assert h1_character(g, 1009).exponents == ((505, 1),)
-        pairs = [(sing.m1, sing.m2) for (sing,) in calls["chain_ends"]]
-        assert sorted(pairs) == [(2, 1), (2, 2)]
-        assert sorted(calls["vertex_block"]) == [(1, 0, -1), (2, 0, -2)]
+        assert h1_character(g, 3).exponents == ((2, 1),)
+        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 7)
+        with pytest.raises(BadInput, match="build 8 block terms"):
+            h1_character(g, 1009)
+
+    def test_fiber_verbs_take_no_block_route(self, monkeypatch, tmp_path, capsys):
+        # with the chain ends and the block arithmetic made to raise, the
+        # trace, the character and both verbs still answer on each side of
+        # the multiplicity lcm, with the reference's answers
+        rng = random.Random(15)
+        graphs = [lookup(FiberTypeId.parse(cid)) for cid in CATALOG]
+        graphs += [blow_up(lookup(FiberTypeId.parse(rng.choice(CATALOG))), rng,
+                           rng.randint(1, 4)) for _ in range(20)]
+        cases = []
+        for i, g in enumerate(graphs):
+            path = tmp_path / f"g{i}.fg"
+            vertices, edges = graph_lines(g)
+            path.write_text("\n".join(vertices + edges) + "\n", encoding="utf-8")
+            for n in degrees_around_lcm(g, rng):
+                want = at_degree(per_edge_trace(g, n)[1], g.mult_lcm, n)
+                cases.append((g, path, n, want))
+
+        def refuse(*args):
+            raise AssertionError("a fiber trace reached the block route")
+
+        for module, name in ((resolution, "chain_ends"), (singtrace, "chain_ends"),
+                             (singtrace, "edge_blocks"), (singtrace, "block_sum"),
+                             (fiber, "chain_ends"), (fiber, "edge_blocks"),
+                             (fiber, "block_sum"), (fiber, "vertex_block")):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+        capsys.readouterr()
+        for g, path, n, want in cases:
+            assert total_trace(g, n) == want, (g, n)
+            chars = character_terms(want.terms)
+            assert h1_character(g, n).exponents == chars, (g, n)
+            for verb, lines in (("trace-fiber", [f"tr {e} {c}" for e, c in want.items()]),
+                                ("character", [f"char {e} {c}" for e, c in chars])):
+                argv = [verb, "--graph", str(path), "--n", str(n), "--machine"]
+                assert cli.main(argv) == 0, argv
+                assert capsys.readouterr().out.splitlines() == lines, argv
 
 
 def test_integrality_does_not_depend_on_the_degree():
     # a vertex's chain ends sum to a multiple of its multiplicity exactly when
     # its neighbours' multiplicities do (a loop counting the vertex twice), at
-    # every admissible degree alike; the error names the smallest failing id,
-    # which relabelling moves away from the first failing vertex in input order
+    # every admissible degree alike; the reference route and rational_trace
+    # both name the smallest failing id, which relabelling moves away from the
+    # first failing vertex in input order
     rng = random.Random(14)
     raised = several = 0
     for _ in range(300):
@@ -699,11 +704,13 @@ def test_integrality_does_not_depend_on_the_degree():
         degrees = [n for n in range(2, 200) if math.gcd(n, g.mult_lcm) == 1][:25]
         degrees += [n for n in (1009, 10007) if math.gcd(n, g.mult_lcm) == 1]
         for n in degrees:
-            if failing:
-                with pytest.raises(NonIntegralSelfIntersection, match=f"^vertex {failing[0]}: "):
-                    self_intersections(g, n)
-            else:
-                self_intersections(g, n)
+            for route in (self_intersections, rational_trace):
+                if failing:
+                    with pytest.raises(NonIntegralSelfIntersection,
+                                       match=f"^vertex {failing[0]}: "):
+                        route(g, n)
+                else:
+                    route(g, n)
         raised += bool(failing)
         several += len(failing) > 1
     assert 50 < raised < 250 and several > 50, (raised, several)

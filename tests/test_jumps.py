@@ -16,16 +16,15 @@ from fibertrace.errors import (
     NonIntegralSelfIntersection,
     ValidationError,
 )
-from fibertrace.fiber import FiberGraph, h1_character, parse_graph, rational_trace
-from fibertrace.jumps import (
-    JumpOptions,
-    JumpSet,
-    compute_jumps,
+from fibertrace.fiber import (
+    FiberGraph,
+    h1_character,
     limit_trace,
+    parse_graph,
     principal_components,
-    principal_lcm,
 )
-from reference import acampo_spectrum
+from fibertrace.jumps import JumpOptions, JumpSet, compute_jumps, principal_lcm
+from reference import acampo_spectrum, per_edge_trace
 from test_catalog import table_entries
 from test_fiber import (
     CATALOG,
@@ -350,11 +349,12 @@ def limit_degrees(g):
 
 
 def matches_block_route(g, n):
-    """limit_trace equals rational_trace at the degree n = 1 (mod L), or both
-    refuse the same vertex for integrality; True when a trace was compared."""
+    """limit_trace has the nonzero terms of the per-edge reference route at
+    the degree n = 1 (mod L), or both refuse the same vertex for
+    integrality; True when a trace was compared."""
     principal = principal_components(g)
     try:
-        want = rational_trace(g, n)
+        _, want = per_edge_trace(g, n)
     except NonIntegralSelfIntersection as exc:
         vid = re.escape(str(exc).split(":")[0])
         with pytest.raises(NonIntegralSelfIntersection,
@@ -380,8 +380,9 @@ def two_cusps(bridge):
 
 
 class TestLimitTrace:
-    """limit_trace reads the trace at n = 1 (mod L) off the graph; the block
-    route, rational_trace with its chain ends, is its oracle there."""
+    """limit_trace reads the trace at n = 1 (mod L) off the graph; the
+    reference's per-edge block route, with its chain ends, is its oracle
+    there."""
 
     @pytest.mark.parametrize("cid", CATALOG + ["kodaira:In:100", "kodaira:In*:100"])
     def test_catalog(self, cid):
@@ -429,42 +430,63 @@ class TestLimitTrace:
                 assert matches_block_route(g, limit_degrees(g)[0]), g
 
     def test_arms_and_bridges_cost_nothing(self, monkeypatch):
-        # the work is m (deg + 1) per principal class plus d per net count:
-        # kodaira:II* has one principal class (6, 0, (3, 4, 5)), and its arms
-        # cancel; In*:1000 has 1004 edges, one principal class (2, 0, (1, 1, 2))
+        # the work is m per row of principal multiplicity m and per distinct
+        # end pair (m, m_w), plus d per net count: kodaira:II* has the row 6
+        # with the pairs (6, 3), (6, 4) and (6, 5), and its arms cancel;
+        # In*:1000 has 1004 edges, the row 2 with the pairs (2, 1) and (2, 2),
         # and a bridge of gcd 2; the chain 1 - 5000 - ... - 2 - 1 has no
         # principal component and nets to (1/1)Z/Z
-        for cid, work in (("kodaira:II*", 24), ("kodaira:In*:1000", 10)):
-            monkeypatch.setattr(jumps, "MAX_BLOCK_TERMS", work)
+        for cid, work in (("kodaira:II*", 24), ("kodaira:In*:1000", 8)):
+            monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", work)
             compute_jumps(cat(cid))
-            monkeypatch.setattr(jumps, "MAX_BLOCK_TERMS", work - 1)
+            monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", work - 1)
             with pytest.raises(BadInput, match=f"build {work} block terms, more than "
                                                f"MAX_BLOCK_TERMS = {work - 1}$"):
                 compute_jumps(cat(cid))
-        monkeypatch.setattr(jumps, "MAX_BLOCK_TERMS", 1)
+        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 1)
         g = parse_graph(decreasing_chain(5000))
         assert principal_components(g) == [] and limit_trace(g, []) == {0: 1}
 
-    def test_work_bound_before_any_term(self):
-        # two genus-0 curves of multiplicity 99,991 meeting each other, each
-        # with two arms down to a reduced tail: 899,919 terms, about 1 s to
-        # build (2-vCPU Xeon VM), while the genus, 99,990, passes MAX_GENUS
+    def test_work_bound_before_any_term(self, monkeypatch):
+        # two genus-0 curves c and d meeting each other, each with two arms
+        # down to a reduced tail, the first multiplicities of the arms
+        # making every self-intersection integral; the rows of c and d have
+        # three distinct end pairs each, and the edge between them, of gcd
+        # 1 when their multiplicities differ, nets to -(1/1)Z/Z
+        def two_centers(mc, md, arms_c, arms_d):
+            vertices, edges = [("c", 0, mc), ("d", 0, md)], [("c", "d")]
+            for center, m, firsts in (("c", mc, arms_c), ("d", md, arms_d)):
+                for arm, a in enumerate(firsts):
+                    prev, cur, here = m, a, center
+                    while cur:
+                        vid = f"{center}{arm}.{len(vertices)}"
+                        vertices.append((vid, 0, cur))
+                        edges.append((here, vid))
+                        prev, cur, here = cur, -prev % cur, vid
+            return FiberGraph.build(vertices, edges)
+
+        # equal multiplicities 99,991: c and d share the row 99,991, with five
+        # distinct end pairs, and the edge c - d nets to -(1/99,991)Z/Z, so
+        # 99,991 * (5 + 1) + 99,991 = 699,937 terms, under the bound
         m = 99991
-        vertices, edges = [("c", 0, m), ("d", 0, m)], [("c", "d")]
-        for center, first in (("c", 1944), ("d", 1949)):
-            for arm, a in enumerate((first, m - first)):
-                prev, cur, here = m, a, center
-                while cur:
-                    vid = f"{center}{arm}.{len(vertices)}"
-                    vertices.append((vid, 0, cur))
-                    edges.append((here, vid))
-                    prev, cur, here = cur, -prev % cur, vid
-        g = FiberGraph.build(vertices, edges)
+        g = two_centers(m, m, (1944, m - 1944), (1949, m - 1949))
         assert g.adjunction_genus() == 99990 <= jumps.MAX_GENUS
-        start = time.perf_counter()
-        with pytest.raises(BadInput, match="build 899919 block terms, more than MAX_BLOCK_TERMS"):
+        assert h1_character(g, 1009).total == 99990
+        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 699936)
+        with pytest.raises(BadInput, match="build 699937 block terms"):
             compute_jumps(g)
-        assert time.perf_counter() - start < 0.2
+        monkeypatch.undo()
+        # multiplicities 99,991 and 99,989: 4 * (99,991 + 99,989) + 1 = 799,921
+        # terms, while the genus, 99,989, passes MAX_GENUS; building them
+        # would take about 1 s (2-vCPU Xeon VM)
+        mc, md = 99991, 99989
+        g = two_centers(mc, md, (1944, mc + 2 - 1944), (1949, md - 2 - 1949))
+        assert g.adjunction_genus() == 99989 <= jumps.MAX_GENUS
+        for run in (compute_jumps, lambda g: h1_character(g, 1009)):
+            start = time.perf_counter()
+            with pytest.raises(BadInput, match="build 799921 block terms, more than MAX_BLOCK_TERMS"):
+                run(g)
+            assert time.perf_counter() - start < 0.2
 
     def test_no_block_route(self, monkeypatch):
         # compute_jumps reads the graph alone: no chain end, no block
@@ -477,11 +499,9 @@ class TestLimitTrace:
         def refuse(*args):
             raise AssertionError("compute_jumps reached the block route")
 
-        for module, name in ((fiber, "chain_ends"), (fiber, "edge_blocks"),
-                             (fiber, "vertex_block"), (fiber, "block_sum"),
-                             (resolution, "chain_ends"), (singtrace, "chain_ends"),
-                             (singtrace, "edge_blocks"), (singtrace, "vertex_block"),
-                             (singtrace, "block_sum"), (fiber, "rational_trace")):
+        for module, name in ((resolution, "chain_ends"), (singtrace, "chain_ends"),
+                             (singtrace, "edge_blocks"), (singtrace, "block_sum"),
+                             (fiber, "rational_trace")):
             monkeypatch.setattr(module, name, refuse)
         assert [compute_jumps(g) for g in graphs] == want
 

@@ -16,7 +16,7 @@ from fibertrace.singtrace import (
     trace_oracle,
     trace_polynomial,
 )
-from reference import closed_form_coefficients, vertex_term
+from reference import closed_form_coefficients, vertex_block, vertex_term
 
 
 def G(n, d):
@@ -298,8 +298,8 @@ class TestOracle:
 
 
 def vertex_block_at(mult, genus, self_int, n):
-    """The production vertex block at degree n, as rational_trace sums it."""
-    m, coeffs = singtrace.vertex_block(mult, genus, self_int)
+    """The reference route's vertex block at degree n."""
+    m, coeffs = vertex_block(mult, genus, self_int)
     return singtrace.at_degree(singtrace.block_sum([(m, coeffs)], m), m, n)
 
 

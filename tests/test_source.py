@@ -61,6 +61,26 @@ def test_jumps_read_the_graph_alone():
     assert not imported & {"resolution", "singtrace"}, sorted(imported)
 
 
+def test_fiber_trace_reads_the_graph_alone():
+    # the fiber trace at any degree is the limit trace moved to its class,
+    # so fiber.py names no chain end, singularity or block arithmetic
+    [path] = [path for path in SOURCES if path.name == "fiber.py"]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+    assert "limit_trace" in names
+    block_route = {"chain_ends", "Singularity", "edge_blocks", "block_sum", "vertex_block",
+                   "_edge_pass", "self_intersections"}
+    assert not names & block_route, sorted(names & block_route)
+
+
 def test_every_definition_is_used():
     # a function, method or class that no package module and no benchmark
     # script refers to, and that is not exported, only exists for itself
