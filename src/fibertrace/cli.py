@@ -27,46 +27,55 @@ class _Parser(argparse.ArgumentParser):
 
 # Built on the first main call, not at import, and then reused: argparse
 # keeps no state between parse_args calls, and usage, errors and help look up
-# sys.stdout and sys.stderr when they print.
+# sys.stdout and sys.stderr when they print.  Returns the top-level parser
+# and the parser of each verb by name.  When argv starts with a verb, main
+# hands the rest straight to that verb's parser: the top-level pass would
+# scan every token only to pass the same tokens on.  The top-level parser
+# still takes every other argv, and reports tokens the verb leaves over.
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = _Parser(prog="fibertrace", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="verb", required=True)
+    verbs = {}
+
+    def add_verb(name, help):
+        verbs[name] = sp = sub.add_parser(name, help=help)
+        return sp
 
     def add_graph_source(sp):
         sp.add_argument("--graph", metavar="PATH", help="graph file to read")
         sp.add_argument("--catalog", metavar="ID", help="built-in fiber type, e.g. kodaira:IV")
 
-    sp = sub.add_parser("resolve", help="resolution data of a singularity (m1, m2, n)")
+    sp = add_verb("resolve", "resolution data of a singularity (m1, m2, n)")
     sp.add_argument("m1", type=int)
     sp.add_argument("m2", type=int)
     sp.add_argument("n", type=int)
     sp.add_argument("--machine", action="store_true")
 
-    sp = sub.add_parser("trace-sing", help="trace polynomial of a singularity (m1, m2, n)")
+    sp = add_verb("trace-sing", "trace polynomial of a singularity (m1, m2, n)")
     sp.add_argument("m1", type=int)
     sp.add_argument("m2", type=int)
     sp.add_argument("n", type=int)
     sp.add_argument("--machine", action="store_true")
 
-    sp = sub.add_parser("trace-fiber", help="total trace of a fiber graph at degree n")
+    sp = add_verb("trace-fiber", "total trace of a fiber graph at degree n")
     add_graph_source(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--machine", action="store_true")
 
-    sp = sub.add_parser("character", help="H^1 character multiset at degree n")
+    sp = add_verb("character", "H^1 character multiset at degree n")
     add_graph_source(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--machine", action="store_true")
 
-    sp = sub.add_parser("jumps", help="filtration jumps of a fiber graph")
+    sp = add_verb("jumps", "filtration jumps of a fiber graph")
     add_graph_source(sp)
     sp.add_argument("--n-min", type=int, default=1000, dest="n_min")
     sp.add_argument("--sweeps", type=int, default=3)
     sp.add_argument("--machine", action="store_true")
 
-    sub.add_parser("catalog-list", help="list built-in fiber types")
-    return p
+    add_verb("catalog-list", "list built-in fiber types")
+    return p, verbs
 
 
 def _load_graph(parser: _Parser, args) -> FiberGraph:
@@ -134,9 +143,17 @@ def _run(parser: _Parser, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, verbs = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        verb = verbs.get(argv[0]) if argv else None
+        if verb is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = verb.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.verb = argv[0]
         return _run(parser, args)
     except SystemExit as exc:  # argparse usage errors and --help
         return exc.code if isinstance(exc.code, int) else 1

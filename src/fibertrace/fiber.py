@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, mod, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -42,10 +42,10 @@ from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.
 from .singtrace import at_degree
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
-# more than one past it.  At the bound, jumps takes about 0.12 s on a cycle
-# of 20,833 reduced curves with five-digit ids and 0.15 s on two reduced
-# curves meeting 111,105 times (which exits at MAX_GENUS before any trace is
-# built), on a 2-vCPU Xeon VM.
+# more than one past it.  At the bound, one jumps call takes 0.11-0.12 s on
+# a cycle of 20,833 reduced curves with five-digit ids and 0.13-0.19 s on
+# two reduced curves meeting 111,105 times (which exits at MAX_GENUS before
+# any trace is built), on a 2-vCPU Xeon VM.
 MAX_GRAPH_CHARS = 10**6
 
 # Most block terms limit_trace builds, counted before any is built: m per row
@@ -54,8 +54,9 @@ MAX_GRAPH_CHARS = 10**6
 # jumps, character and trace-fiber meet the bound on the same fibers.  Near
 # it the slowest shape found, two meeting genus-0 curves of multiplicities
 # 93,749 and 93,747, each with two arms down to a reduced tail (749,985
-# terms, genus 93,747), takes 0.7-0.9 s in jumps and 0.5-0.7 s in character
-# on a 2-vCPU Xeon VM.  Every catalog entry needs fewer than 100 terms.
+# terms, genus 93,747), takes 0.6-0.8 s in compute_jumps, 1.1-1.2 s for the
+# whole jumps call with its 93,747 lines, and 0.6 s in character on a
+# 2-vCPU Xeon VM.  Every catalog entry needs fewer than 100 terms.
 MAX_BLOCK_TERMS = 750_000
 
 
@@ -282,12 +283,12 @@ def limit_trace(g: FiberGraph, principal: list[int]) -> dict[int, int]:
     mults, genera = g.mults, g.genera
     around = [0] * len(mults)  # neighbour multiplicity sum by position
     constants: dict[int, int] = {}  # principal multiplicity m -> sum of 1 - g_v
-    rows: dict[int, Counter] = {}  # m -> the ends at its components, by m_w
-    ends: list[Counter | None] = [None] * len(mults)  # by position, principal only
+    rows: dict[int, dict[int, int]] = {}  # m -> the ends at its components, count by m_w
+    ends: list[dict | None] = [None] * len(mults)  # by position, principal only
     for i in principal:
         m = mults[i]
         if m not in rows:
-            constants[m], rows[m] = 0, Counter()
+            constants[m], rows[m] = 0, {}
         constants[m] += 1 - genera[i]
         ends[i] = rows[m]
     for lo, hi in g.pairs:
@@ -295,11 +296,11 @@ def limit_trace(g: FiberGraph, principal: list[int]) -> dict[int, int]:
         b = mults[hi]
         around[lo] += b
         around[hi] += a
-        if ends[lo] is not None:
-            ends[lo][b] += 1
-        if ends[hi] is not None:
-            ends[hi][a] += 1
-    if any(total % m for total, m in zip(around, mults)):
+        if (counts := ends[lo]) is not None:
+            counts[b] = counts.get(b, 0) + 1
+        if (counts := ends[hi]) is not None:
+            counts[a] = counts.get(a, 0) + 1
+    if any(map(mod, around, mults)):
         vid, total, m = min(row for row in zip(g.ids, around, mults) if row[1] % row[2])
         raise NonIntegralSelfIntersection(
             f"vertex {vid}: neighbour multiplicities sum to {total}, "
@@ -323,15 +324,14 @@ def limit_trace(g: FiberGraph, principal: list[int]) -> dict[int, int]:
     lcm = g.mult_lcm
     acc: dict[int, int] = {}
     for m, counts in rows.items():
-        step = lcm // m
-        constant, by_w = constants[m], list(counts.items())
-        for k in range(m):
-            value = constant - sum(c * (-k * w % m) for w, c in by_w) // m
-            acc[step * k] = acc.get(step * k, 0) + value
+        row = [m * constants[m]] * m  # m times each class k/m
+        for w, c in counts.items():
+            row = list(map(sub, row, [c * (-k * w % m) for k in range(m)]))
+        for j, value in zip(range(0, lcm, lcm // m), row):
+            acc[j] = acc.get(j, 0) + value // m
     for d, count in net.items():
-        step = lcm // d
-        for k in range(d):
-            acc[step * k] = acc.get(step * k, 0) + count
+        for j in range(0, lcm, lcm // d):
+            acc[j] = acc.get(j, 0) + count
     return acc
 
 

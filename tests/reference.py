@@ -1,10 +1,12 @@
 """Reference arithmetic that only the tests use, kept out of the package."""
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
+from fibertrace import cli
 from fibertrace.arith import mod_inverse
-from fibertrace.errors import NonIntegralSelfIntersection
+from fibertrace.errors import FibertraceError, NonIntegralSelfIntersection
 from fibertrace.exactalg import CyclotomicNumber, GroupRingElement
 from fibertrace.resolution import ResolutionData, Singularity, chain_ends
 from fibertrace.singtrace import block_sum, edge_blocks
@@ -148,3 +150,20 @@ def acampo_spectrum(g) -> dict:
             x = Fraction(k, m)
             spectrum[x] = spectrum.get(x, 0) + 2 * genus - 2 + d
     return {x: c for x, c in spectrum.items() if c}
+
+
+def two_pass_main(argv) -> int:
+    """``cli.main`` by the two-level parse: the top-level parser reads the
+    whole argv and hands the tokens after the verb to the verb's parser,
+    then the verb runs; the same exit codes and error lines as main."""
+    parser, _ = cli._build_parser()
+    try:
+        return cli._run(parser, parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
+    except FibertraceError as exc:
+        print(f"fibertrace: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"fibertrace: {exc}", file=sys.stderr)
+        return 2

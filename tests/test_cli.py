@@ -8,6 +8,7 @@ from fibertrace import cli, fiber
 from fibertrace.cli import main
 from fibertrace.resolution import Singularity, is_stable, resolve
 from fibertrace.singtrace import trace_closed_form
+from reference import two_pass_main
 
 OGG_4 = """\
 vertex v1 genus=0 mult=1
@@ -347,10 +348,10 @@ def test_invalid_graph_exits_2(tmp_path, capsys):
     assert "connected" in err
 
 
-def run_captured(argv):
+def run_captured(argv, entry=main):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = entry(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -383,10 +384,9 @@ def _not_an_int(token):
     return True
 
 
+VERBS = ["resolve", "trace-sing", "trace-fiber", "character", "jumps", "catalog-list"]
 TOKENS = st.one_of(
-    st.sampled_from(
-        ["resolve", "trace-sing", "trace-fiber", "character", "jumps", "catalog-list", "bogus"]
-    ),
+    st.sampled_from(VERBS + ["bogus"]),
     st.sampled_from(
         ["--machine", "--n", "--n-min", "--sweeps", "--catalog", "--graph", "--help", "-h", "--"]
     ),
@@ -409,6 +409,54 @@ def test_fuzzed_argv_exits_cleanly_and_leaves_parser_intact(tmp_path, monkeypatc
             assert err.strip(), argv
         probe = run_captured(["jumps", "--catalog", "kodaira:IV", "--machine"])
         assert probe == (0, "jump 1/3\n", ""), argv
+
+    check()
+
+
+def test_a_verb_call_parses_once(monkeypatch):
+    # the verb's parser reads the tokens after the verb; no top-level pass
+    # scans them first
+    calls = []
+    parse = cli._Parser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", counting)
+    argv = ["jumps", "--catalog", "kodaira:IV", "--machine"]
+    assert run_captured(argv) == (0, "jump 1/3\n", "")
+    assert calls == ["fibertrace jumps"]
+
+
+NAMED_ARGV = [
+    [], ["-h"], ["--help"], ["--machine", "jumps"], ["bogus"], ["bogus", "--catalog", "ogg:4"],
+    ["jumps"], ["jumps", "-h"], ["jumps", "--he"], ["jumps", "--mach", "--catalog", "ogg:4"],
+    ["jumps", "--catalog", "kodaira:IV", "extra"], ["jumps", "--catalog", "kodaira:IV", "-x", "y"],
+    ["catalog-list"], ["catalog-list", "extra"], ["resolve", "3", "4", "13", "14"],
+    # --name=value forms, a prefix of --n-min among them
+    ["--n=5"], ["jumps", "--n=5"], ["character", "--catalog=ogg:4", "--n=13", "--machine"],
+    ["trace-fiber", "--catalog", "ogg:4", "--n=x"], ["jumps", "--catalog=ogg:4", "--sweeps=2"],
+    # a bare --, before and after the verb
+    ["--"], ["--", "jumps", "--catalog", "kodaira:IV"], ["jumps", "--"],
+    ["jumps", "--", "--catalog", "kodaira:IV"], ["jumps", "--catalog", "kodaira:IV", "--"],
+    ["resolve", "--", "3", "4", "13"], ["resolve", "3", "4", "13", "--", "--machine"],
+]
+
+
+def test_one_parse_pass_answers_as_two(tmp_path, monkeypatch):
+    # byte for byte against the two-level parse: the top-level parser's
+    # parse_args over the whole argv, then the verb
+    monkeypatch.chdir(tmp_path)
+    for argv in NAMED_ARGV:
+        assert run_captured(argv) == run_captured(argv, two_pass_main), argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(TOKENS, max_size=7),
+                     st.builds(lambda verb, rest: [verb, *rest],
+                               st.sampled_from(VERBS), st.lists(TOKENS, max_size=6))))
+    def check(argv):
+        assert run_captured(argv) == run_captured(argv, two_pass_main), argv
 
     check()
 

@@ -22,6 +22,7 @@ from fibertrace.fiber import (
     limit_trace,
     parse_graph,
     principal_components,
+    rational_trace,
 )
 from fibertrace.jumps import JumpOptions, JumpSet, compute_jumps, principal_lcm
 from reference import acampo_spectrum, per_edge_trace
@@ -367,6 +368,22 @@ def matches_block_route(g, n):
     return True
 
 
+def two_centers(mc, md, arms_c, arms_d):
+    """Two genus-0 curves c and d meeting each other, each with arms down
+    to a reduced tail, the first multiplicities of the arms ``arms_c`` and
+    ``arms_d``, chosen to make every self-intersection integral."""
+    vertices, edges = [("c", 0, mc), ("d", 0, md)], [("c", "d")]
+    for center, m, firsts in (("c", mc, arms_c), ("d", md, arms_d)):
+        for arm, a in enumerate(firsts):
+            prev, cur, here = m, a, center
+            while cur:
+                vid = f"{center}{arm}.{len(vertices)}"
+                vertices.append((vid, 0, cur))
+                edges.append((here, vid))
+                prev, cur, here = cur, -prev % cur, vid
+    return FiberGraph.build(vertices, edges)
+
+
 def two_cusps(bridge):
     """Two genus-0 curves p and q of multiplicity 6, each with tails of
     multiplicities 2 and 3 (the shape of kodaira:II), joined by a bridge of
@@ -448,23 +465,9 @@ class TestLimitTrace:
         assert principal_components(g) == [] and limit_trace(g, []) == {0: 1}
 
     def test_work_bound_before_any_term(self, monkeypatch):
-        # two genus-0 curves c and d meeting each other, each with two arms
-        # down to a reduced tail, the first multiplicities of the arms
-        # making every self-intersection integral; the rows of c and d have
-        # three distinct end pairs each, and the edge between them, of gcd
-        # 1 when their multiplicities differ, nets to -(1/1)Z/Z
-        def two_centers(mc, md, arms_c, arms_d):
-            vertices, edges = [("c", 0, mc), ("d", 0, md)], [("c", "d")]
-            for center, m, firsts in (("c", mc, arms_c), ("d", md, arms_d)):
-                for arm, a in enumerate(firsts):
-                    prev, cur, here = m, a, center
-                    while cur:
-                        vid = f"{center}{arm}.{len(vertices)}"
-                        vertices.append((vid, 0, cur))
-                        edges.append((here, vid))
-                        prev, cur, here = cur, -prev % cur, vid
-            return FiberGraph.build(vertices, edges)
-
+        # with two arms each, the rows of c and d have three distinct end
+        # pairs each, and the edge between them, of gcd 1 when their
+        # multiplicities differ, nets to -(1/1)Z/Z
         # equal multiplicities 99,991: c and d share the row 99,991, with five
         # distinct end pairs, and the edge c - d nets to -(1/99,991)Z/Z, so
         # 99,991 * (5 + 1) + 99,991 = 699,937 terms, under the bound
@@ -487,6 +490,19 @@ class TestLimitTrace:
             with pytest.raises(BadInput, match="build 799921 block terms, more than MAX_BLOCK_TERMS"):
                 run(g)
             assert time.perf_counter() - start < 0.2
+
+    def test_long_rows(self):
+        # c and d share the row 10,007 with five distinct end pairs, (m, m)
+        # and one per arm; rational_trace matches the per-edge reference
+        # below the lcm, where the chains are not yet in their large-degree
+        # shape, and above it
+        m = 10007
+        g = two_centers(m, m, (1944, m - 1944), (1949, m - 1949))
+        l = g.mult_lcm
+        below = next(n for n in range(1009, l) if math.gcd(n, l) == 1)
+        for n in (below, l + 1, l + below):
+            _, want = per_edge_trace(g, n)
+            assert rational_trace(g, n) == {j: c for j, c in want.items() if c}, n
 
     def test_no_block_route(self, monkeypatch):
         # compute_jumps reads the graph alone: no chain end, no block
