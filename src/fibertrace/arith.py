@@ -7,7 +7,7 @@ this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadInput, NotInvertible
 
@@ -31,8 +31,7 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-@dataclass(frozen=True)
-class JHExpansion:
+class JHExpansion(NamedTuple):
     """Expansion n/r = [b_1, ..., b_L] with r_{l-1} = b_{l+1} r_l - r_{l+1}.
 
     ``rseq`` holds r_{-1} = n, r_0 = r, ..., r_{L-1} = 1, r_L = 0, so

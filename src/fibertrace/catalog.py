@@ -13,7 +13,7 @@ differing by chains of (-2)-curves would serve equally well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadInput, UnknownType
 from .fiber import FiberGraph
@@ -24,8 +24,7 @@ from .fiber import FiberGraph
 MAX_PARAMETER = 10**4
 
 
-@dataclass(frozen=True)
-class FiberTypeId:
+class FiberTypeId(NamedTuple):
     family: str              # "kodaira" or "ogg"
     name: str                # e.g. "IV", "In*", "4"
     parameter: int | None = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import groupby
 
 from .catalog import FiberTypeId, catalog_ids, lookup
 from .errors import FibertraceError
@@ -34,12 +35,13 @@ class _Parser(argparse.ArgumentParser):
 # still takes every other argv, and reports tokens the verb leaves over.
 @functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    p = _Parser(prog="fibertrace", description=__doc__.splitlines()[0])
+    # allow_abbrev=False: an option is spelled in full, so --n is not --n-min
+    p = _Parser(prog="fibertrace", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = p.add_subparsers(dest="verb", required=True)
     verbs = {}
 
     def add_verb(name, help):
-        verbs[name] = sp = sub.add_parser(name, help=help)
+        verbs[name] = sp = sub.add_parser(name, help=help, allow_abbrev=False)
         return sp
 
     def add_graph_source(sp):
@@ -134,8 +136,8 @@ def _run(parser: _Parser, args) -> int:
         if not args.machine:
             print(f"n_tilde={js.n_tilde}")
             print(f"witnesses={','.join(map(str, js.witnesses))}")
-        for j in js.jumps:
-            print(f"jump {j.numerator}/{j.denominator}")
+        for j, same in groupby(js.jumps):  # one write per class, however many copies
+            sys.stdout.write(f"jump {j.numerator}/{j.denominator}\n" * sum(1 for _ in same))
     elif args.verb == "catalog-list":
         for cid in catalog_ids():
             print(cid)

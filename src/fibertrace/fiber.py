@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, mod, sub
 from typing import NamedTuple
@@ -54,9 +53,10 @@ MAX_GRAPH_CHARS = 10**6
 # jumps, character and trace-fiber meet the bound on the same fibers.  Near
 # it the slowest shape found, two meeting genus-0 curves of multiplicities
 # 93,749 and 93,747, each with two arms down to a reduced tail (749,985
-# terms, genus 93,747), takes 0.6-0.8 s in compute_jumps, 1.1-1.2 s for the
-# whole jumps call with its 93,747 lines, and 0.6 s in character on a
-# 2-vCPU Xeon VM.  Every catalog entry needs fewer than 100 terms.
+# terms, genus 93,747 over as many distinct classes), takes about 0.7 s in
+# compute_jumps, 1 s for the whole jumps process with its 93,747 lines, and
+# 0.4 s in character on a 2-vCPU Xeon VM.  Every catalog entry needs fewer
+# than 100 terms.
 MAX_BLOCK_TERMS = 750_000
 
 
@@ -66,7 +66,6 @@ class Vertex(NamedTuple):
     mult: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FiberGraph:
     """Connected multigraph (loops and parallel edges allowed) with at
     least one multiplicity-1 vertex, held as columns in input order:
@@ -85,6 +84,21 @@ class FiberGraph:
     degrees: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
     _position: dict[str, int]  # id -> position, filled by build
+
+    def __init__(self, ids, genera, mults, degrees, pairs, _position):
+        # the only writes: __setattr__ and __delattr__ refuse every other
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "genera", genera)
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_position", _position)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def build(cls, vertices, edges) -> "FiberGraph":
@@ -179,8 +193,7 @@ class FiberGraph:
                    for genus, m, d in zip(self.genera, self.mults, self.degrees)) // 2 + 1
 
 
-@dataclass(frozen=True)
-class CharacterMultiset:
+class CharacterMultiset(NamedTuple):
     """Exponents (with multiplicities) of the irreducible characters of
     the degree-n action on H^1; ``total`` is the arithmetic genus."""
 

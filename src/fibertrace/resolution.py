@@ -10,7 +10,7 @@ mu_{l+1} = b_l * mu_l - mu_{l-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import JHExpansion, jh_expand, mod_inverse
 from .errors import BadInput, InvariantError
@@ -21,33 +21,33 @@ from .errors import BadInput, InvariantError
 MAX_MULTIPLICITY = 10**5
 
 
-@dataclass(frozen=True)
-class Singularity:
+class Singularity(NamedTuple("Singularity", [("m1", int), ("m2", int), ("n", int)])):
     """Parameters (m1, m2, n) with n >= 2 coprime to both branch
     multiplicities."""
 
-    m1: int
-    m2: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m1 < 1 or self.m2 < 1:
-            raise BadInput(f"branch multiplicities must be >= 1, got ({self.m1}, {self.m2})")
-        if self.m1 > MAX_MULTIPLICITY or self.m2 > MAX_MULTIPLICITY:
+    def __new__(cls, m1: int, m2: int, n: int):
+        if m1 < 1 or m2 < 1:
+            raise BadInput(f"branch multiplicities must be >= 1, got ({m1}, {m2})")
+        if m1 > MAX_MULTIPLICITY or m2 > MAX_MULTIPLICITY:
             raise BadInput(
-                f"branch multiplicities ({self.m1}, {self.m2}) exceed "
+                f"branch multiplicities ({m1}, {m2}) exceed "
                 f"MAX_MULTIPLICITY = {MAX_MULTIPLICITY}"
             )
-        if self.n < 2:
-            raise BadInput(f"extension degree must be >= 2, got {self.n}")
-        if math.gcd(self.n, self.m1) != 1 or math.gcd(self.n, self.m2) != 1:
-            raise BadInput(
-                f"degree {self.n} must be coprime to both multiplicities ({self.m1}, {self.m2})"
-            )
+        if n < 2:
+            raise BadInput(f"extension degree must be >= 2, got {n}")
+        if math.gcd(n, m1) != 1 or math.gcd(n, m2) != 1:
+            raise BadInput(f"degree {n} must be coprime to both multiplicities ({m1}, {m2})")
+        return tuple.__new__(cls, (m1, m2, n))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both validate like the constructor
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(NamedTuple):
     """Everything numeric about the resolution chain of one singularity."""
 
     sing: Singularity

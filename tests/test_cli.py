@@ -315,6 +315,29 @@ def test_usage_error_exits_1(capsys):
     capsys.readouterr()
 
 
+def test_abbreviated_options_are_refused(capsys):
+    # options are spelled in full: --n is not --n-min, nor --mach --machine
+    for argv, token in ((["jumps", "--n", "13", "--catalog", "kodaira:IV"], "--n 13"),
+                        (["jumps", "--mach", "--catalog", "kodaira:IV"], "--mach")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out, argv
+        assert err.endswith(f"fibertrace: error: unrecognized arguments: {token}\n"), argv
+    code, out, err = run(capsys, "jumps", "--n-min=13", "--catalog", "kodaira:IV", "--machine")
+    assert (code, out, err) == (0, "jump 1/3\n", "")
+
+
+def test_jump_lines_repeat_each_class(tmp_path, capsys):
+    # each class's lines go out in one write, the same bytes as one line per jump
+    path = tmp_path / "tails.fg"
+    path.write_text("vertex c genus=0 mult=6\n" + "".join(
+        f"vertex t{m}.{i} genus=0 mult={m}\nedge c t{m}.{i}\n" for i in range(3) for m in (1, 2, 3)),
+        encoding="utf-8")
+    code, out, err = run(capsys, "jumps", "--graph", str(path), "--machine")
+    assert code == 0 and not err
+    want = [(1, 6)] * 5 + [(1, 3)] * 2 + [(1, 2)] * 2 + [(2, 3)] * 2 + [(5, 6)] * 2
+    assert out == "".join(f"jump {p}/{q}\n" for p, q in want)
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -227,6 +227,27 @@ class TestComputeJumps:
             n = js.witnesses[0]
             assert len(js.jumps) == h1_character(g, n).total
 
+    def test_one_fraction_per_class(self, monkeypatch):
+        # a sextic curve with 5000 tails each of multiplicities 1, 2 and 3:
+        # genus 29,995 over five classes, so five Fractions, not one per jump
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(jumps, "Fraction", counting)
+        k = 5000
+        g = FiberGraph.build([("c", 0, 6)] + [(f"t{m}.{i}", 0, m) for i in range(k) for m in (1, 2, 3)],
+                             [("c", f"t{m}.{i}") for i in range(k) for m in (1, 2, 3)])
+        js = compute_jumps(g)
+        assert len(js.jumps) == g.adjunction_genus() == 29995
+        assert Counter(js.jumps) == {Fraction(1, 6): 9999, Fraction(1, 3): 4999,
+                                     Fraction(1, 2): 4999, Fraction(2, 3): 4999,
+                                     Fraction(5, 6): 4999}
+        assert len(made) <= len(set(js.jumps)) == 5
+        assert list(js.jumps) == sorted(js.jumps)
+
     def test_genus_zero_graph_has_no_jumps(self):
         g = FiberGraph.build([("a", 0, 1), ("b", 0, 1)], [("a", "b")])
         assert compute_jumps(g).jumps == ()

@@ -2,8 +2,11 @@
 
 import ast
 import doctest
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import fibertrace
@@ -25,6 +28,30 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and generates and
+    # compiles code for every class at import; the records are named tuples
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert not found, f"dataclasses imports in the package: {found}"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site, so only the package's own imports count
+    probe = "import sys, fibertrace.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_oracles_stay_independent_of_the_closed_form():
