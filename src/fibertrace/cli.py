@@ -13,9 +13,9 @@ import sys
 from itertools import groupby
 
 from .catalog import FiberTypeId, catalog_ids, lookup
-from .errors import FibertraceError
+from .errors import BadInput, FibertraceError
 from .fiber import MAX_GRAPH_CHARS, FiberGraph, h1_character, parse_graph, total_trace
-from .jumps import JumpOptions, compute_jumps
+from .jumps import MAX_N_MIN, JumpOptions, compute_jumps
 from .resolution import Singularity, is_stable, resolve
 from .singtrace import singularity_trace
 
@@ -134,6 +134,9 @@ def _run(parser: _Parser, args) -> int:
         g = _load_graph(parser, args)
         js = compute_jumps(g, JumpOptions(n_min=args.n_min, sweeps=args.sweeps))
         if not args.machine:
+            if 2 * js.n_tilde * g.mult_lcm > MAX_N_MIN:  # only here are witnesses printed
+                raise BadInput("2 * n_tilde * lcm exceeds MAX_N_MIN = 10^600, so the witness "
+                               "degrees would be too long to print")
             print(f"n_tilde={js.n_tilde}")
             print(f"witnesses={','.join(map(str, js.witnesses))}")
         for j, same in groupby(js.jumps):  # one write per class, however many copies

@@ -41,10 +41,10 @@ from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.
 from .singtrace import at_degree
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
-# more than one past it.  At the bound, one jumps call takes 0.11-0.12 s on
-# a cycle of 20,833 reduced curves with five-digit ids and 0.13-0.19 s on
-# two reduced curves meeting 111,105 times (which exits at MAX_GENUS before
-# any trace is built), on a 2-vCPU Xeon VM.
+# more than one past it.  At the bound, one jumps --machine call takes
+# 0.06-0.11 s on a cycle of 20,833 reduced curves with five-digit ids and
+# 0.08-0.14 s on two reduced curves meeting 111,105 times (which exits at
+# MAX_GENUS before any trace is built), on a 2-vCPU Xeon VM.
 MAX_GRAPH_CHARS = 10**6
 
 # Most block terms limit_trace builds, counted before any is built: m per row
@@ -211,7 +211,8 @@ def parse_graph(text: str) -> FiberGraph:
     '#' starts a comment; blank lines are skipped.  A text longer than
     MAX_GRAPH_CHARS is refused, and so is a lone surrogate, which is how
     a file read with errors="surrogateescape" carries a byte that is not
-    UTF-8.
+    UTF-8.  In the documented field order each distinct field token, such
+    as ``genus=0``, is converted to an int once per call and then looked up.
     """
     if len(text) > MAX_GRAPH_CHARS:
         raise BadInput(f"graph text exceeds MAX_GRAPH_CHARS = {MAX_GRAPH_CHARS} characters")
@@ -225,6 +226,10 @@ def parse_graph(text: str) -> FiberGraph:
             raise ParseError(line, "not valid UTF-8") from None
     vertices: list[tuple[str, int, int]] = []
     edges: list[tuple[str, str]] = []
+    # each field token of the documented order -> its value, one dict per
+    # field, so that a mult= token is never read as a genus
+    genus_of: dict[str, int] = {}
+    mult_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw[:raw.index("#")]
@@ -238,12 +243,23 @@ def parse_graph(text: str) -> FiberGraph:
             _, vid, genus, mult = tokens
             if not ascii_text and not vid.isascii():
                 raise ParseError(lineno, f"vertex id {vid!r} is not ASCII")
-            if genus[:6] == "genus=" and mult[:5] == "mult=":  # the documented order
+            # the documented order
+            genus_value = genus_of.get(genus)
+            if genus_value is None and genus[:6] == "genus=":
                 try:
-                    vertices.append((vid, int(genus[6:]), int(mult[5:])))
-                    continue
+                    genus_value = genus_of[genus] = int(genus[6:])
                 except ValueError:
-                    pass  # the field loop names the bad field
+                    pass
+            mult_value = mult_of.get(mult)
+            if mult_value is None and mult[:5] == "mult=":
+                try:
+                    mult_value = mult_of[mult] = int(mult[5:])
+                except ValueError:
+                    pass
+            if genus_value is not None and mult_value is not None:
+                vertices.append((vid, genus_value, mult_value))
+                continue
+            # the other order, or a bad field: the field loop names it
             fields = {}
             for tok in tokens[2:]:
                 key, eq, value = tok.partition("=")

@@ -34,11 +34,13 @@ MAX_SWEEPS = 1000
 MAX_GENUS = 10**5
 
 # Largest n_min compute_jumps accepts, and largest floor 2 * n_tilde * lcm
-# of the witness degrees.  The witness degrees are printed in decimal, and
-# Python refuses to print an int of more digits than its conversion limit,
-# which may be set as low as 640; witnesses just above 10^600 print under
-# any limit.  The genus-0 chain 1 - M - (M-1) - ... - 2 - 1, of lcm
-# lcm(1..M), passes the floor bound from M = 1399 on.
+# of the witness degrees that the CLI prints.  The witness degrees are
+# printed in decimal, and Python refuses to print an int of more digits than
+# its conversion limit, which may be set as low as 640; witnesses just above
+# 10^600 print under any limit.  Only the jumps command without --machine
+# prints them, so only it refuses a floor past the bound: the genus-0 chain
+# 1 - M - (M-1) - ... - 2 - 1, of lcm lcm(1..M), passes it from M = 1399 on,
+# while compute_jumps and jumps --machine still answer.
 MAX_N_MIN = 10**600
 
 
@@ -77,9 +79,6 @@ def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
         raise BadInput(f"{options.sweeps} sweeps exceed MAX_SWEEPS = {MAX_SWEEPS}")
     if options.n_min > MAX_N_MIN:
         raise BadInput("n_min exceeds MAX_N_MIN = 10^600")
-    if 2 * nt * l > MAX_N_MIN:
-        raise BadInput("2 * n_tilde * lcm exceeds MAX_N_MIN = 10^600, so the witness "
-                       "degrees would be too long to print")
     floor = max(2 * nt * l, options.n_min, 1)
     first = floor + 1 + (-floor % l)
     return [first + k * l for k in range(options.sweeps)]

@@ -266,4 +266,4 @@ def test_criterion_8_graph_file_at_the_bound(tmp_path):
             code = main(["jumps", "--graph", str(path), "--machine"])
         elapsed = time.perf_counter() - start
         assert (code, out.getvalue()) == (0, "jump 0/1\n")
-        assert elapsed < 1.0, f"parse, build and jumps took {elapsed:.2f}s, budget 1s"
+        assert elapsed < 0.5, f"parse, build and jumps took {elapsed:.2f}s, budget 0.5s"

@@ -201,6 +201,12 @@ ODD_LINES = st.one_of(
               st.text(max_size=3)),
     st.sampled_from(["\udcff", "# \ud800", "vertex", "edge a", "# only a comment"]),
 )
+# field tokens from a small pool in either order, so that one text reuses a
+# token, read once and then looked up, in both orders and with spelled ints
+POOL_LINES = st.builds(
+    "vertex {} {} {}".format, GRAPH_IDS,
+    *[st.sampled_from(["genus=0", "genus=1", "genus=+0", "genus=00", "genus=x",
+                       "mult=1", "mult=2", "mult=0_1", "mult=", "mult=-1"])] * 2)
 
 
 def graph_text(lines):
@@ -215,9 +221,16 @@ PARSE_CASES = [
     "vertex a genus=+0 mult=0_1 # a comment\tgenus=x\nedge a a#edge a b\n",
     "vertex\ta\tgenus=0\tmult=1\fvertex b genus=-0 mult=1\vedge a b\x1c",
     "vertex a genus=0 mult=\u0661\nvertex b genus=1_0 mult=+1\u2029edge b a\x1d\x1e",
+    # a documented-order line, then the other order reusing its tokens
+    "vertex a genus=0 mult=1\nvertex b mult=1 genus=0\nedge a b\nedge b b\n",
+    "vertex a genus=0 mult=1\nvertex b genus=+0 mult=1\nvertex c genus=00 mult=2\n"
+    "vertex d genus=0_0 mult=1\nedge a b\nedge b c\nedge c d\n",
     "vertex a genus=0 mult=1\nvertex b genus=0 genus=1\n",
     "vertex a genus=0 mult=1\nvertex b genus=0 mult=1_\n",
     "vertex a genus=0 mult=1\nvertex b mult=x genus=y\n",
+    # genus=0 read on line 1, so only the bad or missing mult is left to name
+    "vertex a genus=0 mult=1\nvertex b genus=0 mult=x\n",
+    "vertex a genus=0 mult=1\nvertex b genus=0 genus=0\n",
     "vertex a genus=0 mul=11\n",
     "vertex a genera=0 mult=1\n",
     "vertex a genus=0 mult=1\nvertex \u00e9 genus=0 mult=1\n",
@@ -232,14 +245,34 @@ PARSE_CASES = [
 def test_parse_matches_reference_parse_on_named_cases():
     outcomes = [outcome(parse_graph, text) for text in PARSE_CASES]
     assert outcomes == [outcome(reference_parse, text) for text in PARSE_CASES]
-    assert [i for i, o in enumerate(outcomes) if isinstance(o[0], tuple)] == [0, 1, 2, 3, 4]
+    assert [i for i, o in enumerate(outcomes) if isinstance(o[0], tuple)] == [0, 1, 2, 3, 4, 5, 6]
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.tuples(ODD_LINES, BREAKS), max_size=10))
+@given(st.lists(st.tuples(st.one_of(POOL_LINES, ODD_LINES), BREAKS), max_size=10))
 def test_parse_matches_reference_parse(lines):
     text = graph_text(lines)
     assert outcome(parse_graph, text) == outcome(reference_parse, text)
+
+
+def test_each_field_token_is_converted_once_per_call(monkeypatch):
+    # 1,000 vertex lines over two genus tokens and three mult tokens: five
+    # int conversions, where one per field and line would make 2,000
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return int(*args)
+
+    monkeypatch.setattr(fiber, "int", counting, raising=False)
+    lines = [f"vertex v{i} genus={i % 2} mult={1 + i % 3}" for i in range(1000)]
+    text = "\n".join(lines + [f"edge v{i} v{i + 1}" for i in range(999)]) + "\n"
+    g = parse_graph(text)
+    assert g.genera == tuple(i % 2 for i in range(1000))
+    assert g.mults == tuple(1 + i % 3 for i in range(1000))
+    assert sorted(calls) == [("0",), ("1",), ("1",), ("2",), ("3",)]
+    # the tokens are held for one call only: a second call converts them again
+    assert parse_graph(text) == g and len(calls) == 10
 
 
 def graph_lines(g):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fibertrace import fiber, jumps, resolution, singtrace
+from fibertrace import cli, fiber, jumps, resolution, singtrace
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.errors import (
     BadInput,
@@ -126,22 +126,29 @@ class TestSweepDegrees:
         with pytest.raises(BadInput, match=r"n_min exceeds MAX_N_MIN = 10\^600$"):
             compute_jumps(cat("kodaira:IV"), JumpOptions(n_min=jumps.MAX_N_MIN + 1))
 
-    def test_witness_floor_bound(self, monkeypatch):
-        # the floor 2 * n_tilde * lcm is held to MAX_N_MIN as n_min is: kodaira:IV
-        # has n_tilde = lcm = 3, so a floor of 18
-        monkeypatch.setattr(jumps, "MAX_N_MIN", 18)
-        assert compute_jumps(cat("kodaira:IV"), JumpOptions(n_min=1)).witnesses == (19, 22, 25)
+    def test_witness_floor_bound(self, monkeypatch, capsys):
+        # the floor 2 * n_tilde * lcm is held to MAX_N_MIN only where the
+        # witnesses are printed: kodaira:IV has n_tilde = lcm = 3, a floor of 18
         monkeypatch.setattr(jumps, "MAX_N_MIN", 17)
-        with pytest.raises(BadInput, match=r"^2 \* n_tilde \* lcm exceeds MAX_N_MIN = 10\^600"):
-            compute_jumps(cat("kodaira:IV"), JumpOptions(n_min=1))
+        assert compute_jumps(cat("kodaira:IV"), JumpOptions(n_min=1)).witnesses == (19, 22, 25)
+        argv = ["jumps", "--catalog", "kodaira:IV", "--n-min", "1"]
+        monkeypatch.setattr(cli, "MAX_N_MIN", 18)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "n_tilde=3\nwitnesses=19,22,25\njump 1/3\n"
+        monkeypatch.setattr(cli, "MAX_N_MIN", 17)
+        assert (cli.main(argv), cli.main(argv + ["--machine"])) == (2, 0)
+        out, err = capsys.readouterr()
+        assert out == "jump 1/3\n"
+        assert err.startswith("fibertrace: BadInput: 2 * n_tilde * lcm exceeds MAX_N_MIN = 10^600")
 
     def test_witness_floor_bound_on_long_chains(self):
         # the chain 1 - M - ... - 2 - 1 has lcm(1..M) as its lcm and n_tilde 1:
-        # 2 * lcm(1..1398) is below 10^600 and 2 * lcm(1..1399) above
+        # 2 * lcm(1..1398) is below 10^600 and 2 * lcm(1..1399) above, where
+        # the jumps still come, with witnesses too long for the CLI to print
         js = compute_jumps(parse_graph(decreasing_chain(1398)))
         assert js.jumps == () and len(str(js.witnesses[-1])) == 600
-        with pytest.raises(BadInput, match="exceeds MAX_N_MIN"):
-            compute_jumps(parse_graph(decreasing_chain(1399)))
+        js = compute_jumps(parse_graph(decreasing_chain(1399)))
+        assert js.jumps == () and js.witnesses[0] > 2 * math.lcm(*range(1, 1400)) > jumps.MAX_N_MIN
 
     def test_sweep_count_bound(self, monkeypatch):
         monkeypatch.setattr(jumps, "MAX_SWEEPS", 4)
