@@ -34,12 +34,20 @@ closed form as an integer polynomial, packed into one integer with one
 signed slot of whole bytes per coefficient, so that a product of two is a
 single big-integer multiplication (Kronecker substitution) and
 ``singtrace.trace_oracle`` keeps its whole sum as one integer over the
-denominator n^2 and calls ``from_poly`` once.
+denominator n^2 and calls ``from_poly`` once.  Slots go in and out of
+those integers through typed arrays (``array``) of the smallest native
+item of 1, 2, 4 or 8 bytes that holds a slot: packing gathers a numerator's
+slots from a per-call table in one strided step and trims each item to the
+slot width by deleting its top byte planes, and ``_unpack`` widens the
+slots back and reads them with one array, so neither converts one slot at
+a time.
 """
 from __future__ import annotations
 
 import math
 import operator
+import sys
+from array import array
 from functools import lru_cache
 
 from .errors import BadInput, ModulusMismatch
@@ -195,25 +203,46 @@ def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return len(p) - 1, tuple((k, c) for k, c in enumerate(p[:-1]) if c)
 
 
+# item size -> unsigned ``array`` type code, for the sizes 1, 2, 4 and 8
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _slot_array(width: int) -> tuple[str, int]:
+    """The ``array`` type code and the item size that hold a slot of
+    ``width`` bytes: the smallest native unsigned item of 1, 2, 4 or 8
+    bytes."""
+    if not 1 <= width <= 8:
+        raise BadInput(f"slot width must be 1 to 8 bytes, got {width}")
+    size = 1 << (width - 1).bit_length()
+    return _TYPECODES[size], size
+
+
 def _unpack(value: int, count: int, width: int) -> list[int]:
     """The ``count`` signed slots of ``value``, each of absolute value below
     2^(8 * width - 1).  Adding the midpoint to every slot makes every slot
     nonnegative with no carry between slots, so the slots are read off as
-    bytes, and subtracting the midpoint again is the signed borrow."""
+    unsigned items, widened to their native size and read with one
+    ``array``, and subtracting the midpoint again is the signed borrow."""
+    code, size = _slot_array(width)
     half = 1 << (8 * width - 1)
     midpoints = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
     digits = (value + midpoints).to_bytes(count * width, "little")
-    return [
-        int.from_bytes(digits[i:i + width], "little") - half
-        for i in range(0, count * width, width)
-    ]
+    if width < size:
+        wide = bytearray(count * size)
+        for b in range(width):
+            wide[b::size] = digits[b::width]
+        digits = wide
+    slots = array(code, digits)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return [x - half for x in slots]
 
 
 def packed_inverse_numerators(n: int, width: int):
     """The function c -> the numerator N(c) of n * (1 - zeta_n^c)^(-1), for
     c != 0 mod n, packed as sum_e N(c)_e * 2^(8 * width * e) over the n
-    exponents e mod n; it computes each c once.  Every |N(c)_e| must fit
-    in ``width`` bytes (``int.to_bytes`` raises otherwise).
+    exponents e mod n; it computes each c once.  Raises BadInput unless
+    1 <= width <= 8 and every |N(c)_e| is below 2^(8 * width - 1).
 
     N(c) = -sum_{j<n} (j+1) x^(cj mod n): multiplying the sum by 1 - x^c
     telescopes it to n - sum_{j<n} x^(cj), and the geometric sum vanishes
@@ -224,17 +253,25 @@ def packed_inverse_numerators(n: int, width: int):
     0.  So the coefficients are at most 0, sum to -n(n+1)/2 and have
     absolute value at most n(g + 1)/2 (n when c is a unit).
 
-    The slot values for k = 0..m-1 are written once per g, one byte plane
-    per byte of the slot; a plane repeated u times and read with step u
-    is the plane permuted by e -> e*u mod m, so each N(c) is packed by
-    width slicings instead of n conversions.
+    The slot values for k = 0..m-1 are built once per g, as one typed
+    array of the smallest native item that holds ``width`` bytes.  The
+    table repeated u times and read with step u is the table permuted by
+    e -> e*u mod m, so each N(c) is packed in a few C-level steps instead
+    of n conversions: the gather, for g > 1 one extended-slice store into
+    every g-th item of a zero array, a byte swap on big-endian machines,
+    one deletion per byte plane above ``width``, top plane first, and one
+    ``int.from_bytes``.  The gather repeats a table min(u, m - u) times,
+    so its buffer holds at most m * m/2 items: for 2u >= m it reads with
+    step m - u the table reversed after its first item, whose item k is
+    the slot of -k mod m, and -e(m - u) = e*u mod m.
 
     -c has the same g and k -> m - k for k != 0, so the formula gives
     N(c) + N(-c) = n - g(n+2) * J_g with J_g = sum_{e<m} x^(g*e).  Packing
     is evaluation at 2^(8 * width), a ring homomorphism, so once N(-c) is
     packed, N(c) is the same integer n - N(-c) - g(n+2) * J_g, two
     big-integer subtractions instead of a pack."""
-    planes: dict[int, list[bytes]] = {}
+    code, size = _slot_array(width)
+    tables: dict[int, tuple[array, array]] = {}  # g -> slots for k and -k
     sums: dict[int, int] = {}  # g -> g(n+2) * J_g, packed
     packed: dict[int, int] = {}
 
@@ -252,14 +289,24 @@ def packed_inverse_numerators(n: int, width: int):
                 sums[g] = g * (n + 2) * int.from_bytes(slot * m, "little")
             packed[c] = n - packed[n - c] - sums[g]
             return packed[c]
-        if g not in planes:
+        if g not in tables:
+            if (n * (g + 1) // 2) >> (8 * width - 1):
+                raise BadInput(f"coefficients of N({c}) for n = {n} do not fit {width}-byte slots")
             base = n * (g - 1) // 2
-            table = b"".join([(g * k + base).to_bytes(width, "little") for k in range(1, m + 1)])
-            planes[g] = [table[b::width] for b in range(width)]
+            table = array(code, range(g + base, g * m + base + 1, g))
+            tables[g] = table, table[:1] + table[:0:-1]
         u = pow(c // g, -1, m)
-        digits = bytearray(n * width)
-        for b, plane in enumerate(planes[g]):
-            digits[b::g * width] = (plane * u)[::u]
+        ahead, behind = tables[g]
+        slots = (ahead * u)[::u] if 2 * u < m else (behind * (m - u))[::m - u]
+        if g > 1:
+            spread = array(code, bytes(n * size))
+            spread[::g] = slots
+            slots = spread
+        if sys.byteorder == "big":
+            slots.byteswap()
+        digits = bytearray(slots)
+        for b in range(size - 1, width - 1, -1):
+            del digits[b::b + 1]
         packed[c] = -int.from_bytes(digits, "little")
         return packed[c]
 

@@ -405,7 +405,9 @@ def h1_character(g: FiberGraph, n: int) -> CharacterMultiset:
 def _check_degree(g: FiberGraph, n: int) -> None:
     if n < 2:
         raise BadInput(f"degree must be >= 2, got {n}")
-    if math.gcd(n, g.mult_lcm) != 1:
+    # the lcm itself may have more digits than str() converts
+    shared = math.gcd(n, g.mult_lcm)
+    if shared != 1:
         raise BadInput(
-            f"degree {n} must be coprime to the multiplicity lcm {g.mult_lcm}"
+            f"degree {n} must be coprime to the multiplicity lcm; they share the factor {shared}"
         )

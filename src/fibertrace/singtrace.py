@@ -41,11 +41,14 @@ MAX_NODE_SUM_CELLS = 10**7
 # update per nonzero term of Phi_n below its leading one in each of
 # h - phi(n) steps, at most (h/2)^2 updates with h = n for odd n and n/2 for
 # even n (see exactalg).  Near the bound the slowest shape found,
-# (1, 2144, 2145), takes 0.10-0.13 s in a fresh interpreter on a 2-vCPU Xeon
-# VM, most of it the 1185 * 808 updates of that reduction; building Phi_2145,
-# cached per n, takes about 1 ms of it.  (1, 1, 214) and (1, 1, 215), the
-# longest chains, take 0.02 s; n <= 150 needs at most 150^3 cells.  No
-# production route calls it.
+# (1, 2144, 2145), takes 0.07-0.12 s per power in a fresh interpreter on a
+# 2-vCPU Xeon VM, most of it the 1185 * 808 updates of that reduction;
+# building Phi_2145, cached per n, takes about 1 ms of it.  At three powers
+# it raises the interpreter's peak RSS from 14.9 MB to 23.9 MB, mostly the
+# gather that packs a numerator (exactalg): m * min(u, m - u) items of the
+# slot's native size, here up to 2145 * 1072 items of 4 bytes.  (1, 1, 214)
+# and (1, 1, 215), the longest chains, take 0.02 s; n <= 150 needs at most
+# 150^3 cells.  No production route calls it.
 MAX_ORACLE_CELLS = 10**7
 
 __all__ = [
@@ -204,6 +207,13 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     # bytes, holds it signed.  The end nodes alone make the bound at least
     # n^2 >= M(c), so each N(c) fits its slots too.  Every n(g+1) is even,
     # since g divides n, so the bound is halved once, exactly, at the end.
+    # The width stays at or below 7 bytes, within the 8 that
+    # packed_inverse_numerators takes: every chain has L >= 1, so
+    # (L + 1) n^2 <= MAX_ORACLE_CELLS gives n <= 2236; every g + 1 <= n, as
+    # g <= n/2 for c != 0; mu_1 = (m1 + r m2)/n and mu_L, weighted means of
+    # m1 and m2, are at most MAX_MULTIPLICITY = 10^5.  So the bound is at
+    # most 10^5 n^3 + (L - 1) n^3 (n + 1)/4 <= 10^5 n^3 + MAX_ORACLE_CELLS
+    # n (n + 1)/4 < 2^51, and k + 1 <= 52 bits take 7 bytes.
     rs = res.jh.rseq  # r_{l-1} = rs[l]
     first = (-unit * rs[1]) % n
     last = (unit * rs[L]) % n

@@ -198,6 +198,16 @@ def test_jumps_past_witness_bound_exits_2(tmp_path, capsys):
                        "so the witness degrees would be too long to print\n")
 
 
+def test_degree_sharing_a_factor_with_a_huge_lcm_exits_2(tmp_path, capsys):
+    # lcm(1..12000) has over 5,000 digits, more than str() converts, so the
+    # refusal names only the factor it shares with the degree
+    path = long_chain(tmp_path, 12000)
+    want = ("fibertrace: BadInput: degree 13 must be coprime to the multiplicity lcm; "
+            "they share the factor 13\n")
+    for verb in ("character", "trace-fiber"):
+        assert run(capsys, verb, "--graph", str(path), "--n", "13") == (2, "", want), verb
+
+
 def test_many_duplicate_vertex_ids_exit_2_quickly(tmp_path, capsys):
     # counting each id by a scan of all ids took about 8 s on this file (2-vCPU Xeon VM)
     path = tmp_path / "duplicates.fg"

@@ -115,18 +115,50 @@ class TestCyclotomic:
         # -sum_{j<n} (j+1) x^(cj mod n), term by term, for every c, units and
         # zero divisors alike; the largest coefficient is n(g+1)/2.  N(c) is
         # packed when N(-c) is not yet known and derived from it otherwise,
-        # so walking c up derives it for c > n/2 and walking down for c < n/2
-        width = inverse_width(n)
-        for order in (range(1, 2 * n), range(2 * n - 1, 0, -1)):
-            numerator = packed_inverse_numerators(n, width)
-            for c in order:
-                if c % n == 0:
-                    continue
-                want = [0] * n
-                for j in range(n):
-                    want[c * j % n] -= j + 1
-                assert _unpack(numerator(c), n, width) == want, (n, c, order)
-                assert -min(want) == n * (math.gcd(c, n) + 1) // 2
+        # so walking c up derives it for c > n/2 and walking down for c < n/2.
+        # Every width from the narrowest up to 8 bytes: 1, 2, 4 and 8 are
+        # native array items, 3, 5, 6 and 7 are trimmed from the next one
+        wants = {}
+        for c in range(1, n):
+            want = wants[c] = [0] * n
+            for j in range(n):
+                want[c * j % n] -= j + 1
+            assert -min(want) == n * (math.gcd(c, n) + 1) // 2
+        for width in range(inverse_width(n), 9):
+            for order in (range(1, 2 * n), range(2 * n - 1, 0, -1)):
+                numerator = packed_inverse_numerators(n, width)
+                for c in order:
+                    if c % n:
+                        assert _unpack(numerator(c), n, width) == wants[c % n], (n, c, width)
+
+    def test_numerators_refuse_slots_too_narrow(self):
+        # for n = 22 the largest |N(c)_e| is n(g + 1)/2: 22 for c = 1 and 132
+        # for c = 11, so one-byte slots hold the unit's numerator and refuse
+        # the zero divisor's
+        numerator = packed_inverse_numerators(22, 1)
+        assert min(_unpack(numerator(1), 22, 1)) == -22
+        with pytest.raises(BadInput, match="do not fit 1-byte slots"):
+            numerator(11)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("count", [1, 137])
+    def test_unpack_round_trip_at_every_width(self, width, count):
+        # 0 and the extreme slots +-(2^(8w-1) - 1), all equal and then mixed
+        # at random, so that a slot borrows from the next or carries into it
+        top = (1 << (8 * width - 1)) - 1
+        rng = random.Random(width * 1000 + count)
+        for slots in ([0] * count, [top] * count, [-top] * count,
+                      [rng.choice((0, top, -top)) for _ in range(count)],
+                      [rng.randint(-top, top) for _ in range(count)]):
+            value = sum(c << (8 * width * e) for e, c in enumerate(slots))
+            assert _unpack(value, count, width) == slots
+
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_slot_width_outside_one_to_eight_bytes(self, width):
+        with pytest.raises(BadInput, match=f"slot width must be 1 to 8 bytes, got {width}"):
+            packed_inverse_numerators(7, width)
+        with pytest.raises(BadInput, match=f"slot width must be 1 to 8 bytes, got {width}"):
+            _unpack(0, 7, width)
 
 
 def inverse_width(n):

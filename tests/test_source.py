@@ -45,6 +45,24 @@ def test_no_module_imports_dataclasses():
     assert not found, f"dataclasses imports in the package: {found}"
 
 
+def test_package_imports_only_the_standard_library():
+    # the runtime has no dependency: every import is relative or names a
+    # module of the standard library
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert any(path.name == "exactalg.py" for path in SOURCES)
+    assert not found, f"imports outside the standard library: {found}"
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter without site, so only the package's own imports count
     probe = "import sys, fibertrace.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
