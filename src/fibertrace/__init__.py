@@ -10,7 +10,7 @@ on H^1, and the jumps of the rational-index filtration of the associated
 group scheme.
 """
 
-from .arith import JHExpansion, jh_expand, mod_inverse
+from .arith import jh_expand, mod_inverse
 from .catalog import FiberTypeId, catalog_ids, lookup
 from .exactalg import CyclotomicNumber, GroupRingElement, cyclotomic_polynomial
 from .fiber import (
@@ -22,7 +22,7 @@ from .fiber import (
     rational_trace,
     total_trace,
 )
-from .jumps import JumpOptions, JumpSet, compute_jumps, principal_lcm
+from .jumps import JumpOptions, JumpSet, compute_jumps
 from .resolution import (
     ResolutionData,
     Singularity,
@@ -43,7 +43,6 @@ __all__ = [
     "FiberGraph",
     "FiberTypeId",
     "GroupRingElement",
-    "JHExpansion",
     "JumpOptions",
     "JumpSet",
     "ResolutionData",
@@ -59,7 +58,6 @@ __all__ = [
     "lookup",
     "mod_inverse",
     "parse_graph",
-    "principal_lcm",
     "rational_trace",
     "resolve",
     "singularity_trace",

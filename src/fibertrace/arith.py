@@ -1,4 +1,5 @@
-"""Integer utilities and the Jung-Hirzebruch continued-fraction expansion.
+"""Integer utilities and the Jung-Hirzebruch continued-fraction expansion,
+returned as the plain pair (b, rseq) that ``resolution.ResolutionData`` holds.
 
 Everything here is exact integer arithmetic; no floats appear anywhere in
 this package.
@@ -7,7 +8,6 @@ this package.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import BadInput, NotInvertible
 
@@ -31,26 +31,13 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-class JHExpansion(NamedTuple):
-    """Expansion n/r = [b_1, ..., b_L] with r_{l-1} = b_{l+1} r_l - r_{l+1}.
+def jh_expand(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The Jung-Hirzebruch expansion n/r = [b_1, ..., b_L] as the pair
+    (b, rseq), with r_{l-1} = b_{l+1} r_l - r_{l+1}.
 
     ``rseq`` holds r_{-1} = n, r_0 = r, ..., r_{L-1} = 1, r_L = 0, so
     ``rseq[l + 1]`` is r_l.  Every partial quotient b_l is >= 2 and the
     r-sequence is strictly decreasing.
-    """
-
-    n: int
-    r: int
-    b: tuple[int, ...]
-    rseq: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.b)
-
-
-def jh_expand(n: int, r: int) -> JHExpansion:
-    """Compute the Jung-Hirzebruch expansion of n/r.
 
     Requires 0 < r < n and gcd(r, n) = 1.  Each step takes
     b = ceil(previous/current) and continues with b*current - previous;
@@ -73,4 +60,4 @@ def jh_expand(n: int, r: int) -> JHExpansion:
         b.append(q)
         prev, cur = cur, q * cur - prev
         rseq.append(cur)
-    return JHExpansion(n=n, r=r, b=tuple(b), rseq=tuple(rseq))
+    return tuple(b), tuple(rseq)

@@ -80,10 +80,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return p, verbs
 
 
-def _load_graph(parser: _Parser, args) -> FiberGraph:
-    if bool(args.graph) == bool(args.catalog):
-        parser.error("supply exactly one input source: --graph PATH or --catalog ID")
-    if args.graph:
+def _load_graph(args) -> FiberGraph:
+    # an empty value is a source too, and fails as a path or an id does
+    if (args.graph is None) == (args.catalog is None):
+        _build_parser()[1][args.verb].error(
+            "supply exactly one input source: --graph PATH or --catalog ID")
+    if args.graph is not None:
         # one character past the bound is enough for parse_graph to refuse the file
         with open(args.graph, encoding="utf-8", errors="surrogateescape") as f:
             return parse_graph(f.read(MAX_GRAPH_CHARS + 1))
@@ -97,7 +99,7 @@ def _print_trace(trace, machine: bool) -> None:
         print(f"tr {e} {c}")
 
 
-def _run(parser: _Parser, args) -> int:
+def _run(args) -> int:
     if args.verb == "resolve":
         res = resolve(Singularity(args.m1, args.m2, args.n))
         if args.machine:
@@ -116,14 +118,14 @@ def _run(parser: _Parser, args) -> int:
             print(f"singularity ({args.m1},{args.m2},{args.n})")
         _print_trace(trace, args.machine)
     elif args.verb == "trace-fiber":
-        g = _load_graph(parser, args)
+        g = _load_graph(args)
         trace = total_trace(g, args.n)
         if not args.machine:
             print(f"graph: {len(g.ids)} vertices, {len(g.pairs)} edges")
             print(f"n={args.n}")
         _print_trace(trace, args.machine)
     elif args.verb == "character":
-        g = _load_graph(parser, args)
+        g = _load_graph(args)
         char = h1_character(g, args.n)
         if not args.machine:
             print(f"n={args.n}")
@@ -131,7 +133,7 @@ def _run(parser: _Parser, args) -> int:
         for e, mult in char.exponents:
             print(f"char {e} {mult}")
     elif args.verb == "jumps":
-        g = _load_graph(parser, args)
+        g = _load_graph(args)
         js = compute_jumps(g, JumpOptions(n_min=args.n_min, sweeps=args.sweeps))
         if not args.machine:
             if 2 * js.n_tilde * g.mult_lcm > MAX_N_MIN:  # only here are witnesses printed
@@ -159,7 +161,7 @@ def main(argv=None) -> int:
             if extra:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
             args.verb = argv[0]
-        return _run(parser, args)
+        return _run(args)
     except SystemExit as exc:  # argparse usage errors and --help
         return exc.code if isinstance(exc.code, int) else 1
     except FibertraceError as exc:

@@ -61,13 +61,6 @@ class JumpSet(NamedTuple):
     witnesses: tuple[int, ...]
 
 
-def principal_lcm(g: FiberGraph) -> int:
-    """n_tilde, the lcm of the multiplicities of the principal components;
-    1 when no vertex qualifies."""
-    mults = g.mults
-    return math.lcm(*[mults[i] for i in principal_components(g)])
-
-
 def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
     """The witness degrees of compute_jumps: the first ``sweeps`` integers
     congruent to 1 mod the multiplicity lcm and exceeding
@@ -97,7 +90,7 @@ def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSe
     chains between them."""
     principal = principal_components(g)
     mults = g.mults
-    nt = math.lcm(*[mults[i] for i in principal])  # principal_lcm, from the positions
+    nt = math.lcm(*[mults[i] for i in principal])  # n_tilde; 1 when no vertex qualifies
     degrees = _sweep_degrees(g, options, nt)
     # the blocks grow as the multiplicities, so the genus is bounded before any is built
     _check_genus(g.adjunction_genus())

@@ -4,7 +4,8 @@ A singularity is identified with its parameters (m1, m2, n): the chain of
 exceptional curves in its minimal resolution carries self-intersections
 -b_l read off the continued-fraction expansion of n/r, and multiplicities
 mu_0 = m2, mu_1, ..., mu_L, mu_{L+1} = m1 obeying
-mu_{l+1} = b_l * mu_l - mu_{l-1}.
+mu_{l+1} = b_l * mu_l - mu_{l-1}.  ``ResolutionData`` holds all of it in
+one record: the expansion's b and r-sequence sit beside mu.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import JHExpansion, jh_expand, mod_inverse
+from .arith import jh_expand, mod_inverse
 from .errors import BadInput, InvariantError
 
 # Largest branch or vertex multiplicity accepted: the closed-form trace and
@@ -48,11 +49,13 @@ class Singularity(NamedTuple("Singularity", [("m1", int), ("m2", int), ("n", int
 
 
 class ResolutionData(NamedTuple):
-    """Everything numeric about the resolution chain of one singularity."""
+    """Everything numeric about the resolution chain of one singularity,
+    the expansion n/r = [b_1, ..., b_L] of ``jh_expand`` included."""
 
     sing: Singularity
     r: int                 # unique 0 < r < n with m1 + r*m2 = 0 (mod n)
-    jh: JHExpansion        # expansion of n/r
+    b: tuple[int, ...]     # b_1 .. b_L
+    rseq: tuple[int, ...]  # r_{-1} = n, r_0 = r, .., r_L = 0; rseq[l + 1] is r_l
     mu: tuple[int, ...]    # mu_0 .. mu_{L+1}
     alpha1: int            # inverse of m1 mod n
     alpha2: int            # inverse of m2 mod n
@@ -64,11 +67,7 @@ class ResolutionData(NamedTuple):
 
     @property
     def length(self) -> int:
-        return self.jh.length
-
-    @property
-    def b(self) -> tuple[int, ...]:
-        return self.jh.b
+        return len(self.b)
 
 
 def resolve(sing: Singularity) -> ResolutionData:
@@ -77,18 +76,19 @@ def resolve(sing: Singularity) -> ResolutionData:
     alpha1 = mod_inverse(m1, n)
     alpha2 = mod_inverse(m2, n)
     r = (-m1 * alpha2) % n
-    jh = jh_expand(n, r)
+    b, rseq = jh_expand(n, r)
     if (m1 + r * m2) % n:
         raise InvariantError(f"({m1},{m2},{n}): n does not divide m1 + r*m2 for r={r}")
     mu = [m2, (m1 + r * m2) // n]
-    for l in range(1, jh.length + 1):
-        mu.append(jh.b[l - 1] * mu[l] - mu[l - 1])
+    for q in b:  # mu_{l+1} = b_l mu_l - mu_{l-1}
+        mu.append(q * mu[-1] - mu[-2])
     if mu[-1] != m1:
         raise InvariantError(f"({m1},{m2},{n}): multiplicity chain {mu} does not end at m1")
     return ResolutionData(
         sing=sing,
         r=r,
-        jh=jh,
+        b=b,
+        rseq=rseq,
         mu=tuple(mu),
         alpha1=alpha1,
         alpha2=alpha2,

@@ -73,7 +73,7 @@ def trace_polynomial(res: ResolutionData) -> GroupRingElement:
     mu = res.mu
     b = res.b
     L = res.length
-    rs = res.jh.rseq  # r_{l-1} = rs[l]
+    rs = res.rseq  # r_{l-1} = rs[l]
     # the buffer, the node products and the correction counts below
     cells = n + sum(mu[l] * mu[l + 1] for l in range(L + 1))
     cells += sum(b[l] * mu[l + 1] * (mu[l + 1] + 1) // 2 - mu[l + 1] for l in range(L))
@@ -214,7 +214,7 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     # m1 and m2, are at most MAX_MULTIPLICITY = 10^5.  So the bound is at
     # most 10^5 n^3 + (L - 1) n^3 (n + 1)/4 <= 10^5 n^3 + MAX_ORACLE_CELLS
     # n (n + 1)/4 < 2^51, and k + 1 <= 52 bits take 7 bytes.
-    rs = res.jh.rseq  # r_{l-1} = rs[l]
+    rs = res.rseq  # r_{l-1} = rs[l]
     first = (-unit * rs[1]) % n
     last = (unit * rs[L]) % n
     # (c1, c2, a) of node l = 1..L-1, from r_{l-1}, r_l, mu_l, mu_{l+1},

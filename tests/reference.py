@@ -158,7 +158,7 @@ def two_pass_main(argv) -> int:
     then the verb runs; the same exit codes and error lines as main."""
     parser, _ = cli._build_parser()
     try:
-        return cli._run(parser, parser.parse_args(argv))
+        return cli._run(parser.parse_args(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except FibertraceError as exc:

@@ -158,7 +158,7 @@ def test_criterion_5_property_suite():
             res = resolve(Singularity(m1, m2, n))
             p = universal_polys(res)
             for l in range(-1, res.length + 1):
-                assert (p[l + 1] * res.r - res.jh.rseq[l + 1]) % n == 0
+                assert (p[l + 1] * res.r - res.rseq[l + 1]) % n == 0
             cases += 1
 
         # residue-class stability of the closed-form coefficients

@@ -42,19 +42,19 @@ def test_ceil_div():
 
 
 def test_jh_examples():
-    e = jh_expand(7, 3)
-    assert e.b == (3, 2, 2)
-    assert e.rseq == (7, 3, 2, 1, 0)
-    assert e.length == 3
-    e = jh_expand(13, 9)
-    assert e.b == (2, 2, 5)
-    assert e.rseq == (13, 9, 5, 1, 0)
+    b, rseq = jh_expand(7, 3)
+    assert b == (3, 2, 2)
+    assert rseq == (7, 3, 2, 1, 0)
+    assert len(b) == 3
+    b, rseq = jh_expand(13, 9)
+    assert b == (2, 2, 5)
+    assert rseq == (13, 9, 5, 1, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
 def test_jh_all_twos_chain(n):
-    e = jh_expand(n, n - 1)
-    assert e.b == (2,) * (n - 1)
+    b, _ = jh_expand(n, n - 1)
+    assert b == (2,) * (n - 1)
 
 
 def test_jh_rejects_bad_input():
@@ -70,7 +70,8 @@ def test_jh_chain_length_bound(monkeypatch):
     # n/(n-1) has n - 1 curves: a chain of exactly the bound is walked, one
     # more curve raises
     monkeypatch.setattr(arith, "MAX_CHAIN_LENGTH", 5)
-    assert jh_expand(6, 5).length == 5
+    b, _ = jh_expand(6, 5)
+    assert len(b) == 5
     with pytest.raises(BadInput, match="MAX_CHAIN_LENGTH = 5"):
         jh_expand(7, 6)
 
@@ -97,19 +98,19 @@ def test_jh_invariants(pair):
         with pytest.raises(BadInput):
             jh_expand(n, r)
         return
-    e = jh_expand(n, r)
-    L = e.length
+    b, rseq = jh_expand(n, r)
+    L = len(b)
     # recurrence r_{l-1} = b_{l+1} r_l - r_{l+1} everywhere
     for l in range(0, L):
-        assert e.rseq[l] == e.b[l] * e.rseq[l + 1] - e.rseq[l + 2]
+        assert rseq[l] == b[l] * rseq[l + 1] - rseq[l + 2]
     # partial quotients are the stated ceilings, all >= 2
     for l in range(1, L + 1):
-        assert e.b[l - 1] == ceil_div(e.rseq[l - 1], e.rseq[l]) >= 2
+        assert b[l - 1] == ceil_div(rseq[l - 1], rseq[l]) >= 2
     # strictly decreasing, ending 1, 0
-    assert all(x > y for x, y in zip(e.rseq, e.rseq[1:]))
-    assert e.rseq[-2:] == (1, 0)
+    assert all(x > y for x, y in zip(rseq, rseq[1:]))
+    assert rseq[-2:] == (1, 0)
     # the expansion really evaluates to n/r
-    assert continued_fraction_value(e.b) == Fraction(n, r)
+    assert continued_fraction_value(b) == Fraction(n, r)
     # length bound, attained exactly at r = n - 1
     assert L <= n - 1
     assert (L == n - 1) == (r == n - 1)

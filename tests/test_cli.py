@@ -364,6 +364,29 @@ def test_exactly_one_source(capsys):
     assert code == 1
 
 
+def test_empty_source_values_are_sources(capsys):
+    # an empty --graph or --catalog is given, not absent: two of them are
+    # one too many, and one alone fails as a path or a catalog id
+    for verb in (["jumps"], ["trace-fiber", "--n", "5"], ["character", "--n", "5"]):
+        code, out, err = run(capsys, *verb, "--graph", "", "--catalog", "kodaira:IV", "--machine")
+        assert (code, out) == (1, ""), verb
+        assert err.startswith(f"usage: fibertrace {verb[0]} ")
+        assert err.endswith(f"fibertrace {verb[0]}: error: supply exactly one input source: "
+                            "--graph PATH or --catalog ID\n")
+    assert run(capsys, "jumps", "--graph", "") == (
+        2, "", "fibertrace: [Errno 2] No such file or directory: ''\n")
+    code, out, err = run(capsys, "jumps", "--catalog", "")
+    assert (code, out) == (2, "") and err.startswith("fibertrace: UnknownType: ")
+
+
+def test_source_error_prints_the_verb_usage(capsys):
+    code, out, err = run(capsys, "jumps", "--machine")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: fibertrace jumps [-h] [--graph PATH] [--catalog ID]")
+    assert err.endswith("\nfibertrace jumps: error: supply exactly one input source: "
+                        "--graph PATH or --catalog ID\n")
+
+
 def test_unknown_catalog_exits_2(capsys):
     code, _, err = run(capsys, "jumps", "--catalog", "kodaira:X")
     assert code == 2
@@ -466,7 +489,8 @@ def test_a_verb_call_parses_once(monkeypatch):
 
 NAMED_ARGV = [
     [], ["-h"], ["--help"], ["--machine", "jumps"], ["bogus"], ["bogus", "--catalog", "ogg:4"],
-    ["jumps"], ["jumps", "-h"], ["jumps", "--he"], ["jumps", "--mach", "--catalog", "ogg:4"],
+    ["jumps"], ["jumps", "--graph", ""], ["jumps", "--graph", "", "--catalog", "ogg:4"],
+    ["jumps", "-h"], ["jumps", "--he"], ["jumps", "--mach", "--catalog", "ogg:4"],
     ["jumps", "--catalog", "kodaira:IV", "extra"], ["jumps", "--catalog", "kodaira:IV", "-x", "y"],
     ["catalog-list"], ["catalog-list", "extra"], ["resolve", "3", "4", "13", "14"],
     # --name=value forms, a prefix of --n-min among them

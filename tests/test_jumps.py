@@ -24,7 +24,7 @@ from fibertrace.fiber import (
     principal_components,
     rational_trace,
 )
-from fibertrace.jumps import JumpOptions, JumpSet, compute_jumps, principal_lcm
+from fibertrace.jumps import JumpOptions, JumpSet, compute_jumps
 from reference import acampo_spectrum, per_edge_trace
 from test_catalog import table_entries
 from test_fiber import (
@@ -56,12 +56,18 @@ def reference_round(char, nt):
     return tuple(sorted(rounded))
 
 
+def principal_mult_lcm(g):
+    """n_tilde from the principal components themselves: the lcm of their
+    multiplicities, 1 when there is none."""
+    return math.lcm(*[g.mults[i] for i in principal_components(g)])
+
+
 def class_degrees(g, residue, options=JumpOptions()):
     """The sweep degrees of a residue class mod the multiplicity lcm: the
     first ``options.sweeps`` integers of the class exceeding
     max(2 * n_tilde * lcm, n_min); compute_jumps lists those of class 1."""
     l = g.mult_lcm
-    floor = max(2 * principal_lcm(g) * l, options.n_min, 1)
+    floor = max(2 * principal_mult_lcm(g) * l, options.n_min, 1)
     first = floor + 1 + (residue - floor - 1) % l
     return tuple(first + k * l for k in range(options.sweeps))
 
@@ -69,7 +75,7 @@ def class_degrees(g, residue, options=JumpOptions()):
 def sweep_oracle(g, degrees):
     """The sweep route, independent of the limit character: the character
     at every given degree, each sweep rounded, and all sweeps agreeing."""
-    nt = principal_lcm(g)
+    nt = principal_mult_lcm(g)
     rounded = {reference_round(h1_character(g, n), nt) for n in degrees}
     if len(rounded) != 1:
         raise AssertionError(f"sweeps at degrees {degrees} disagree: {rounded}")
@@ -88,17 +94,22 @@ def agrees_in_class(g, options, residue):
 
 class TestPrincipalLcm:
     def test_examples(self):
-        assert principal_lcm(cat("kodaira:IV")) == 3    # triple curve of valence 3
-        assert principal_lcm(cat("ogg:4")) == 4         # valence-4 quadruple curve
-        assert principal_lcm(cat("kodaira:In:3")) == 1  # cycle: no principal vertex
-        assert principal_lcm(cat("kodaira:In:1")) == 1  # loop ends count as 2
-        assert principal_lcm(cat("kodaira:I")) == 1     # positive genus, mult 1
-        assert principal_lcm(cat("kodaira:II*")) == 6
+        def n_tilde(cid):
+            return compute_jumps(cat(cid)).n_tilde
+
+        assert n_tilde("kodaira:IV") == 3    # triple curve of valence 3
+        assert n_tilde("ogg:4") == 4         # valence-4 quadruple curve
+        assert n_tilde("kodaira:In:3") == 1  # cycle: no principal vertex
+        assert n_tilde("kodaira:In:1") == 1  # loop ends count as 2
+        assert n_tilde("kodaira:I") == 1     # positive genus, mult 1
+        assert n_tilde("kodaira:II*") == 6
 
     def test_parallel_edges_count_separately(self):
-        g = FiberGraph.build([("a", 0, 1), ("b", 0, 2)], [("a", "b")] * 3)
-        # wait: mult-2 vertex of valence 3 is principal
-        assert principal_lcm(g) == 2
+        # the mult-2 vertex meets two reduced curves twice each: valence 4,
+        # so it is principal, though it has only two neighbours
+        g = FiberGraph.build([("a", 0, 1), ("b", 0, 2), ("c", 0, 1)],
+                             [("a", "b"), ("a", "b"), ("c", "b"), ("c", "b")])
+        assert compute_jumps(g).n_tilde == 2
 
 
 class TestSweepDegrees:
@@ -115,8 +126,9 @@ class TestSweepDegrees:
         # rationals are more than 2/n apart: at most one rounding target
         for cid in ("kodaira:IV", "kodaira:II*", "ogg:4"):
             g = cat(cid)
-            nt = principal_lcm(g)
-            for n in compute_jumps(g, JumpOptions()).witnesses:
+            js = compute_jumps(g, JumpOptions())
+            nt = js.n_tilde
+            for n in js.witnesses:
                 assert Fraction(1, nt) > 2 * Fraction(1, n)
 
     def test_n_min_bound(self):
@@ -265,7 +277,7 @@ class TestComputeJumps:
         # limit character at 1/2 through limit_trace to prove the guard fires
         g = FiberGraph.build([("a", 0, 1), ("b", 0, 1), ("e", 0, 2)],
                              [("a", "b"), ("a", "e"), ("e", "b")])
-        assert (principal_lcm(g), g.mult_lcm) == (1, 2)
+        assert (compute_jumps(g).n_tilde, g.mult_lcm) == (1, 2)
         assert compute_jumps(g).jumps == (Fraction(0),)
         monkeypatch.setattr(jumps, "limit_trace", lambda graph, principal: {0: 1, 1: -1})
         with pytest.raises(BadJumpDenominator, match=r"jump 1/2 .* n_tilde = 1"):
@@ -462,7 +474,7 @@ class TestLimitTrace:
     def test_bridges_of_every_length(self):
         rng = random.Random(18)
         want = compute_jumps(two_cusps([1])).jumps
-        assert len(want) == 2 and principal_lcm(two_cusps([1])) == 6
+        assert len(want) == 2 and compute_jumps(two_cusps([1])).n_tilde == 6
         for length in range(1, 41):
             # blowing up a point of the bridge, its ends at p and q included,
             # puts in a curve of the sum of the two multiplicities there

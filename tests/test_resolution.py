@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibertrace import resolution
+from fibertrace.arith import jh_expand
 from fibertrace.errors import BadInput
 from fibertrace.resolution import Singularity, chain_ends, is_stable, resolve
 from reference import universal_polys
@@ -94,10 +95,10 @@ def test_resolution_invariants_sweep():
         # universal polynomials track the r-sequence
         p = universal_polys(res)
         for l in range(-1, L + 1):
-            assert (p[l + 1] * res.r - res.jh.rseq[l + 1]) % n == 0
+            assert (p[l + 1] * res.r - res.rseq[l + 1]) % n == 0
         # cross-term identity linking both ends of the chain
         for l in range(L + 1):
-            assert mu[l + 1] * res.jh.rseq[l] - mu[l] * res.jh.rseq[l + 1] == m1
+            assert mu[l + 1] * res.rseq[l] - mu[l] * res.rseq[l + 1] == m1
         checked += 1
     assert checked > 5000
 
@@ -229,3 +230,22 @@ def test_resolve_closes_the_chain(triple):
     assert res.mu[0] == m2
     assert res.mu[-1] == m1
     assert res.r == brute_r(m1, m2, n)
+
+
+ADMISSIBLE_TRIPLES = random_triple().filter(
+    lambda t: math.gcd(t[2], t[0]) == 1 and math.gcd(t[2], t[1]) == 1)
+
+
+@given(ADMISSIBLE_TRIPLES)
+@settings(max_examples=150)
+def test_resolution_holds_its_expansion(triple):
+    # the record carries the expansion of n/r itself: b and the r-sequence
+    # from n, r down to 1, 0, beside a multiplicity for every curve and both
+    # branches
+    m1, m2, n = triple
+    res = resolve(Singularity(m1, m2, n))
+    assert (res.b, res.rseq) == jh_expand(n, res.r)
+    assert res.rseq[:2] == (n, res.r)
+    assert res.rseq[-2:] == (1, 0)
+    assert len(res.mu) == res.length + 2
+    assert res._fields == ("sing", "r", "b", "rseq", "mu", "alpha1", "alpha2", "m")
