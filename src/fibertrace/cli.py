@@ -32,7 +32,8 @@ class _Parser(argparse.ArgumentParser):
 # and the parser of each verb by name.  When argv starts with a verb, main
 # hands the rest straight to that verb's parser: the top-level pass would
 # scan every token only to pass the same tokens on.  The top-level parser
-# still takes every other argv, and reports tokens the verb leaves over.
+# still takes every other argv.  Tokens left over are reported by the
+# verb's parser either way, with the verb's usage.
 @functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     # allow_abbrev=False: an option is spelled in full, so --n is not --n-min
@@ -155,12 +156,12 @@ def main(argv=None) -> int:
     try:
         verb = verbs.get(argv[0]) if argv else None
         if verb is None:
-            args = parser.parse_args(argv)
+            args, extra = parser.parse_known_args(argv)
         else:
             args, extra = verb.parse_known_args(argv[1:])
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
             args.verb = argv[0]
+        if extra:
+            verbs[args.verb].error(f"unrecognized arguments: {' '.join(extra)}")
         return _run(args)
     except SystemExit as exc:  # argparse usage errors and --help
         return exc.code if isinstance(exc.code, int) else 1

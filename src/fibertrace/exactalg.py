@@ -32,15 +32,16 @@ The fixed-point evaluation route needs no general inverse and no field
 arithmetic: ``packed_inverse_numerators`` gives n * (1 - zeta_n^c)^(-1) in
 closed form as an integer polynomial, packed into one integer with one
 signed slot of whole bytes per coefficient, so that a product of two is a
-single big-integer multiplication (Kronecker substitution) and
-``singtrace.trace_oracle`` keeps its whole sum as one integer over the
-denominator n^2 and calls ``from_poly`` once.  Slots go in and out of
-those integers through typed arrays (``array``) of the smallest native
-item of 1, 2, 4 or 8 bytes that holds a slot: packing gathers a numerator's
-slots from a per-call table in one strided step and trims each item to the
-slot width by deleting its top byte planes, and ``_unpack`` widens the
-slots back and reads them with one array, so neither converts one slot at
-a time.
+single big-integer multiplication (Kronecker substitution).
+``singtrace.trace_oracle`` keeps its whole sum over the denominator n^2 as
+one integer modulo 2^(8 * width * n) - 1, the image of x^n - 1, with one
+such product per pair of middle nodes, and calls ``from_poly`` once.
+Slots go in and out of those integers through typed arrays (``array``) of
+the smallest native item of 1, 2, 4 or 8 bytes that holds a slot: packing
+gathers a numerator's slots from a per-call table in one strided step and
+trims each item to the slot width by deleting its top byte planes, and
+``_unpack`` widens the slots back and reads them with one array, so
+neither converts one slot at a time.
 """
 from __future__ import annotations
 

@@ -36,19 +36,20 @@ MAX_NODE_SUM_CELLS = 10**7
 
 # Most cells the cyclotomic oracle may touch, counted as (L + 1) * n^2 for a
 # chain of L curves at degree n: L + 1 node terms of up to n^2 cells each.
-# The oracle makes one big-integer product of n-slot integers per node, folds
-# it back to n slots, and reduces the n-slot sum modulo Phi_n once: one
-# update per nonzero term of Phi_n below its leading one in each of
-# h - phi(n) steps, at most (h/2)^2 updates with h = n for odd n and n/2 for
-# even n (see exactalg).  Near the bound the slowest shape found,
-# (1, 2144, 2145), takes 0.07-0.12 s per power in a fresh interpreter on a
-# 2-vCPU Xeon VM, most of it the 1185 * 808 updates of that reduction;
-# building Phi_2145, cached per n, takes about 1 ms of it.  At three powers
-# it raises the interpreter's peak RSS from 14.9 MB to 23.9 MB, mostly the
-# gather that packs a numerator (exactalg): m * min(u, m - u) items of the
-# slot's native size, here up to 2145 * 1072 items of 4 bytes.  (1, 1, 214)
-# and (1, 1, 215), the longest chains, take 0.02 s; n <= 150 needs at most
-# 150^3 cells.  No production route calls it.
+# The oracle makes one big-integer product of n-slot integers per pair of
+# middle nodes, keeps its sum modulo 2^(8 * width * n) - 1, and reduces the
+# n-slot result modulo Phi_n once: one update per nonzero term of Phi_n
+# below its leading one in each of h - phi(n) steps, at most (h/2)^2
+# updates with h = n for odd n and n/2 for even n (see exactalg).  Near the
+# bound the slowest shape found, (1, 2144, 2145), takes 0.07-0.10 s per
+# power in a fresh interpreter on a 2-vCPU Xeon VM, most of it the
+# 1185 * 808 updates of that reduction; building Phi_2145, cached per n,
+# takes about 1 ms of it.  At three powers it raises the interpreter's peak
+# RSS from 14.9 MB to 24.0 MB, mostly the gather that packs a numerator
+# (exactalg): m * min(u, m - u) items of the slot's native size, here up to
+# 2145 * 1072 items of 4 bytes.  (1, 1, 214) and (1, 1, 215), the longest
+# chains, take 0.005-0.008 s per power, 107 products each; n <= 150 needs
+# at most 150^3 cells.  No production route calls it.
 MAX_ORACLE_CELLS = 10**7
 
 __all__ = [
@@ -178,10 +179,29 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     ((1 - chi(r_{l-1})) (1 - chi(-r_l))) in between, chi(e) =
     zeta_n^(power * alpha1 * e).  Over the common denominator n^2 each is
     an integer polynomial in zeta_n built from the numerators N(c) of
-    n / (1 - zeta_n^c) (``packed_inverse_numerators``): mu * n * N(c) at an
-    end, (1 - x^a) N(c1) N(c2) in between.  The whole sum is kept as one
-    Kronecker integer of n slots, each product folded modulo x^n - 1 as it
-    is formed, and is reduced modulo Phi_n once at the end."""
+    n / (1 - zeta_n^c) (``packed_inverse_numerators``).  With c_l =
+    power * alpha1 * r_l, U_l = N(c_l) and R_l = 1 - x^(a_l), the ends are
+    mu_1 n N(-c_0) and mu_L n U_{L-1}, and middle node l is
+    R_l U_{l-1} N(-c_l).  As N(-c) = n - N(c) - g(n+2) J_g, g = gcd(c, n)
+    and J_g = sum_{e < n/g} x^(g e), the middle nodes sum to
+
+        n sum R_l U_{l-1} - sum g_l (n+2) R_l U_{l-1} J_(g_l)
+        - sum R_l U_{l-1} U_l,
+
+    and the last sum, taken over pairs of neighbours sharing U_l, is a sum
+    of U_l (R_l U_{l-1} + R_{l+1} U_{l+1}): one big-integer product per
+    pair of middle nodes.  The J_g sum needs none: R_l J_g = 0 when g_l
+    divides a_l (g_l = 1 included), and y J_g depends only on y modulo
+    x^g - 1, that is on the coset sums of y.
+
+    The whole sum is kept as one Kronecker integer of n slots of s bits.
+    Packing is evaluation at x = 2^s, which maps x^n - 1 to M = 2^(s n) - 1,
+    so every step, rotations and products included, is a congruence modulo
+    M, and slots in between may be negative or overflow.  The final
+    polynomial is the same whatever the order of the steps, and its
+    coefficients are below 2^(s-1), so the symmetric residue modulo M,
+    taken once at the end, is exactly its packed form; it is reduced
+    modulo Phi_n once."""
     n = res.n
     if math.gcd(power, n) != 1:
         raise BadInput(f"power {power} must be coprime to {n}")
@@ -197,12 +217,12 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
 
     # Every N(c) has coefficients in [-M(c), 0] with M(c) = n(g+1)/2,
     # g = gcd(c, n), summing to -S, S = n(n+1)/2 (packed_inverse_numerators).
-    # So a middle node's product p = N(c1) N(c2), folded modulo x^n - 1,
-    # has coefficients sum_i N(c1)_i N(c2)_(k-i) in [0, min(M(c1), M(c2)) * S],
-    # and p - x^a p, a difference of two such, lies within that bound too;
-    # an end node's mu * n * N(c) lies within mu * n * M(c).  The sum is
-    # linear, so only its final coefficients must fit: each has absolute
-    # value at most the sum of the node bounds, below 2^k for
+    # So a middle node's R_l N(c1) N(c2), folded modulo x^n - 1, is the
+    # difference of two polynomials with coefficients in
+    # [0, min(M(c1), M(c2)) * S] and lies within that bound too; an end
+    # node's mu * n * N(c) lies within mu * n * M(c).  The final polynomial
+    # is their sum, however it is computed, so each final coefficient has
+    # absolute value at most the sum of the node bounds, below 2^k for
     # k = bound.bit_length(), and a slot of k + 1 bits, rounded up to whole
     # bytes, holds it signed.  The end nodes alone make the bound at least
     # n^2 >= M(c), so each N(c) fits its slots too.  Every n(g+1) is even,
@@ -215,29 +235,45 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     # most 10^5 n^3 + (L - 1) n^3 (n + 1)/4 <= 10^5 n^3 + MAX_ORACLE_CELLS
     # n (n + 1)/4 < 2^51, and k + 1 <= 52 bits take 7 bytes.
     rs = res.rseq  # r_{l-1} = rs[l]
-    first = (-unit * rs[1]) % n
-    last = (unit * rs[L]) % n
-    # (c1, c2, a) of node l = 1..L-1, from r_{l-1}, r_l, mu_l, mu_{l+1},
-    # and the sum of min(g1, g2) + 1 that makes the middle nodes' bound
-    middle = []
-    gsum = 0
-    for x, y, m, nu in zip(rs[1:L], rs[2:], mu[1:L], mu[2:]):
-        c1, c2 = unit * x % n, -unit * y % n
-        middle.append((c1, c2, unit * (x * nu - y * m) % n))
-        gsum += min(math.gcd(c1, n), math.gcd(c2, n)) + 1
-    ends = mu[1] * (math.gcd(first, n) + 1) + mu[L] * (math.gcd(last, n) + 1)
+    # c_l and g_l for l = 0..L-1; a_l of node l = 1..L-1, from r_{l-1}, r_l,
+    # mu_l, mu_{l+1}; and the sum of min(g_{l-1}, g_l) + 1 that makes the
+    # middle nodes' bound
+    cs = [unit * x % n for x in rs[1:L + 1]]
+    gs = [math.gcd(c, n) for c in cs]
+    middle = [unit * (x * nu - y * m) % n for x, y, m, nu in zip(rs[1:L], rs[2:], mu[1:L], mu[2:])]
+    gsum = sum(map(min, gs, gs[1:])) + L - 1
+    ends = mu[1] * (gs[0] + 1) + mu[L] * (gs[-1] + 1)
     bound = n * (n * ends + n * (n + 1) // 2 * gsum) // 2
     width = (bound.bit_length() + 8) // 8
     shift = 8 * width
     size = shift * n
-    mask = (1 << size) - 1
+    mask = (1 << size) - 1  # M
+
+    def turn(y: int, a: int) -> int:
+        # (1 - x^a) y modulo M, for every integer y: x^a y is y shifted up
+        # a slots, the part past slot n wrapped to the bottom
+        return y - ((y << shift * a) & mask) - (y >> shift * (n - a))
 
     numerator = packed_inverse_numerators(n, width)
-    acc = n * (mu[1] * numerator(first) + mu[L] * numerator(last))
-    for c1, c2, a in middle:
-        # p has 2n - 1 slots, all >= 0, so masking and shifting cut it into
-        # whole slots with no borrow, and the same holds for its rotation
-        p = numerator(c1) * numerator(c2)
-        p = (p & mask) + (p >> size)
-        acc += p - (((p << shift * a) & mask) + (p >> shift * (n - a)))
+    us = [numerator(c) for c in cs]
+    acc = n * (mu[1] * numerator(-cs[0]) + mu[L] * us[-1])
+    turned = [turn(u, a) for u, a in zip(us, middle)]  # R_l U_{l-1}, l = 1..L-1
+    acc += n * sum(turned)
+    for l in range(1, L, 2):
+        pair = turned[l - 1] + turn(us[l + 1], middle[l]) if l + 1 < L else turned[l - 1]
+        acc -= us[l] * pair
+    cosets: dict[int, int] = {}  # g -> sum of the R_l U_{l-1} with g_l = g not dividing a_l
+    for y, a, g in zip(turned, middle, gs[1:]):
+        if a % g:
+            cosets[g] = cosets.get(g, 0) + y
+    for g, y in cosets.items():
+        # y modulo 2^(s g) - 1 is y's coset sums modulo x^g - 1, and J_g
+        # times it is that residue repeated n/g times
+        y %= (1 << shift * g) - 1
+        acc -= g * (n + 2) * int.from_bytes(y.to_bytes(width * g, "little") * (n // g), "little")
+    # the products have up to 2n slots: fold once, then the symmetric residue
+    acc = (acc & mask) + (acc >> size)
+    acc %= mask
+    if acc > mask >> 1:
+        acc -= mask
     return CyclotomicNumber.from_poly(n, _unpack(acc, n, width), n * n)

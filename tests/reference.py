@@ -1,5 +1,6 @@
 """Reference arithmetic that only the tests use, kept out of the package."""
 
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -7,7 +8,12 @@ from functools import lru_cache
 from fibertrace import cli
 from fibertrace.arith import mod_inverse
 from fibertrace.errors import FibertraceError, NonIntegralSelfIntersection
-from fibertrace.exactalg import CyclotomicNumber, GroupRingElement
+from fibertrace.exactalg import (
+    CyclotomicNumber,
+    GroupRingElement,
+    _unpack,
+    packed_inverse_numerators,
+)
 from fibertrace.resolution import ResolutionData, Singularity, chain_ends
 from fibertrace.singtrace import block_sum, edge_blocks
 
@@ -87,6 +93,40 @@ def self_intersections(g, n: int) -> dict[str, int]:
     return per_edge_trace(g, n)[0]
 
 
+def per_node_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
+    """The fixed-point trace at zeta_n^power with one big-integer product
+    per middle node: mu_1 n N(-c_0) and mu_L n N(c_{L-1}) at the ends and
+    (1 - x^a_l) N(c_{l-1}) N(-c_l) at middle node l, c_l = power * alpha1 *
+    r_l, every product folded modulo x^n - 1 as it is formed.  Every
+    folded product has slots >= 0, so masking and shifting cut it into
+    whole slots with no borrow.  The slot width holds a sign bit above the
+    bound on the final coefficients: the end nodes' mu * n * n(g + 1)/2
+    plus each middle node's n * min(n(g1 + 1)/2, n(g2 + 1)/2) * n(n + 1)/2."""
+    n, mu, rs, L = res.n, res.mu, res.rseq, res.length
+    unit = power * res.alpha1
+    first = (-unit * rs[1]) % n
+    last = (unit * rs[L]) % n
+    middle = []
+    gsum = 0
+    for x, y, m, nu in zip(rs[1:L], rs[2:], mu[1:L], mu[2:]):
+        c1, c2 = unit * x % n, -unit * y % n
+        middle.append((c1, c2, unit * (x * nu - y * m) % n))
+        gsum += min(math.gcd(c1, n), math.gcd(c2, n)) + 1
+    ends = mu[1] * (math.gcd(first, n) + 1) + mu[L] * (math.gcd(last, n) + 1)
+    bound = n * (n * ends + n * (n + 1) // 2 * gsum) // 2
+    width = (bound.bit_length() + 8) // 8
+    shift = 8 * width
+    size = shift * n
+    mask = (1 << size) - 1
+    numerator = packed_inverse_numerators(n, width)
+    acc = n * (mu[1] * numerator(first) + mu[L] * numerator(last))
+    for c1, c2, a in middle:
+        p = numerator(c1) * numerator(c2)
+        p = (p & mask) + (p >> size)
+        acc += p - (((p << shift * a) & mask) + (p >> shift * (n - a)))
+    return CyclotomicNumber.from_poly(n, _unpack(acc, n, width), n * n)
+
+
 def schoolbook(a, b) -> list[int]:
     """The product of two integer polynomials, term by term."""
     out = [0] * (len(a) + len(b) - 1)
@@ -155,10 +195,14 @@ def acampo_spectrum(g) -> dict:
 def two_pass_main(argv) -> int:
     """``cli.main`` by the two-level parse: the top-level parser reads the
     whole argv and hands the tokens after the verb to the verb's parser,
-    then the verb runs; the same exit codes and error lines as main."""
-    parser, _ = cli._build_parser()
+    the verb's parser reports the tokens left over, then the verb runs;
+    the same exit codes and error lines as main."""
+    parser, verbs = cli._build_parser()
     try:
-        return cli._run(parser.parse_args(argv))
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            verbs[args.verb].error(f"unrecognized arguments: {' '.join(extra)}")
+        return cli._run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except FibertraceError as exc:

@@ -333,7 +333,8 @@ def test_abbreviated_options_are_refused(capsys):
                         (["jumps", "--mach", "--catalog", "kodaira:IV"], "--mach")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out, argv
-        assert err.endswith(f"fibertrace: error: unrecognized arguments: {token}\n"), argv
+        assert err.startswith("usage: fibertrace jumps [-h]"), argv
+        assert err.endswith(f"fibertrace jumps: error: unrecognized arguments: {token}\n"), argv
     code, out, err = run(capsys, "jumps", "--n-min=13", "--catalog", "kodaira:IV", "--machine")
     assert (code, out, err) == (0, "jump 1/3\n", "")
 
@@ -385,6 +386,20 @@ def test_source_error_prints_the_verb_usage(capsys):
     assert err.startswith("usage: fibertrace jumps [-h] [--graph PATH] [--catalog ID]")
     assert err.endswith("\nfibertrace jumps: error: supply exactly one input source: "
                         "--graph PATH or --catalog ID\n")
+
+
+def test_leftover_tokens_print_the_verb_usage(capsys):
+    # tokens a verb leaves over are a usage error of that verb, whether they
+    # come after the verb or before it
+    assert run(capsys, "catalog-list", "--machine") == (
+        1, "", "usage: fibertrace catalog-list [-h]\n"
+               "fibertrace catalog-list: error: unrecognized arguments: --machine\n")
+    for argv, token in ((["jumps", "--catalog", "kodaira:IV", "extra"], "extra"),
+                        (["--machine", "jumps", "--catalog", "kodaira:IV"], "--machine")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage: fibertrace jumps [-h] [--graph PATH] [--catalog ID]"), argv
+        assert err.endswith(f"\nfibertrace jumps: error: unrecognized arguments: {token}\n"), argv
 
 
 def test_unknown_catalog_exits_2(capsys):
@@ -493,6 +508,7 @@ NAMED_ARGV = [
     ["jumps", "-h"], ["jumps", "--he"], ["jumps", "--mach", "--catalog", "ogg:4"],
     ["jumps", "--catalog", "kodaira:IV", "extra"], ["jumps", "--catalog", "kodaira:IV", "-x", "y"],
     ["catalog-list"], ["catalog-list", "extra"], ["resolve", "3", "4", "13", "14"],
+    ["--machine", "catalog-list"], ["catalog-list", "--machine"],
     # --name=value forms, a prefix of --n-min among them
     ["--n=5"], ["jumps", "--n=5"], ["character", "--catalog=ogg:4", "--n=13", "--machine"],
     ["trace-fiber", "--catalog", "ogg:4", "--n=x"], ["jumps", "--catalog=ogg:4", "--sweeps=2"],

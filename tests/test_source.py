@@ -79,7 +79,7 @@ def test_oracles_stay_independent_of_the_closed_form():
     closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree",
                    "rational_trace", "limit_trace"}
     oracles = {"trace_polynomial", "trace_oracle", "packed_inverse_numerators",
-               "acampo_spectrum"}
+               "acampo_spectrum", "per_node_oracle"}
     found = {}
     for path in SOURCES + [REFERENCE]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
