@@ -171,28 +171,31 @@ def singularity_trace(sing: Singularity) -> GroupRingElement:
 def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     """Fixed-point evaluation of the trace at zeta_n^power, exactly in
     Q(zeta_n).  Requires gcd(power, n) = 1 so that no denominator
-    vanishes.  Raises BadInput when the evaluation would touch more than
+    vanishes, and a chain as ``resolve`` makes it.  Raises BadInput when the evaluation would touch more than
     MAX_ORACLE_CELLS cells.
 
     The node terms are mu_1 / (1 - chi(-r_0)) and mu_L / (1 - chi(r_{L-1}))
-    at the two ends and (1 - chi(r_{l-1} mu_{l+1} - r_l mu_l)) /
-    ((1 - chi(r_{l-1})) (1 - chi(-r_l))) in between, chi(e) =
-    zeta_n^(power * alpha1 * e).  Over the common denominator n^2 each is
-    an integer polynomial in zeta_n built from the numerators N(c) of
-    n / (1 - zeta_n^c) (``packed_inverse_numerators``).  With c_l =
-    power * alpha1 * r_l, U_l = N(c_l) and R_l = 1 - x^(a_l), the ends are
-    mu_1 n N(-c_0) and mu_L n U_{L-1}, and middle node l is
-    R_l U_{l-1} N(-c_l).  As N(-c) = n - N(c) - g(n+2) J_g, g = gcd(c, n)
-    and J_g = sum_{e < n/g} x^(g e), the middle nodes sum to
+    at the two ends and (1 - chi(D_l)) / ((1 - chi(r_{l-1})) (1 - chi(-r_l)))
+    in between, D_l = r_{l-1} mu_{l+1} - r_l mu_l and chi(e) =
+    zeta_n^(power * alpha1 * e).  D_l is the same at every node: as
+    r_{l-2} + r_l = b_l r_{l-1} (``jh_expand``) and mu_{l+1} + mu_{l-1} =
+    b_l mu_l, D_l - D_{l-1} = r_{l-1} (mu_{l+1} + mu_{l-1}) - mu_l (r_l +
+    r_{l-2}) = 0, and D_0 = n mu_1 - r m2 = m1.  So chi(D_l) = zeta_n^power,
+    alpha1 being the inverse of m1 mod n.  Over the common denominator n^2
+    each node term is an integer polynomial in zeta_n built from the
+    numerators N(c) of n / (1 - zeta_n^c) (``packed_inverse_numerators``).
+    With c_l = power * alpha1 * r_l, U_l = N(c_l) and R = 1 - x^power, the
+    ends are mu_1 n N(-c_0) and mu_L n U_{L-1}, and middle node l is
+    R U_{l-1} N(-c_l).  As N(-c) = n - N(c) - g(n+2) J_g, g = gcd(c, n)
+    and J_g = sum_{e < n/g} x^(g e), the middle nodes sum to R times
 
-        n sum R_l U_{l-1} - sum g_l (n+2) R_l U_{l-1} J_(g_l)
-        - sum R_l U_{l-1} U_l,
+        n sum U_{l-1} - sum g_l (n+2) U_{l-1} J_(g_l) - sum U_{l-1} U_l,
 
     and the last sum, taken over pairs of neighbours sharing U_l, is a sum
-    of U_l (R_l U_{l-1} + R_{l+1} U_{l+1}): one big-integer product per
-    pair of middle nodes.  The J_g sum needs none: R_l J_g = 0 when g_l
-    divides a_l (g_l = 1 included), and y J_g depends only on y modulo
-    x^g - 1, that is on the coset sums of y.
+    of U_l (U_{l-1} + U_{l+1}): one big-integer product per pair of middle
+    nodes.  The J_g sum needs none: R J_g = 0 when g_l = 1, and no g_l > 1
+    divides power, a unit mod n; y J_g depends only on y modulo x^g - 1,
+    that is on the coset sums of y.  R multiplies the middle sum once.
 
     The whole sum is kept as one Kronecker integer of n slots of s bits.
     Packing is evaluation at x = 2^s, which maps x^n - 1 to M = 2^(s n) - 1,
@@ -235,12 +238,10 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     # most 10^5 n^3 + (L - 1) n^3 (n + 1)/4 <= 10^5 n^3 + MAX_ORACLE_CELLS
     # n (n + 1)/4 < 2^51, and k + 1 <= 52 bits take 7 bytes.
     rs = res.rseq  # r_{l-1} = rs[l]
-    # c_l and g_l for l = 0..L-1; a_l of node l = 1..L-1, from r_{l-1}, r_l,
-    # mu_l, mu_{l+1}; and the sum of min(g_{l-1}, g_l) + 1 that makes the
-    # middle nodes' bound
+    # c_l and g_l for l = 0..L-1, and the sum of min(g_{l-1}, g_l) + 1 that
+    # makes the middle nodes' bound
     cs = [unit * x % n for x in rs[1:L + 1]]
     gs = [math.gcd(c, n) for c in cs]
-    middle = [unit * (x * nu - y * m) % n for x, y, m, nu in zip(rs[1:L], rs[2:], mu[1:L], mu[2:])]
     gsum = sum(map(min, gs, gs[1:])) + L - 1
     ends = mu[1] * (gs[0] + 1) + mu[L] * (gs[-1] + 1)
     bound = n * (n * ends + n * (n + 1) // 2 * gsum) // 2
@@ -249,31 +250,28 @@ def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     size = shift * n
     mask = (1 << size) - 1  # M
 
-    def turn(y: int, a: int) -> int:
-        # (1 - x^a) y modulo M, for every integer y: x^a y is y shifted up
-        # a slots, the part past slot n wrapped to the bottom
-        return y - ((y << shift * a) & mask) - (y >> shift * (n - a))
-
     numerator = packed_inverse_numerators(n, width)
     us = [numerator(c) for c in cs]
-    acc = n * (mu[1] * numerator(-cs[0]) + mu[L] * us[-1])
-    turned = [turn(u, a) for u, a in zip(us, middle)]  # R_l U_{l-1}, l = 1..L-1
-    acc += n * sum(turned)
+    middle = n * sum(us[:L - 1])  # the middle sum before R
     for l in range(1, L, 2):
-        pair = turned[l - 1] + turn(us[l + 1], middle[l]) if l + 1 < L else turned[l - 1]
-        acc -= us[l] * pair
-    cosets: dict[int, int] = {}  # g -> sum of the R_l U_{l-1} with g_l = g not dividing a_l
-    for y, a, g in zip(turned, middle, gs[1:]):
-        if a % g:
+        middle -= us[l] * (us[l - 1] + us[l + 1] if l + 1 < L else us[l - 1])
+    cosets: dict[int, int] = {}  # g -> sum of the U_{l-1} with g_l = g > 1
+    for y, g in zip(us, gs[1:]):
+        if g > 1:
             cosets[g] = cosets.get(g, 0) + y
     for g, y in cosets.items():
         # y modulo 2^(s g) - 1 is y's coset sums modulo x^g - 1, and J_g
         # times it is that residue repeated n/g times
         y %= (1 << shift * g) - 1
-        acc -= g * (n + 2) * int.from_bytes(y.to_bytes(width * g, "little") * (n // g), "little")
-    # the products have up to 2n slots: fold once, then the symmetric residue
-    acc = (acc & mask) + (acc >> size)
-    acc %= mask
+        middle -= g * (n + 2) * int.from_bytes(y.to_bytes(width * g, "little") * (n // g), "little")
+    # R y modulo M, for every integer y: x^a y is y shifted up a slots, the
+    # part past slot n wrapped to the bottom; the products have up to 2n
+    # slots, so fold them first
+    middle = (middle & mask) + (middle >> size)
+    a = power % n
+    acc = middle - ((middle << shift * a) & mask) - (middle >> shift * (n - a))
+    acc += n * (mu[1] * numerator(-cs[0]) + mu[L] * us[-1])
+    acc %= mask  # the symmetric residue
     if acc > mask >> 1:
         acc -= mask
     return CyclotomicNumber.from_poly(n, _unpack(acc, n, width), n * n)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import time
@@ -487,17 +488,20 @@ def test_fuzzed_argv_exits_cleanly_and_leaves_parser_intact(tmp_path, monkeypatc
 
 
 def test_a_verb_call_parses_once(monkeypatch):
-    # the verb's parser reads the tokens after the verb; no top-level pass
-    # scans them first
+    # a plain argv is read from the verb table alone; any other argv is
+    # parsed once, by the verb's parser, with no top-level pass before it
     calls = []
-    parse = cli._Parser.parse_known_args
+    parse = argparse.ArgumentParser.parse_known_args
 
     def counting(self, *args, **kwargs):
         calls.append(self.prog)
         return parse(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "parse_known_args", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
     argv = ["jumps", "--catalog", "kodaira:IV", "--machine"]
+    assert run_captured(argv) == (0, "jump 1/3\n", "")
+    assert calls == []
+    argv = ["jumps", "--n-min=13", "--catalog", "kodaira:IV", "--machine"]
     assert run_captured(argv) == (0, "jump 1/3\n", "")
     assert calls == ["fibertrace jumps"]
 
@@ -516,6 +520,17 @@ NAMED_ARGV = [
     ["--"], ["--", "jumps", "--catalog", "kodaira:IV"], ["jumps", "--"],
     ["jumps", "--", "--catalog", "kodaira:IV"], ["jumps", "--catalog", "kodaira:IV", "--"],
     ["resolve", "--", "3", "4", "13"], ["resolve", "3", "4", "13", "--", "--machine"],
+    # at the edge of a plain argv: a repeat, dash-led values, what int() reads
+    # besides plain digits, a missing value or option, positionals around a
+    # flag, too few and too many of them, odd graph paths
+    ["jumps", "--catalog", "ogg:4", "--n-min", "5", "--n-min", "7"],
+    ["jumps", "--catalog", "ogg:4", "--n-min", "-7"],
+    ["jumps", "--catalog", "ogg:4", "--sweeps", " 2"],
+    ["jumps", "--catalog", "ogg:4", "--n-min", "\u0661\u0662"],
+    ["jumps", "--catalog", "ogg:4", "--n-min", "1_0"],
+    ["jumps", "--catalog"], ["jumps", "--catalog", "-x"], ["character", "--catalog", "ogg:4"],
+    ["resolve", "3", "--machine", "4", "13"], ["resolve", "3", "4"], ["resolve", "3", "4", "13", "5"],
+    ["jumps", "--graph", "-"], ["jumps", "--graph", ""],
 ]
 
 

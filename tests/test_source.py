@@ -72,6 +72,23 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_plain_cli_call_does_not_import_argparse():
+    # a fresh interpreter without site: a plain verb argv is read from the
+    # verb table, and only help and usage errors build the argparse parsers
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)}
+    probe = ("import sys, fibertrace.cli; code = fibertrace.cli.main({}); "
+             "print(code, 'argparse' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe.format(["jumps", "--catalog", "kodaira:IV", "--machine"])],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "jump 1/3\n0 False\n", "")
+    done = subprocess.run([sys.executable, "-S", "-c", probe.format(["jumps", "-h"])],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: fibertrace jumps [-h] [--graph PATH] [--catalog ID]")
+    assert done.stdout.endswith("\n0 True\n")
+
+
 def test_oracles_stay_independent_of_the_closed_form():
     # the node sum and the cyclotomic oracle arbitrate the closed form, and
     # A'Campo's spectrum the jumps, so none may reach the chain ends, the
