@@ -13,6 +13,7 @@ differing by chains of (-2)-curves would serve equally well.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .errors import BadInput, UnknownType
@@ -94,8 +95,12 @@ ZERO_MEMBERS = {"kodaira:I": "kodaira:In", "kodaira:I*": "kodaira:In*"}
 
 def lookup(type_id: FiberTypeId) -> FiberGraph:
     """Return the fiber graph of a catalog entry.  A Kodaira id without a
-    parameter also answers to the parameter 0: kodaira:IV:0 is kodaira:IV."""
+    parameter also answers to the parameter 0: kodaira:IV:0 is kodaira:IV.
+    Every valid id returns one shared graph per canonical id; FiberGraph
+    is immutable, so callers cannot change it for one another."""
     key, k = f"{type_id.family}:{type_id.name}", type_id.parameter
+    if k is not None and not isinstance(k, int):
+        raise UnknownType(f"parameter of catalog id {type_id} must be an integer")
     if key in ZERO_MEMBERS and k in (None, 0):
         key, k = ZERO_MEMBERS[key], 0
     if key in FAMILIES:
@@ -105,10 +110,20 @@ def lookup(type_id: FiberTypeId) -> FiberGraph:
             raise BadInput(
                 f"type {type_id.name} parameter {k} exceeds MAX_PARAMETER = {MAX_PARAMETER}"
             )
-        return FAMILIES[key](k)
+        return _graph(key, k)
     if key not in STARS or k not in (None, 0) or (k == 0 and type_id.family != "kodaira"):
         raise UnknownType(f"unknown catalog id {type_id}; catalog-list names the built-in ones")
-    return _star(*STARS[key])
+    return _graph(key, None)
+
+
+# Only ids that passed every check of lookup reach this cache, so no error
+# is cached and MAX_PARAMETER is read on every call.  The worst case it
+# holds is 32 family members near MAX_PARAMETER: about 65 MB (tracemalloc),
+# and about 110 MB once equality, hashing or repr has built their sorted
+# vertices and edges views.
+@functools.lru_cache(maxsize=32)
+def _graph(key: str, k: int | None) -> FiberGraph:
+    return _star(*STARS[key]) if k is None else FAMILIES[key](k)
 
 
 def catalog_ids() -> list[str]:
