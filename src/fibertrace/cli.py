@@ -170,7 +170,7 @@ def _run(args) -> int:
         g = _load_graph(args)
         trace = total_trace(g, args.n)
         if not args.machine:
-            print(f"graph: {len(g.ids)} vertices, {len(g.pairs)} edges")
+            print(f"graph: {len(g.ids)} vertices, {len(g.heads)} edges")
             print(f"n={args.n}")
         _print_trace(trace, args.machine)
     elif args.verb == "character":

@@ -23,9 +23,11 @@ class j/L to (j n mod L)/L for a degree n; ``total_trace`` and
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from functools import cached_property
-from operator import itemgetter, mod, sub
+from itertools import compress, count, repeat
+from operator import gt, itemgetter, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -41,10 +43,12 @@ from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.
 from .singtrace import at_degree
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
-# more than one past it.  At the bound, one jumps --machine call takes
-# 0.06-0.11 s on a cycle of 20,833 reduced curves with five-digit ids and
-# 0.08-0.14 s on two reduced curves meeting 111,105 times (which exits at
-# MAX_GENUS before any trace is built), on a 2-vCPU Xeon VM.
+# more than one past it.  At the bound, one jumps --machine call on a cycle
+# of 20,833 reduced curves with five-digit ids takes 0.05-0.07 s in the
+# plain spelling, read in bulk, and 0.09-0.12 s with each edge line after
+# its vertex line and a comment, read line by line; on two reduced curves
+# meeting 111,105 times, plain, it takes 0.05-0.07 s (and exits at MAX_GENUS
+# before any trace is built).  Measured on a 2-vCPU Xeon VM.
 MAX_GRAPH_CHARS = 10**6
 
 # Most block terms limit_trace builds, counted before any is built: m per row
@@ -70,28 +74,32 @@ class FiberGraph:
     """Connected multigraph (loops and parallel edges allowed) with at
     least one multiplicity-1 vertex, held as columns in input order:
     ``ids``, ``genera``, ``mults`` and ``degrees`` (edge-ends, a loop
-    counting twice) by vertex position, and ``pairs``, each edge as the
-    positions (lo, hi) of its endpoints with ids[lo] <= ids[hi].
+    counting twice) by vertex position, and ``heads`` and ``tails`` by
+    edge, the positions of each edge's two endpoints as the input listed
+    them.
 
     The sorted views ``vertices`` (Vertex records by id) and ``edges``
-    (sorted id pairs) are built on first use; equality, hashing and repr
-    are those of the views, so two inputs listing the same vertices and
-    edges in any order give equal graphs."""
+    (id pairs, each with the smaller id first) are built on first use;
+    equality, hashing and repr are those of the views, so two inputs
+    listing the same vertices and edges in any order, with either end of
+    an edge first, give equal graphs."""
 
     ids: tuple[str, ...]
     genera: tuple[int, ...]
     mults: tuple[int, ...]
     degrees: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-    _position: dict[str, int]  # id -> position, filled by build
+    heads: tuple[int, ...]
+    tails: tuple[int, ...]
+    _position: dict[str, int]  # id -> position, filled by _from_columns
 
-    def __init__(self, ids, genera, mults, degrees, pairs, _position):
+    def __init__(self, ids, genera, mults, degrees, heads, tails, _position):
         # the only writes: __setattr__ and __delattr__ refuse every other
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "mults", mults)
         object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "tails", tails)
         object.__setattr__(self, "_position", _position)
 
     def __setattr__(self, name, value):
@@ -102,17 +110,29 @@ class FiberGraph:
 
     @classmethod
     def build(cls, vertices, edges) -> "FiberGraph":
-        """Validate and index in one walk over the edges, which checks each
-        endpoint, counts degrees and merges components by union-find.
-        ``vertices`` holds (id, genus, mult) rows, ``edges`` id pairs."""
+        """Validate and index a graph given as rows: ``vertices`` holds
+        (id, genus, mult) rows, ``edges`` id pairs."""
         rows = list(vertices)
         ids, genera, mults = zip(*rows, strict=True) if rows else ((), (), ())
+        pairs = list(edges)
+        heads, tails = zip(*pairs, strict=True) if pairs else ((), ())
+        return cls._from_columns(ids, genera, mults, heads, tails)
+
+    @classmethod
+    def _from_columns(cls, ids, genera, mults, heads, tails) -> "FiberGraph":
+        """Validate and index a graph given as columns: ``ids``, ``genera``
+        and ``mults`` by vertex, ``heads`` and ``tails`` the endpoint ids
+        by edge.  The endpoints are looked up column by column, degrees
+        counted from the position columns, and components merged by
+        union-find over them."""
+        ids, genera, mults = tuple(ids), tuple(genera), tuple(mults)
         position = dict(zip(ids, range(len(ids))))
         if len(position) != len(ids):
             dup = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValidationError(f"duplicate vertex id(s): {', '.join(dup)}")
-        if rows and (min(genera) < 0 or min(mults) < 1 or max(mults) > MAX_MULTIPLICITY):
-            for vid, genus, mult in rows:  # only to name the first offending vertex
+        if ids and (min(genera) < 0 or min(mults) < 1 or max(mults) > MAX_MULTIPLICITY):
+            # only to name the first offending vertex
+            for vid, genus, mult in zip(ids, genera, mults):
                 if genus < 0:
                     raise ValidationError(f"vertex {vid}: genus must be >= 0")
                 if mult < 1:
@@ -122,21 +142,17 @@ class FiberGraph:
                         f"vertex {vid}: multiplicity {mult} exceeds "
                         f"MAX_MULTIPLICITY = {MAX_MULTIPLICITY}"
                     )
-        degree = [0] * len(ids)
+        try:
+            his = tuple(map(position.__getitem__, heads))
+            tis = tuple(map(position.__getitem__, tails))
+        except KeyError:  # only to name the first undeclared endpoint in input order
+            missing = next(v for edge in zip(heads, tails) for v in edge if v not in position)
+            raise ValidationError(f"edge endpoint {missing!r} is not a declared vertex") from None
+        degree = Counter(his)
+        degree.update(tis)
         parent = list(range(len(ids)))
         parts = len(ids)
-        pairs = []
-        for a, b in edges:
-            try:
-                i, j = position[a], position[b]
-            except KeyError:
-                missing = a if a not in position else b
-                raise ValidationError(
-                    f"edge endpoint {missing!r} is not a declared vertex"
-                ) from None
-            degree[i] += 1
-            degree[j] += 1
-            pairs.append((i, j) if a <= b else (j, i))
+        for i, j in zip(his, tis):
             i, j = parent[i], parent[j]
             if i != j:  # not yet seen to share a component: find both roots
                 while parent[i] != i:  # path halving
@@ -146,13 +162,14 @@ class FiberGraph:
                 if i != j:
                     parent[i] = j
                     parts -= 1
-        if not rows:
+        if not ids:
             raise ValidationError("graph has no vertices")
         if parts != 1:
             raise ValidationError("graph is not connected")
         if min(mults) != 1:
             raise ValidationError("no vertex has multiplicity 1")
-        return cls(ids, genera, mults, tuple(degree), tuple(pairs), position)
+        degrees = tuple(map(degree.__getitem__, range(len(ids))))
+        return cls(ids, genera, mults, degrees, his, tis, position)
 
     @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -163,8 +180,9 @@ class FiberGraph:
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
         """The edges as id pairs, each with the smaller id first, sorted."""
-        ids = self.ids
-        return tuple(sorted((ids[lo], ids[hi]) for lo, hi in self.pairs))
+        id_of = self.ids.__getitem__
+        return tuple(sorted((a, b) if a <= b else (b, a)
+                            for a, b in zip(map(id_of, self.heads), map(id_of, self.tails))))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -189,8 +207,10 @@ class FiberGraph:
     def adjunction_genus(self) -> int:
         """The arithmetic genus by adjunction, 2g - 2 = sum_v m_v (2 g_v - 2
         + deg v), in O(V + E); for a valid fiber it is the genus on H^1."""
-        return sum(m * (2 * genus - 2 + d)
-                   for genus, m, d in zip(self.genera, self.mults, self.degrees)) // 2 + 1
+        # (2 x + y) // 2 == x + y // 2, so the even part is halved exactly
+        mults = self.mults
+        return (sum(map(mul, mults, self.genera)) - sum(mults)
+                + sum(map(mul, mults, self.degrees)) // 2 + 1)
 
 
 class CharacterMultiset(NamedTuple):
@@ -202,6 +222,18 @@ class CharacterMultiset(NamedTuple):
     total: int
 
 
+# One line of the plain spelling of graph text, or the end of the text:
+# single spaces, the line ended by "\n", ids of printable ASCII without "#",
+# no vertex line after an edge line, and digit runs of at most 640 digits,
+# the lowest limit int() may be set to convert, so that none can fail.
+# Text is plain when it starts with such a line and every "\n" is followed
+# by one: two flat scans, where a fullmatch over a repeated group would keep
+# a backtracking frame per line.  The patterns are compiled on first use.
+_PLAIN_LINE = (r'(?:vertex [!-"$-~]+ genus=[0-9]{1,640} mult=[0-9]{1,640}\n'
+               r'|edge [!-"$-~]+ [!-"$-~]+\n(?!vertex )|\Z)')
+_NOT_PLAIN = rf"\n(?!{_PLAIN_LINE})"
+
+
 def parse_graph(text: str) -> FiberGraph:
     """Parse the line-oriented graph format:
 
@@ -211,11 +243,41 @@ def parse_graph(text: str) -> FiberGraph:
     '#' starts a comment; blank lines are skipped.  A text longer than
     MAX_GRAPH_CHARS is refused, and so is a lone surrogate, which is how
     a file read with errors="surrogateescape" carries a byte that is not
-    UTF-8.  In the documented field order each distinct field token, such
-    as ``genus=0``, is converted to an int once per call and then looked up.
+    UTF-8.  Text in the plain spelling (``_PLAIN_LINE``) is read in bulk
+    by ``_plain_columns``; any other text line by line by ``_read_lines``,
+    which gives the same graph where both apply and is the only source of
+    ParseError.
     """
     if len(text) > MAX_GRAPH_CHARS:
         raise BadInput(f"graph text exceeds MAX_GRAPH_CHARS = {MAX_GRAPH_CHARS} characters")
+    if re.match(_PLAIN_LINE, text) and not re.search(_NOT_PLAIN, text):
+        return FiberGraph._from_columns(*_plain_columns(text))
+    return FiberGraph.build(*_read_lines(text))
+
+
+def _plain_columns(text: str):
+    """The columns (ids, genera, mults, heads, tails) of text in the plain
+    spelling: one split of the vertex lines and one of the edge lines,
+    read by stride.  Each distinct field token, such as ``genus=0``, is
+    converted to an int once per call and then looked up."""
+    # the edge lines start at the first "edge " that starts a line
+    split = 0 if text.startswith("edge ") else (text.find("\nedge ") + 1 or len(text))
+    tokens = text[:split].split()  # vertex <id> genus=<digits> mult=<digits>, by line
+    ids, genus_tokens, mult_tokens = tokens[1::4], tokens[2::4], tokens[3::4]
+    genus_of = {tok: int(tok[6:]) for tok in set(genus_tokens)}
+    mult_of = {tok: int(tok[5:]) for tok in set(mult_tokens)}
+    genera = tuple(map(genus_of.__getitem__, genus_tokens))
+    mults = tuple(map(mult_of.__getitem__, mult_tokens))
+    del tokens, genus_tokens, mult_tokens  # freed before the edge tokens are made
+    tokens = text[split:].split()  # edge <id> <id>, by line
+    return ids, genera, mults, tokens[1::3], tokens[2::3]
+
+
+def _read_lines(text: str):
+    """The vertex rows and edge pairs of graph text in any spelling, read
+    line by line; a bad line raises ParseError naming it.  In the
+    documented field order each distinct field token is converted to an
+    int once per call and then looked up."""
     ascii_text = text.isascii()  # then no token needs its own ASCII check
     if not ascii_text:
         try:
@@ -280,14 +342,17 @@ def parse_graph(text: str) -> FiberGraph:
             edges.append((tokens[1], tokens[2]))
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
-    return FiberGraph.build(vertices, edges)
+    return vertices, edges
 
 
 def principal_components(g: FiberGraph) -> list[int]:
     """Positions of the principal components: positive genus, or meeting
     the rest of the fiber in at least three points (loop ends count twice,
     parallel edges separately)."""
-    return [i for i, (genus, d) in enumerate(zip(g.genera, g.degrees)) if genus > 0 or d >= 3]
+    high = compress(count(), map(gt, g.degrees, repeat(2)))  # degree >= 3
+    if any(g.genera):  # genera are >= 0
+        return sorted({*high, *compress(count(), g.genera)})
+    return list(high)
 
 
 def limit_trace(g: FiberGraph, principal: list[int]) -> dict[int, int]:
@@ -320,14 +385,14 @@ def limit_trace(g: FiberGraph, principal: list[int]) -> dict[int, int]:
             constants[m], rows[m] = 0, {}
         constants[m] += 1 - genera[i]
         ends[i] = rows[m]
-    for lo, hi in g.pairs:
-        a = mults[lo]
-        b = mults[hi]
-        around[lo] += b
-        around[hi] += a
-        if (counts := ends[lo]) is not None:
+    for i, j in zip(g.heads, g.tails):
+        a = mults[i]
+        b = mults[j]
+        around[i] += b
+        around[j] += a
+        if (counts := ends[i]) is not None:
             counts[b] = counts.get(b, 0) + 1
-        if (counts := ends[hi]) is not None:
+        if (counts := ends[j]) is not None:
             counts[a] = counts.get(a, 0) + 1
     if any(map(mod, around, mults)):
         vid, total, m = min(row for row in zip(g.ids, around, mults) if row[1] % row[2])

@@ -5,12 +5,13 @@ import io
 import math
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.cli import main
-from fibertrace.fiber import MAX_GRAPH_CHARS, FiberGraph, h1_character
+from fibertrace.fiber import MAX_GRAPH_CHARS, FiberGraph, h1_character, parse_graph
 from fibertrace.jumps import JumpOptions, compute_jumps
 from fibertrace.resolution import Singularity, is_stable, resolve
 from fibertrace.singtrace import trace_closed_form, trace_oracle, trace_polynomial
@@ -267,3 +268,40 @@ def test_criterion_8_graph_file_at_the_bound(tmp_path):
         elapsed = time.perf_counter() - start
         assert (code, out.getvalue()) == (0, "jump 0/1\n")
         assert elapsed < 0.5, f"parse, build and jumps took {elapsed:.2f}s, budget 0.5s"
+
+
+def parse_peak(text):
+    """The peak of traced memory while parse_graph reads the text."""
+    tracemalloc.start()
+    try:
+        parse_graph(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_9_plain_graph_file_at_the_bound(tmp_path):
+    with criterion(9, "plain graph file at MAX_GRAPH_CHARS"):
+        # the same cycle in the plain spelling, which is read in bulk: every
+        # vertex line, then every edge line, and 16 genus fields spelled
+        # with a leading zero to reach the bound exactly
+        vertex, edge = "vertex v{0:05} genus=0 mult=1\n", "edge v{0:05} v{1:05}\n"
+        k = MAX_GRAPH_CHARS // len(vertex.format(0) + edge.format(0, 0))
+        text = "".join(vertex.format(i) for i in range(k))
+        text += "".join(edge.format(i, (i + 1) % k) for i in range(k))
+        text = text.replace("genus=0 ", "genus=00 ", MAX_GRAPH_CHARS - len(text))
+        assert len(text) == MAX_GRAPH_CHARS and k > 20000
+        path = tmp_path / "plain-cycle.fg"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out):
+            code = main(["jumps", "--graph", str(path), "--machine"])
+        elapsed = time.perf_counter() - start
+        assert (code, out.getvalue()) == (0, "jump 0/1\n")
+        assert elapsed < 0.25, f"parse, build and jumps took {elapsed:.2f}s, budget 0.25s"
+        # the bulk read holds no more at its peak than the line walk does on
+        # the same text with one space spelled as a tab, give or take 10%
+        bulk, lines = parse_peak(text), parse_peak(text.replace(" ", "\t", 1))
+        assert bulk <= 1.1 * lines, (
+            f"bulk read peak {bulk / 1e6:.1f} MB, line walk {lines / 1e6:.1f} MB")

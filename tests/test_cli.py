@@ -103,6 +103,17 @@ def test_jumps_past_genus_bound_exits_2(tmp_path, capsys):
     assert "genus 1000000000 exceeds MAX_GENUS = 100000" in err
 
 
+def test_jumps_on_a_field_past_the_int_digit_limit_exits_2(tmp_path, capsys):
+    # an otherwise plain file whose second line holds 5,000 digits, more than
+    # int() converts: a ParseError naming that line, not a traceback
+    path = tmp_path / "long-field.fg"
+    path.write_text("vertex a genus=0 mult=1\nvertex b genus=0 mult=" + "1" * 5000
+                    + "\nedge a b\n", encoding="utf-8")
+    code, out, err = run(capsys, "jumps", "--graph", str(path))
+    assert code == 2 and not out
+    assert err.startswith("fibertrace: ParseError: line 2: mult must be an integer, got '111")
+
+
 def test_jumps_past_genus_bound_exits_2_before_tracing(tmp_path, capsys):
     # a multiplicity-4000 curve meeting a reduced curve 4000 times (36 KB):
     # its edge blocks hold 8000 terms each, and the genus is 7,998,000

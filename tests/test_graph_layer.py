@@ -1,12 +1,15 @@
 """parse_graph and FiberGraph.build against the line walk and the
 validation they replaced, kept here as references: on generated inputs
-both must give the same graph, or the same error with the same message.
-Also the graph's value semantics: the sorted views are built only on
-use, and the input order changes neither equality, hash nor repr."""
+both must give the same graph, or the same error with the same message,
+whether parse_graph reads the text in bulk or line by line.  Also the
+graph's value semantics: the sorted views are built only on use, and the
+input order changes neither equality, hash nor repr."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +255,113 @@ def test_parse_matches_reference_parse_on_named_cases():
 @given(st.lists(st.tuples(st.one_of(POOL_LINES, ODD_LINES), BREAKS), max_size=10))
 def test_parse_matches_reference_parse(lines):
     text = graph_text(lines)
+    assert outcome(parse_graph, text) == outcome(reference_parse, text)
+
+
+# ids of the plain spelling: printable ASCII without "#", some spelled as
+# a keyword or a field
+PLAIN_IDS = st.sampled_from(["a", "b", "c", "v10", "!", '"q"', "$", "~", "vertex", "edge",
+                             "genus=0", "a-b"])
+# a valid fiber's fields, some with leading zeros; a bad multiplicity is
+# put in on its own
+PLAIN_GENERA = st.sampled_from(["0"] * 6 + ["1", "00", "2"])
+PLAIN_MULTS = st.sampled_from(["1"] * 6 + ["2", "2", "01", "3"])
+
+
+@st.composite
+def plain_graph_texts(draw):
+    """Graph text in the plain spelling, its vertex lines and then its edge
+    lines: one to six vertices, sometimes a duplicate id, most texts spanned
+    by a tree, with loops, parallel edges and an undeclared endpoint on
+    top, and either end of an edge first."""
+    # the rare cases at the top of each range, since hypothesis favours the bottom
+    ids = draw(st.lists(PLAIN_IDS, min_size=1, max_size=6, unique=True))
+    if draw(st.integers(0, 9)) == 9:
+        ids.append(draw(st.sampled_from(ids)))
+    mults = [draw(PLAIN_MULTS) for _ in ids]
+    if draw(st.integers(0, 7)) == 7:
+        mults[draw(st.integers(0, len(ids) - 1))] = draw(
+            st.sampled_from(["0", str(fiber.MAX_MULTIPLICITY + 1)]))
+    lines = [f"vertex {vid} genus={draw(PLAIN_GENERA)} mult={m}" for vid, m in zip(ids, mults)]
+    edges = []
+    if draw(st.integers(0, 4)) < 4:
+        edges += [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, len(ids))]
+    edges += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3))
+    if draw(st.integers(0, 9)) == 9:
+        edges.append(("w", draw(st.sampled_from(ids))))
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(edges))]
+    return "".join(f"{line}\n" for line in lines + [f"edge {a} {b}" for a, b in edges])
+
+
+def near_miss(text, kind, where):
+    """The plain text changed into another spelling of one kind; ``where``
+    places the change."""
+    lines = text.splitlines(keepends=True)
+    if kind == "no final newline":
+        return text[:-1]
+    if kind == "tab":
+        spaces = [i for i, ch in enumerate(text) if ch == " "]
+        i = spaces[where % len(spaces)]
+        return text[:i] + "\t" + text[i + 1:]
+    if kind == "CRLF":
+        return text.replace("\n", "\r\n")
+    if kind == "interleaved edge line":
+        vertex_lines = sum(line.startswith("vertex ") for line in lines)
+        if vertex_lines < len(lines):  # one edge line moved above a vertex line
+            line = lines.pop(vertex_lines + where % (len(lines) - vertex_lines))
+            lines.insert(where % max(vertex_lines, 1), line)
+        return "".join(lines)
+    if kind == "comment":  # on a line of its own, or glued to the end of a line
+        i = where % (len(lines) + 1)
+        if where % 2 and i < len(lines):
+            lines[i] = lines[i][:-1] + "#c\n"
+        else:
+            lines.insert(i, "# a comment\n")
+        return "".join(lines)
+    if kind == "long field":
+        # past the 640 digits read in bulk: 700 are read line by line,
+        # 4,301 and 5,000 are more than int() converts
+        digits = ("7" * 700, "1" * 4301, "0" * 5000)[where % 3]
+        field = ("genus=", "mult=")[where // 3 % 2]
+        return re.sub(f"{field}[0-9]+", field + digits, text, count=1)
+    return text
+
+
+# the plain text itself three times over, so that both routes run often
+NEAR_MISSES = ("plain",) * 3 + ("no final newline", "tab", "CRLF", "interleaved edge line",
+                                "comment", "long field")
+
+
+def test_both_parse_routes_match_reference_parse():
+    # plain texts are read in bulk and every near miss line by line: each
+    # route must run often enough to be checked against the reference
+    bulk = mock.patch.object(fiber, "_plain_columns", wraps=fiber._plain_columns)
+    loop = mock.patch.object(fiber, "_read_lines", wraps=fiber._read_lines)
+
+    @settings(max_examples=400, deadline=None)
+    @given(plain_graph_texts(), st.sampled_from(NEAR_MISSES), st.integers(0, 100))
+    def check(text, kind, where):
+        text = near_miss(text, kind, where)
+        assert outcome(parse_graph, text) == outcome(reference_parse, text)
+
+    with bulk as bulk_route, loop as line_route:
+        check()
+    assert bulk_route.call_count >= 50 and line_route.call_count >= 50, (
+        bulk_route.call_count, line_route.call_count)
+
+
+@pytest.mark.parametrize("field", ["genus", "mult"])
+def test_a_field_past_the_int_digit_limit_is_a_parse_error(field):
+    # an otherwise plain text; int() refuses 5,000 digits, which the line
+    # walk reports as a ParseError on the line that holds them
+    digits = "1" * 5000
+    values = {"genus": "0", "mult": "1", field: digits}
+    text = (f"vertex a genus=0 mult=1\nvertex b genus={values['genus']} mult={values['mult']}\n"
+            "edge a b\n")
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert info.value.line == 2
+    assert str(info.value) == f"line 2: {field} must be an integer, got {digits!r}"
     assert outcome(parse_graph, text) == outcome(reference_parse, text)
 
 

@@ -16,7 +16,7 @@ from fibertrace import (
 )
 from fibertrace.errors import BadInput
 
-GRAPH_COLUMNS = ("ids", "genera", "mults", "degrees", "pairs", "_position")
+GRAPH_COLUMNS = ("ids", "genera", "mults", "degrees", "heads", "tails", "_position")
 
 
 def records():
