@@ -3,7 +3,9 @@ cyclotomic field Q(zeta_n).
 
 Group-ring elements are formal sums sum_e c_e * x^e with integer
 coefficients and exponents mod n, stored by their nonzero terms; all
-trace polynomials live here.
+trace polynomials live here.  The one constructor takes (exponent,
+coefficient) pairs, reduces the exponents mod n and adds up equal ones,
+so a sum of two elements is built the same way as any other.
 
 CyclotomicNumber models an element of Q(zeta_n) by its remainder modulo
 the n-th cyclotomic polynomial Phi_n: phi(n) integer coordinates over one
@@ -62,53 +64,26 @@ class GroupRingElement:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, coeffs=None):
-        """The element whose dense coefficient sequence, indexed by
-        exponent, is ``coeffs`` (exactly n entries), or zero for None."""
+    def __init__(self, n: int, pairs=()):
+        """sum c * x^e over the (e, c) pairs: exponents are reduced mod n,
+        the coefficients of equal exponents add up and zero sums are
+        dropped.  A dense sequence is passed as ``enumerate(coeffs)``."""
         if n < 1:
             raise BadInput(f"group ring modulus must be >= 1, got {n}")
-        terms = {}
-        if coeffs is not None:
-            coeffs = tuple(coeffs)
-            if len(coeffs) != n:
-                raise BadInput(f"expected {n} coefficients, got {len(coeffs)}")
-            terms = {e: c for e, c in enumerate(coeffs) if c}
-        self.n = n
-        self.terms = terms
-
-    @classmethod
-    def _of(cls, n: int, terms: dict) -> "GroupRingElement":
-        """Wrap ``terms`` as is: exponents already reduced, no zero values."""
-        out = cls.__new__(cls)
-        out.n = n
-        out.terms = terms
-        return out
-
-    @classmethod
-    def from_terms(cls, n: int, pairs) -> "GroupRingElement":
-        """sum c * x^e over the (e, c) pairs; exponents are reduced mod n
-        and the coefficients of equal exponents add up."""
-        if n < 1:
-            raise BadInput(f"group ring modulus must be >= 1, got {n}")
-        acc: dict[int, int] = {}
+        terms: dict[int, int] = {}
         for e, c in pairs:
-            e %= n
-            acc[e] = acc.get(e, 0) + c
-        return cls._of(n, {e: c for e, c in acc.items() if c})
+            if c:
+                e %= n
+                terms[e] = terms.get(e, 0) + c
+        self.n = n
+        self.terms = {e: c for e, c in terms.items() if c}
 
     def __add__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         if self.n != other.n:
             raise ModulusMismatch(f"moduli differ: {self.n} != {other.n}")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            total = terms.get(e, 0) + c
-            if total:
-                terms[e] = total
-            else:
-                del terms[e]
-        return GroupRingElement._of(self.n, terms)
+        return GroupRingElement(self.n, [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 

@@ -44,11 +44,12 @@ from .singtrace import at_degree
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
 # more than one past it.  At the bound, one jumps --machine call on a cycle
-# of 20,833 reduced curves with five-digit ids takes 0.05-0.07 s in the
-# plain spelling, read in bulk, and 0.09-0.12 s with each edge line after
+# of 20,833 reduced curves with five-digit ids takes 0.04-0.08 s in the
+# plain spelling, read in bulk, and 0.07-0.15 s with each edge line after
 # its vertex line and a comment, read line by line; on two reduced curves
-# meeting 111,105 times, plain, it takes 0.05-0.07 s (and exits at MAX_GENUS
-# before any trace is built).  Measured on a 2-vCPU Xeon VM.
+# meeting 111,105 times, plain, it takes 0.04-0.06 s (and exits at MAX_GENUS
+# before any trace is built).  Measured in process, five calls in each of
+# six runs, on a 2-vCPU Xeon VM with Python 3.11.
 MAX_GRAPH_CHARS = 10**6
 
 # Most block terms limit_trace builds, counted before any is built: m per row
@@ -72,11 +73,13 @@ class Vertex(NamedTuple):
 
 class FiberGraph:
     """Connected multigraph (loops and parallel edges allowed) with at
-    least one multiplicity-1 vertex, held as columns in input order:
-    ``ids``, ``genera``, ``mults`` and ``degrees`` (edge-ends, a loop
-    counting twice) by vertex position, and ``heads`` and ``tails`` by
-    edge, the positions of each edge's two endpoints as the input listed
-    them.
+    least one multiplicity-1 vertex.  The constructor takes columns,
+    ``ids``, ``genera`` and ``mults`` by vertex and ``heads`` and
+    ``tails`` the endpoint ids by edge, makes every check, and keeps them
+    in input order: ``ids``, ``genera``, ``mults`` and ``degrees``
+    (edge-ends, a loop counting twice) by vertex position, and ``heads``
+    and ``tails`` by edge, the positions of each edge's two endpoints.
+    ``build`` takes the same graph as rows.
 
     The sorted views ``vertices`` (Vertex records by id) and ``edges``
     (id pairs, each with the smaller id first) are built on first use;
@@ -90,41 +93,12 @@ class FiberGraph:
     degrees: tuple[int, ...]
     heads: tuple[int, ...]
     tails: tuple[int, ...]
-    _position: dict[str, int]  # id -> position, filled by _from_columns
+    _position: dict[str, int]  # id -> position
 
-    def __init__(self, ids, genera, mults, degrees, heads, tails, _position):
-        # the only writes: __setattr__ and __delattr__ refuse every other
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "genera", genera)
-        object.__setattr__(self, "mults", mults)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "heads", heads)
-        object.__setattr__(self, "tails", tails)
-        object.__setattr__(self, "_position", _position)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @classmethod
-    def build(cls, vertices, edges) -> "FiberGraph":
-        """Validate and index a graph given as rows: ``vertices`` holds
-        (id, genus, mult) rows, ``edges`` id pairs."""
-        rows = list(vertices)
-        ids, genera, mults = zip(*rows, strict=True) if rows else ((), (), ())
-        pairs = list(edges)
-        heads, tails = zip(*pairs, strict=True) if pairs else ((), ())
-        return cls._from_columns(ids, genera, mults, heads, tails)
-
-    @classmethod
-    def _from_columns(cls, ids, genera, mults, heads, tails) -> "FiberGraph":
-        """Validate and index a graph given as columns: ``ids``, ``genera``
-        and ``mults`` by vertex, ``heads`` and ``tails`` the endpoint ids
-        by edge.  The endpoints are looked up column by column, degrees
-        counted from the position columns, and components merged by
-        union-find over them."""
+    def __init__(self, ids, genera, mults, heads, tails):
+        # The endpoints are looked up column by column, degrees counted
+        # from the position columns, and components merged by union-find
+        # over them.
         ids, genera, mults = tuple(ids), tuple(genera), tuple(mults)
         position = dict(zip(ids, range(len(ids))))
         if len(position) != len(ids):
@@ -168,8 +142,30 @@ class FiberGraph:
             raise ValidationError("graph is not connected")
         if min(mults) != 1:
             raise ValidationError("no vertex has multiplicity 1")
-        degrees = tuple(map(degree.__getitem__, range(len(ids))))
-        return cls(ids, genera, mults, degrees, his, tis, position)
+        # the only writes: __setattr__ and __delattr__ refuse every other
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "genera", genera)
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "degrees", tuple(map(degree.__getitem__, range(len(ids)))))
+        object.__setattr__(self, "heads", his)
+        object.__setattr__(self, "tails", tis)
+        object.__setattr__(self, "_position", position)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def build(cls, vertices, edges) -> "FiberGraph":
+        """The graph given as rows: ``vertices`` holds (id, genus, mult)
+        rows, ``edges`` id pairs."""
+        rows = list(vertices)
+        ids, genera, mults = zip(*rows, strict=True) if rows else ((), (), ())
+        pairs = list(edges)
+        heads, tails = zip(*pairs, strict=True) if pairs else ((), ())
+        return cls(ids, genera, mults, heads, tails)
 
     @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -244,14 +240,15 @@ def parse_graph(text: str) -> FiberGraph:
     MAX_GRAPH_CHARS is refused, and so is a lone surrogate, which is how
     a file read with errors="surrogateescape" carries a byte that is not
     UTF-8.  Text in the plain spelling (``_PLAIN_LINE``) is read in bulk
-    by ``_plain_columns``; any other text line by line by ``_read_lines``,
+    by ``_plain_columns``, the only route that converts each distinct
+    field token once; any other text line by line by ``_read_lines``,
     which gives the same graph where both apply and is the only source of
-    ParseError.
+    ParseError.  Both end in the ``FiberGraph`` constructor's checks.
     """
     if len(text) > MAX_GRAPH_CHARS:
         raise BadInput(f"graph text exceeds MAX_GRAPH_CHARS = {MAX_GRAPH_CHARS} characters")
     if re.match(_PLAIN_LINE, text) and not re.search(_NOT_PLAIN, text):
-        return FiberGraph._from_columns(*_plain_columns(text))
+        return FiberGraph(*_plain_columns(text))
     return FiberGraph.build(*_read_lines(text))
 
 
@@ -275,9 +272,9 @@ def _plain_columns(text: str):
 
 def _read_lines(text: str):
     """The vertex rows and edge pairs of graph text in any spelling, read
-    line by line; a bad line raises ParseError naming it.  In the
-    documented field order each distinct field token is converted to an
-    int once per call and then looked up."""
+    line by line; a bad line raises ParseError naming it.  Every vertex
+    line goes through one field loop, which reads genus= and mult= in
+    either order and converts each field where it stands."""
     ascii_text = text.isascii()  # then no token needs its own ASCII check
     if not ascii_text:
         try:
@@ -288,10 +285,6 @@ def _read_lines(text: str):
             raise ParseError(line, "not valid UTF-8") from None
     vertices: list[tuple[str, int, int]] = []
     edges: list[tuple[str, str]] = []
-    # each field token of the documented order -> its value, one dict per
-    # field, so that a mult= token is never read as a genus
-    genus_of: dict[str, int] = {}
-    mult_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw[:raw.index("#")]
@@ -302,26 +295,9 @@ def _read_lines(text: str):
         if kind == "vertex":
             if len(tokens) != 4:
                 raise ParseError(lineno, "expected: vertex <id> genus=<int> mult=<int>")
-            _, vid, genus, mult = tokens
+            vid = tokens[1]
             if not ascii_text and not vid.isascii():
                 raise ParseError(lineno, f"vertex id {vid!r} is not ASCII")
-            # the documented order
-            genus_value = genus_of.get(genus)
-            if genus_value is None and genus[:6] == "genus=":
-                try:
-                    genus_value = genus_of[genus] = int(genus[6:])
-                except ValueError:
-                    pass
-            mult_value = mult_of.get(mult)
-            if mult_value is None and mult[:5] == "mult=":
-                try:
-                    mult_value = mult_of[mult] = int(mult[5:])
-                except ValueError:
-                    pass
-            if genus_value is not None and mult_value is not None:
-                vertices.append((vid, genus_value, mult_value))
-                continue
-            # the other order, or a bad field: the field loop names it
             fields = {}
             for tok in tokens[2:]:
                 key, eq, value = tok.partition("=")

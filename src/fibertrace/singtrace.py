@@ -117,7 +117,7 @@ def trace_polynomial(res: ResolutionData) -> GroupRingElement:
                 if e >= n:
                     e -= n
 
-    return GroupRingElement(n, buf)
+    return GroupRingElement(n, enumerate(buf))
 
 
 def edge_blocks(m1: int, m2: int, mu1: int, mu_last: int) -> list[tuple[int, list[int]]]:
@@ -148,7 +148,7 @@ def at_degree(terms: dict[int, int], lcm: int, n: int) -> GroupRingElement:
     """The image of a block sum at a degree n coprime to lcm: [j/lcm] goes
     to xi^(j * lcm^{-1} mod n), that is [k/m] to xi^(k * m^{-1} mod n)."""
     u = mod_inverse(lcm, n)
-    return GroupRingElement.from_terms(n, ((j * u, c) for j, c in terms.items()))
+    return GroupRingElement(n, ((j * u, c) for j, c in terms.items()))
 
 
 def trace_closed_form(res: ResolutionData) -> GroupRingElement:

@@ -45,7 +45,7 @@ def vertex_term(mult: int, genus: int, self_int: int, n: int) -> GroupRingElemen
     step = mod_inverse(mult, n)
     for k in range(mult):
         buf[k * step % n] += (mult - k) * self_int + 1 - genus
-    return GroupRingElement(n, buf)
+    return GroupRingElement(n, enumerate(buf))
 
 
 def vertex_block(mult: int, genus: int, self_int: int) -> tuple[int, list[int]]:

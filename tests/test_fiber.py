@@ -69,7 +69,7 @@ edge v7 v4
 
 
 def G(n, d):
-    return GroupRingElement.from_terms(n, d.items())
+    return GroupRingElement(n, d.items())
 
 
 class TestParse:

@@ -1,9 +1,9 @@
-"""parse_graph and FiberGraph.build against the line walk and the
-validation they replaced, kept here as references: on generated inputs
-both must give the same graph, or the same error with the same message,
-whether parse_graph reads the text in bulk or line by line.  Also the
-graph's value semantics: the sorted views are built only on use, and the
-input order changes neither equality, hash nor repr."""
+"""parse_graph, FiberGraph and FiberGraph.build against the line walk
+and the validation they replaced, kept here as references: on generated
+inputs each must give the same graph, or the same error with the same
+message, whether parse_graph reads the text in bulk or line by line.
+Also the graph's value semantics: the sorted views are built only on
+use, and the input order changes neither equality, hash nor repr."""
 
 import random
 import re
@@ -167,13 +167,28 @@ ERRORS = ("duplicate vertex id", "genus must be >= 0", "multiplicity must be >= 
           "is not connected", "no vertex has multiplicity 1")
 
 
+def from_columns(vertices, edges):
+    """The FiberGraph constructor on the columns of the rows."""
+    return FiberGraph([v[0] for v in vertices], [v[1] for v in vertices],
+                      [v[2] for v in vertices], [a for a, _ in edges], [b for _, b in edges])
+
+
 def test_build_matches_reference_build():
+    # two inputs the constructor once took unchecked: no reduced component,
+    # and an edge end given as a position instead of an id
+    for vertices, edges in [([("a", 0, 2)], []),
+                            ([("a", 0, 1), ("b", 0, 1)], [(5, 0), ("a", "b")])]:
+        want = outcome(reference_build, vertices, edges)
+        assert want[0] is ValidationError
+        assert outcome(from_columns, vertices, edges) == want
+        assert outcome(FiberGraph.build, vertices, edges) == want
     rng = random.Random(2611)
     seen = Counter()
     for _ in range(4000):
         vertices, edges = random_build_input(rng)
         want = outcome(reference_build, vertices, edges)
         assert outcome(FiberGraph.build, vertices, edges) == want, (vertices, edges)
+        assert outcome(from_columns, vertices, edges) == want, (vertices, edges)
         # two offending vertices, so that the first in input order must be named
         seen["two bad vertices"] += sum(
             v[1] < 0 or not 1 <= v[2] <= fiber.MAX_MULTIPLICITY for v in vertices) > 1

@@ -21,7 +21,7 @@ from reference import closed_form_coefficients, per_node_oracle, vertex_block, v
 
 
 def G(n, d):
-    return GroupRingElement.from_terms(n, d.items())
+    return GroupRingElement(n, d.items())
 
 
 class TestTracePolynomial:
