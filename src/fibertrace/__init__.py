@@ -19,7 +19,6 @@ from .fiber import (
     Vertex,
     h1_character,
     parse_graph,
-    rational_trace,
     total_trace,
 )
 from .jumps import JumpOptions, JumpSet, compute_jumps
@@ -58,7 +57,6 @@ __all__ = [
     "lookup",
     "mod_inverse",
     "parse_graph",
-    "rational_trace",
     "resolve",
     "singularity_trace",
     "total_trace",

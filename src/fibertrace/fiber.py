@@ -15,9 +15,9 @@ multiplicities, with no degree, no chain end and no resolution:
 - each edge adds -1 on the classes of (1/gcd(m_v, m_w))Z/Z.
 
 The gcd stays the same along a chain of non-principal components, so a
-chain costs nothing whatever its length.  ``rational_trace`` moves each
-class j/L to (j n mod L)/L for a degree n; ``total_trace`` and
-``h1_character`` are its image in Z[Z/n] and the character multiset on H^1.
+chain costs nothing whatever its length.  ``total_trace`` sends each
+class j/L to x^(-floor(j n / L)) in Z[Z/n] at a degree n coprime to L, and
+``h1_character`` reads the character multiset on H^1 off that image.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .errors import (
 from .exactalg import GroupRingElement
 from .resolution import MAX_MULTIPLICITY
 from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.resolve
-from .singtrace import at_degree
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
 # more than one past it.  At the bound, one jumps --machine call on a cycle
@@ -100,6 +99,12 @@ class FiberGraph:
         # from the position columns, and components merged by union-find
         # over them.
         ids, genera, mults = tuple(ids), tuple(genera), tuple(mults)
+        heads, tails = tuple(heads), tuple(tails)
+        if not len(ids) == len(genera) == len(mults) or len(heads) != len(tails):
+            raise ValidationError(
+                f"column lengths differ: {len(ids)} ids, {len(genera)} genera, "
+                f"{len(mults)} mults, {len(heads)} heads, {len(tails)} tails"
+            )
         position = dict(zip(ids, range(len(ids))))
         if len(position) != len(ids):
             dup = sorted(i for i, count in Counter(ids).items() if count > 1)
@@ -199,6 +204,16 @@ class FiberGraph:
     @cached_property
     def mult_lcm(self) -> int:
         return math.lcm(*self.mults)
+
+    @cached_property
+    def principal(self) -> tuple[int, ...]:
+        """Positions of the principal components, ascending: positive
+        genus, or meeting the rest of the fiber in at least three points
+        (loop ends count twice, parallel edges separately)."""
+        high = compress(count(), map(gt, self.degrees, repeat(2)))  # degree >= 3
+        if any(self.genera):  # genera are >= 0
+            return tuple(sorted({*high, *compress(count(), self.genera)}))
+        return tuple(high)
 
     def adjunction_genus(self) -> int:
         """The arithmetic genus by adjunction, 2g - 2 = sum_v m_v (2 g_v - 2
@@ -321,21 +336,10 @@ def _read_lines(text: str):
     return vertices, edges
 
 
-def principal_components(g: FiberGraph) -> list[int]:
-    """Positions of the principal components: positive genus, or meeting
-    the rest of the fiber in at least three points (loop ends count twice,
-    parallel edges separately)."""
-    high = compress(count(), map(gt, g.degrees, repeat(2)))  # degree >= 3
-    if any(g.genera):  # genera are >= 0
-        return sorted({*high, *compress(count(), g.genera)})
-    return list(high)
-
-
-def limit_trace(g: FiberGraph, principal: list[int]) -> dict[int, int]:
+def limit_trace(g: FiberGraph) -> dict[int, int]:
     """The total trace at every degree n = 1 (mod L) as an element of
     Z[(1/L)Z/Z], L the multiplicity lcm: j -> c stands for c times the
-    class of j/L.  ``principal`` holds the positions of the principal
-    components (``principal_components``).
+    class of j/L.  Only the components at ``g.principal`` have rows.
 
     One walk over the edges sums each vertex's neighbour multiplicities,
     which must be a multiple of its own (a non-integral self-intersection
@@ -355,7 +359,7 @@ def limit_trace(g: FiberGraph, principal: list[int]) -> dict[int, int]:
     constants: dict[int, int] = {}  # principal multiplicity m -> sum of 1 - g_v
     rows: dict[int, dict[int, int]] = {}  # m -> the ends at its components, count by m_w
     ends: list[dict | None] = [None] * len(mults)  # by position, principal only
-    for i in principal:
+    for i in g.principal:
         m = mults[i]
         if m not in rows:
             constants[m], rows[m] = 0, {}
@@ -405,21 +409,24 @@ def limit_trace(g: FiberGraph, principal: list[int]) -> dict[int, int]:
     return acc
 
 
-def rational_trace(g: FiberGraph, n: int) -> dict[int, int]:
-    """The total trace at degree n as an element of Z[(1/L)Z/Z], L the
-    multiplicity lcm: j -> c stands for c times the class of j/L, every c
-    nonzero.  By the Brauer-trace formula it depends on n only through
-    n mod L: it is ``limit_trace`` with each class j/L moved to
-    (j n mod L)/L."""
-    _check_degree(g, n)
-    lcm = g.mult_lcm
-    return {j * n % lcm: c for j, c in limit_trace(g, principal_components(g)).items() if c}
-
-
 def total_trace(g: FiberGraph, n: int) -> GroupRingElement:
     """Trace of the degree-n action on the alternating sum of fiber
-    cohomology: the image of ``rational_trace`` at degree n."""
-    return at_degree(rational_trace(g, n), g.mult_lcm, n)
+    cohomology, for an int n >= 2 coprime to the multiplicity lcm L.  By
+    the Brauer-trace formula it is ``limit_trace`` with each class j/L
+    moved to (j n mod L)/L, that is to x^((j n mod L) L^-1) in Z[Z/n],
+    and (j n mod L) L^-1 = -floor(j n / L) mod n, as j n L^-1 = 0 mod n."""
+    if not isinstance(n, int):
+        raise BadInput(f"degree must be an integer, got {n!r}")
+    if n < 2:
+        raise BadInput(f"degree must be >= 2, got {n}")
+    lcm = g.mult_lcm
+    # the lcm itself may have more digits than str() converts
+    shared = math.gcd(n, lcm)
+    if shared != 1:
+        raise BadInput(
+            f"degree {n} must be coprime to the multiplicity lcm; they share the factor {shared}"
+        )
+    return GroupRingElement(n, ((-(j * n // lcm), c) for j, c in limit_trace(g).items()))
 
 
 def character_terms(trace: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -441,14 +448,3 @@ def h1_character(g: FiberGraph, n: int) -> CharacterMultiset:
     1 - total_trace, which must have nonnegative coefficients."""
     items = character_terms(total_trace(g, n).terms)
     return CharacterMultiset(n=n, exponents=items, total=sum(c for _, c in items))
-
-
-def _check_degree(g: FiberGraph, n: int) -> None:
-    if n < 2:
-        raise BadInput(f"degree must be >= 2, got {n}")
-    # the lcm itself may have more digits than str() converts
-    shared = math.gcd(n, g.mult_lcm)
-    if shared != 1:
-        raise BadInput(
-            f"degree {n} must be coprime to the multiplicity lcm; they share the factor {shared}"
-        )

@@ -2,12 +2,12 @@
 
 The jumps are the classes j/L of 1 - ``fiber.limit_trace`` in
 Z[(1/L)Z/Z], L the multiplicity lcm, each with its coefficient as
-multiplicity, and every jump's denominator divides n-tilde (the lcm of the
-principal component multiplicities).  The limit trace is the total trace
-at every degree n = 1 (mod L) and needs no degree, so neither the jumps
-nor their cost depend on one.  The witness degrees are plain arithmetic,
-the degrees n = 1 (mod L) past max(2 * n_tilde * L, n_min); the character
-of the degree-n action rounds to the same jumps at each.
+multiplicity, and every jump's denominator divides n-tilde, the lcm of
+the multiplicities at ``FiberGraph.principal``.  The limit trace is the
+total trace at every degree n = 1 (mod L) and needs no degree, so neither
+the jumps nor their cost depend on one.  The witness degrees are plain
+arithmetic, the degrees n = 1 (mod L) past max(2 * n_tilde * L, n_min);
+the character of the degree-n action rounds to the same jumps at each.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadInput, BadJumpDenominator
-from .fiber import FiberGraph, character_terms, limit_trace, principal_components
+from .fiber import FiberGraph, character_terms, limit_trace
 
 # Most sweep degrees compute_jumps lists; the list is built in full, so a
 # huge count would exhaust memory instead of failing.
@@ -66,6 +66,9 @@ def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
     congruent to 1 mod the multiplicity lcm and exceeding
     max(2 * nt * lcm, n_min), nt the principal lcm."""
     l = g.mult_lcm
+    for name in ("sweeps", "n_min"):  # bool, an int, stays accepted
+        if not isinstance(value := getattr(options, name), int):
+            raise BadInput(f"{name} must be an integer, got {value!r}")
     if options.sweeps < 1:
         raise BadInput(f"need at least one sweep, got {options.sweeps}")
     if options.sweeps > MAX_SWEEPS:
@@ -88,14 +91,13 @@ def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSe
     the jumps nor the cost depend on the degree, so ``n_min`` costs
     nothing; the work grows with the principal components, not with the
     chains between them."""
-    principal = principal_components(g)
     mults = g.mults
-    nt = math.lcm(*[mults[i] for i in principal])  # n_tilde; 1 when no vertex qualifies
+    nt = math.lcm(*[mults[i] for i in g.principal])  # n_tilde; 1 when no vertex qualifies
     degrees = _sweep_degrees(g, options, nt)
     # the blocks grow as the multiplicities, so the genus is bounded before any is built
     _check_genus(g.adjunction_genus())
     l = g.mult_lcm
-    terms = character_terms(limit_trace(g, principal))  # classes ascending
+    terms = character_terms(limit_trace(g))  # classes ascending
     _check_genus(sum(c for _, c in terms))
     jumps: list[Fraction] = []
     for j, c in terms:

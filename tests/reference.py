@@ -14,6 +14,7 @@ from fibertrace.exactalg import (
     _unpack,
     packed_inverse_numerators,
 )
+from fibertrace.fiber import limit_trace, total_trace
 from fibertrace.resolution import ResolutionData, Singularity, chain_ends
 from fibertrace.singtrace import block_sum, edge_blocks
 
@@ -84,6 +85,17 @@ def per_edge_trace(g, n: int) -> tuple[dict[str, int], dict[int, int]]:
         si[v.id] = -(ends[v.id] // v.mult)
     blocks += [vertex_block(v.mult, v.genus, si[v.id]) for v in g.vertices]
     return si, block_sum(blocks, g.mult_lcm)
+
+
+def rational_trace(g, n: int) -> dict[int, int]:
+    """The total trace at degree n as an element of Z[(1/L)Z/Z], L the
+    multiplicity lcm: j -> c stands for c times the class of j/L, every c
+    nonzero.  It is ``limit_trace`` with each class j/L moved to
+    (j n mod L)/L, after the degree and integrality checks of
+    ``total_trace``, in their order."""
+    total_trace(g, n)
+    lcm = g.mult_lcm
+    return {j * n % lcm: c for j, c in limit_trace(g).items() if c}
 
 
 def self_intersections(g, n: int) -> dict[str, int]:

@@ -25,6 +25,12 @@ def test_mod_inverse_examples():
     assert mod_inverse(1, 17) == 1
 
 
+def test_mod_inverse_refuses_a_modulus_below_2():
+    for a, n in ((3, 1), (1, 0), (3, -7)):
+        with pytest.raises(BadInput, match=f"^modulus must be >= 2, got {n}$"):
+            mod_inverse(a, n)
+
+
 @given(st.integers(min_value=2, max_value=200), st.integers(min_value=-500, max_value=500))
 def test_mod_inverse_matches_search(n, a):
     if math.gcd(a, n) == 1:

@@ -287,6 +287,16 @@ def test_jumps_n_min_past_bound_exits_2(capsys):
     assert f"witnesses={10**600 + 3}," in out
 
 
+def test_degree_and_sweep_bounds_exit_2(capsys):
+    for argv, err in [
+        (("character", "--catalog", "kodaira:IV", "--n", "1"), "degree must be >= 2, got 1"),
+        (("trace-fiber", "--catalog", "kodaira:IV", "--n", "-5", "--machine"),
+         "degree must be >= 2, got -5"),
+        (("jumps", "--catalog", "kodaira:IV", "--sweeps", "0"), "need at least one sweep, got 0"),
+    ]:
+        assert run(capsys, *argv) == (2, "", f"fibertrace: BadInput: {err}\n"), argv
+
+
 def test_trace_sing_huge_degree(capsys):
     code, out, _ = run(capsys, "trace-sing", "2", "3", "1000000000003", "--machine")
     assert code == 0

@@ -21,13 +21,12 @@ from fibertrace.fiber import (
     character_terms,
     h1_character,
     parse_graph,
-    rational_trace,
     total_trace,
 )
 from fibertrace.jumps import JumpOptions, compute_jumps
 from fibertrace.resolution import Singularity, resolve
 from fibertrace.singtrace import at_degree, trace_polynomial
-from reference import per_edge_trace, self_intersections, vertex_term
+from reference import per_edge_trace, rational_trace, self_intersections, vertex_term
 from test_graph_layer import graph_lines
 
 
@@ -683,6 +682,30 @@ class TestClassCountedTrace:
                 argv = [verb, "--graph", str(path), "--n", str(n), "--machine"]
                 assert cli.main(argv) == 0, argv
                 assert capsys.readouterr().out.splitlines() == lines, argv
+
+
+def test_floor_map_is_the_class_move():
+    # (j n mod L) L^-1 = -floor(j n / L) mod n when gcd(n, L) = 1, as
+    # j n L^-1 = 0 mod n: total_trace sends each class where at_degree sends
+    # it after the move to (j n mod L)/L, classes that meet merging alike
+    # below the lcm, where several land on one exponent: so most of all on a
+    # curve of multiplicity m meeting a reduced one m times, m classes k/m
+    rng = random.Random(29)
+    graphs = [lookup(FiberTypeId.parse(cid)) for cid in CATALOG]
+    graphs += [star_fiber(rng) for _ in range(60)] + [random_multigraph(rng) for _ in range(200)]
+    graphs += [FiberGraph.build([("a", 0, m), ("b", 0, 1)], [("a", "b")] * m) for m in range(2, 41)]
+    merged = compared = 0
+    for g in graphs:
+        lcm = g.mult_lcm
+        for n in agreement_degrees(g):
+            try:
+                want = at_degree(rational_trace(g, n), lcm, n)
+            except NonIntegralSelfIntersection:
+                continue
+            assert total_trace(g, n) == want, (g, n)
+            compared += 1
+            merged += len(want.terms) < len(rational_trace(g, n))
+    assert compared > 3000 and merged > 100, (compared, merged)
 
 
 def test_integrality_does_not_depend_on_the_degree():

@@ -202,6 +202,23 @@ def test_build_matches_reference_build():
     assert len(seen) == len(ERRORS) + 5 and min(seen.values()) >= 30, seen
 
 
+def test_ragged_columns_are_refused_first():
+    # columns of unequal length, each also with an undeclared end or too few
+    # vertex fields, so that the length check must come before the others
+    cases = [((("a",), (1,), (1,), ("a",), ()), "1 ids, 1 genera, 1 mults, 1 heads, 0 tails"),
+             ((("a", "b"), (0,), (1, 1), ("a",), ("b",)),
+              "2 ids, 1 genera, 2 mults, 1 heads, 1 tails"),
+             ((("a", "b"), (0, 0), (1,), ("a",), ("b",)),
+              "2 ids, 2 genera, 1 mults, 1 heads, 1 tails"),
+             ((("a",), (0, 0), (1,), ("a",), ("z",)), "1 ids, 2 genera, 1 mults, 1 heads, 1 tails")]
+    for columns, lengths in cases:
+        with pytest.raises(ValidationError, match=f"^column lengths differ: {lengths}$"):
+            FiberGraph(*columns)
+    # iterators are columns too
+    g = FiberGraph(iter("ab"), iter((0, 0)), iter((1, 1)), iter("a"), iter("b"))
+    assert (g.ids, g.heads, g.tails, g.degrees) == (("a", "b"), (0,), (1,), (1, 1))
+
+
 # every line break str.splitlines knows
 BREAKS = st.sampled_from(
     ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])

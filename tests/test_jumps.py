@@ -21,11 +21,10 @@ from fibertrace.fiber import (
     h1_character,
     limit_trace,
     parse_graph,
-    principal_components,
-    rational_trace,
+    total_trace,
 )
 from fibertrace.jumps import JumpOptions, JumpSet, compute_jumps
-from reference import acampo_spectrum, per_edge_trace
+from reference import acampo_spectrum, per_edge_trace, rational_trace
 from test_catalog import table_entries
 from test_fiber import (
     CATALOG,
@@ -59,7 +58,7 @@ def reference_round(char, nt):
 def principal_mult_lcm(g):
     """n_tilde from the principal components themselves: the lcm of their
     multiplicities, 1 when there is none."""
-    return math.lcm(*[g.mults[i] for i in principal_components(g)])
+    return math.lcm(*[g.mults[i] for i in g.principal])
 
 
 def class_degrees(g, residue, options=JumpOptions()):
@@ -181,7 +180,7 @@ class TestComputeJumps:
     def test_genus_bound_before_any_block(self, monkeypatch):
         # the adjunction formula gives the genus from the graph alone: a
         # multiplicity-4 curve meeting a reduced one 4 times has genus 6
-        def refuse(graph, principal):
+        def refuse(graph):
             raise AssertionError("limit_trace ran before the genus check")
 
         monkeypatch.setattr(jumps, "MAX_GENUS", 5)
@@ -190,6 +189,24 @@ class TestComputeJumps:
         assert g.adjunction_genus() == 6
         with pytest.raises(BadInput, match="genus 6 exceeds MAX_GENUS = 5"):
             compute_jumps(g)
+
+    def test_numbers_that_are_not_ints_are_refused(self):
+        # a float n_min once gave float witnesses, none of them 1 mod L, and
+        # a float degree or sweep count or a str n_min a raw TypeError
+        g = cat("kodaira:IV")
+        for options, name, value in ((JumpOptions(n_min=1e300), "n_min", "1e+300"),
+                                     (JumpOptions(n_min=1e6), "n_min", "1000000.0"),
+                                     (JumpOptions(n_min="5"), "n_min", "'5'"),
+                                     (JumpOptions(sweeps=2.5), "sweeps", "2.5")):
+            with pytest.raises(BadInput, match=f"^{name} must be an integer, got {re.escape(value)}$"):
+                compute_jumps(g, options)
+        for route in (total_trace, h1_character):
+            with pytest.raises(BadInput, match=r"^degree must be an integer, got 13\.0$"):
+                route(g, 13.0)
+        # a bool is an int, as in catalog.lookup
+        assert compute_jumps(g, JumpOptions(n_min=True, sweeps=True)).witnesses == (19,)
+        with pytest.raises(BadInput, match="^degree must be >= 2, got True$"):
+            total_trace(g, True)
 
     def test_kodaira_iv(self):
         js = compute_jumps(cat("kodaira:IV"))
@@ -279,12 +296,12 @@ class TestComputeJumps:
                              [("a", "b"), ("a", "e"), ("e", "b")])
         assert (compute_jumps(g).n_tilde, g.mult_lcm) == (1, 2)
         assert compute_jumps(g).jumps == (Fraction(0),)
-        monkeypatch.setattr(jumps, "limit_trace", lambda graph, principal: {0: 1, 1: -1})
+        monkeypatch.setattr(jumps, "limit_trace", lambda graph: {0: 1, 1: -1})
         with pytest.raises(BadJumpDenominator, match=r"jump 1/2 .* n_tilde = 1"):
             compute_jumps(g)
 
     def test_negative_limit_character_rejected(self, monkeypatch):
-        monkeypatch.setattr(jumps, "limit_trace", lambda graph, principal: {0: 1, 1: 2})
+        monkeypatch.setattr(jumps, "limit_trace", lambda graph: {0: 1, 1: 2})
         with pytest.raises(NegativeCharacterCoefficient, match=r"\[\(1, -2\)\]"):
             compute_jumps(cat("kodaira:IV"))
 
@@ -393,16 +410,15 @@ def matches_block_route(g, n):
     """limit_trace has the nonzero terms of the per-edge reference route at
     the degree n = 1 (mod L), or both refuse the same vertex for
     integrality; True when a trace was compared."""
-    principal = principal_components(g)
     try:
         _, want = per_edge_trace(g, n)
     except NonIntegralSelfIntersection as exc:
         vid = re.escape(str(exc).split(":")[0])
         with pytest.raises(NonIntegralSelfIntersection,
                            match=f"^{vid}: neighbour multiplicities sum to "):
-            limit_trace(g, principal)
+            limit_trace(g)
         return False
-    got = limit_trace(g, principal)
+    got = limit_trace(g)
     assert ({j: c for j, c in got.items() if c}
             == {j: c for j, c in want.items() if c}), (g, n)
     return True
@@ -453,8 +469,7 @@ class TestLimitTrace:
         graphs += [star_fiber(rng) for _ in range(100)]
         for g in graphs:
             moved, _ = relabel(g, rng)
-            assert limit_trace(moved, principal_components(moved)) == limit_trace(
-                g, principal_components(g))
+            assert limit_trace(moved) == limit_trace(g)
             for n in limit_degrees(g):
                 assert matches_block_route(g, n) and matches_block_route(moved, n), (g, n)
 
@@ -502,7 +517,7 @@ class TestLimitTrace:
                 compute_jumps(cat(cid))
         monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 1)
         g = parse_graph(decreasing_chain(5000))
-        assert principal_components(g) == [] and limit_trace(g, []) == {0: 1}
+        assert g.principal == () and limit_trace(g) == {0: 1}
 
     def test_work_bound_before_any_term(self, monkeypatch):
         # with two arms each, the rows of c and d have three distinct end
@@ -557,7 +572,7 @@ class TestLimitTrace:
 
         for module, name in ((resolution, "chain_ends"), (singtrace, "chain_ends"),
                              (singtrace, "edge_blocks"), (singtrace, "block_sum"),
-                             (fiber, "rational_trace")):
+                             (fiber, "total_trace")):
             monkeypatch.setattr(module, name, refuse)
         assert [compute_jumps(g) for g in graphs] == want
 

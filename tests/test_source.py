@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fibertrace
 from fibertrace.cli import main
 
@@ -94,7 +96,7 @@ def test_oracles_stay_independent_of_the_closed_form():
     # A'Campo's spectrum the jumps, so none may reach the chain ends, the
     # block arithmetic or either fiber trace
     closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree",
-                   "rational_trace", "limit_trace"}
+                   "rational_trace", "limit_trace", "total_trace"}
     oracles = {"trace_polynomial", "trace_oracle", "packed_inverse_numerators",
                "acampo_spectrum", "per_node_oracle"}
     found = {}
@@ -137,10 +139,29 @@ def test_fiber_trace_reads_the_graph_alone():
             names.add(node.asname or node.name)
         elif isinstance(node, ast.FunctionDef):
             names.add(node.name)
-    assert "limit_trace" in names
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rsplit(".", 1)[-1])
+    assert "limit_trace" in names and "exactalg" in names
+    # nor the trace module's map to a degree: the floor map is fiber.py's own
     block_route = {"chain_ends", "Singularity", "edge_blocks", "block_sum", "vertex_block",
-                   "_edge_pass", "self_intersections"}
+                   "_edge_pass", "self_intersections", "at_degree", "singtrace"}
     assert not names & block_route, sorted(names & block_route)
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml declares the oldest Python the package runs on; every
+    # module, test and benchmark script must parse at that grammar
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    [floor] = re.findall(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    floor = tuple(map(int, floor))
+    paths = SOURCES + sorted(REFERENCE.parent.glob("*.py"))
+    paths += sorted((README.parent / "bench").glob("*.py"))
+    assert len(paths) > 25
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+    if floor < (3, 11):  # the check has teeth: a grammar newer than the floor is refused
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
 
 
 def test_every_definition_is_used():
