@@ -68,6 +68,8 @@ class GroupRingElement:
         """sum c * x^e over the (e, c) pairs: exponents are reduced mod n,
         the coefficients of equal exponents add up and zero sums are
         dropped.  A dense sequence is passed as ``enumerate(coeffs)``."""
+        if not isinstance(n, int):  # bool, an int, stays accepted
+            raise BadInput(f"group ring modulus must be an integer, got {n!r}")
         if n < 1:
             raise BadInput(f"group ring modulus must be >= 1, got {n}")
         terms: dict[int, int] = {}

@@ -17,11 +17,14 @@ depend on n and no chain is walked.  The node sum and the oracle are kept
 off that route as test oracles.
 
 Every trace is the image at degree n of blocks, integer coefficients on
-the classes k/m of (1/m)Z/Z, under k/m -> k * m^{-1} mod n.
+the classes k/m of (1/m)Z/Z, under k/m -> k * m^{-1} mod n.  The closed
+form has three blocks, over m2, m1 and gcd(m1, m2), and
+``singularity_trace`` maps each class as it writes it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .arith import ceil_div, mod_inverse
@@ -120,37 +123,6 @@ def trace_polynomial(res: ResolutionData) -> GroupRingElement:
     return GroupRingElement(n, enumerate(buf))
 
 
-def edge_blocks(m1: int, m2: int, mu1: int, mu_last: int) -> list[tuple[int, list[int]]]:
-    """The closed-form trace of the chain over (m1, m2, n), from its ends
-    mu_1 and mu_L, as three blocks (m, coeffs), each standing for
-    sum_k coeffs[k] * [k/m]: over m2, over m1, and the all -1 block over
-    gcd(m1, m2)."""
-    m = math.gcd(m1, m2)
-    return [
-        (m2, [mu1 - ceil_div(k * mu1, m2) for k in range(m2)]),
-        (m1, [mu_last - ceil_div(k * mu_last, m1) for k in range(m1)]),
-        (m, [-1] * m),
-    ]
-
-
-def block_sum(blocks, lcm: int) -> dict[int, int]:
-    """The sum of the blocks in Z[(1/lcm)Z/Z], every block's m dividing
-    lcm: j -> c stands for c times [j/lcm], 0 <= j < lcm."""
-    acc: dict[int, int] = {}
-    for m, coeffs in blocks:
-        step = lcm // m
-        for k, c in enumerate(coeffs):
-            acc[step * k] = acc.get(step * k, 0) + c
-    return acc
-
-
-def at_degree(terms: dict[int, int], lcm: int, n: int) -> GroupRingElement:
-    """The image of a block sum at a degree n coprime to lcm: [j/lcm] goes
-    to xi^(j * lcm^{-1} mod n), that is [k/m] to xi^(k * m^{-1} mod n)."""
-    u = mod_inverse(lcm, n)
-    return GroupRingElement(n, ((j * u, c) for j, c in terms.items()))
-
-
 def trace_closed_form(res: ResolutionData) -> GroupRingElement:
     """Closed-form trace polynomial from the chain's outermost
     multiplicities; O(m1 + m2) terms whatever n is.  It is the production
@@ -160,12 +132,22 @@ def trace_closed_form(res: ResolutionData) -> GroupRingElement:
 
 def singularity_trace(sing: Singularity) -> GroupRingElement:
     """Trace of the chain over one singularity, by the production route:
-    the closed form from the chain ends, which ``chain_ends`` gives in
-    O(log n), so the chain is never walked.  It holds for every chain,
-    stable or not."""
-    lcm = math.lcm(sing.m1, sing.m2)
-    blocks = edge_blocks(sing.m1, sing.m2, *chain_ends(sing))
-    return at_degree(block_sum(blocks, lcm), lcm, sing.n)
+    the closed form from the chain ends mu_1 and mu_L, which ``chain_ends``
+    gives in O(log n), so the chain is never walked.  It holds for every
+    chain, stable or not.  Its three blocks are written straight into
+    Z[Z/n], the class k/m going to x^(k * m^{-1} mod n): mu_1 -
+    ceil(k mu_1 / m2) for k < m2, mu_L - ceil(k mu_L / m1) for k < m1, and
+    -1 for k < gcd(m1, m2)."""
+    m1, m2, n = sing
+    mu1, mu_last = chain_ends(sing)
+    a1, a2 = mod_inverse(m1, n), mod_inverse(m2, n)
+    m = math.gcd(m1, m2)
+    am = mod_inverse(m, n)
+    return GroupRingElement(n, itertools.chain(
+        ((k * a2, mu1 - ceil_div(k * mu1, m2)) for k in range(m2)),
+        ((k * a1, mu_last - ceil_div(k * mu_last, m1)) for k in range(m1)),
+        ((k * am, -1) for k in range(m)),
+    ))
 
 
 def trace_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:

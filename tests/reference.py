@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fibertrace import cli
-from fibertrace.arith import mod_inverse
+from fibertrace.arith import ceil_div, mod_inverse
 from fibertrace.errors import FibertraceError, NonIntegralSelfIntersection
 from fibertrace.exactalg import (
     CyclotomicNumber,
@@ -16,7 +16,6 @@ from fibertrace.exactalg import (
 )
 from fibertrace.fiber import limit_trace, total_trace
 from fibertrace.resolution import ResolutionData, Singularity, chain_ends
-from fibertrace.singtrace import block_sum, edge_blocks
 
 
 def universal_polys(res: ResolutionData) -> list[int]:
@@ -26,6 +25,37 @@ def universal_polys(res: ResolutionData) -> list[int]:
     for b in res.b:
         p.append(b * p[-1] - p[-2])
     return p
+
+
+def edge_blocks(m1: int, m2: int, mu1: int, mu_last: int) -> list[tuple[int, list[int]]]:
+    """The closed-form trace of the chain over (m1, m2, n), from its ends
+    mu_1 and mu_L, as three blocks (m, coeffs), each standing for
+    sum_k coeffs[k] * [k/m]: over m2, over m1, and the all -1 block over
+    gcd(m1, m2)."""
+    m = math.gcd(m1, m2)
+    return [
+        (m2, [mu1 - ceil_div(k * mu1, m2) for k in range(m2)]),
+        (m1, [mu_last - ceil_div(k * mu_last, m1) for k in range(m1)]),
+        (m, [-1] * m),
+    ]
+
+
+def block_sum(blocks, lcm: int) -> dict[int, int]:
+    """The sum of the blocks in Z[(1/lcm)Z/Z], every block's m dividing
+    lcm: j -> c stands for c times [j/lcm], 0 <= j < lcm."""
+    acc: dict[int, int] = {}
+    for m, coeffs in blocks:
+        step = lcm // m
+        for k, c in enumerate(coeffs):
+            acc[step * k] = acc.get(step * k, 0) + c
+    return acc
+
+
+def at_degree(terms: dict[int, int], lcm: int, n: int) -> GroupRingElement:
+    """The image of a block sum at a degree n coprime to lcm: [j/lcm] goes
+    to xi^(j * lcm^{-1} mod n), that is [k/m] to xi^(k * m^{-1} mod n)."""
+    u = mod_inverse(lcm, n)
+    return GroupRingElement(n, ((j * u, c) for j, c in terms.items()))
 
 
 def closed_form_coefficients(res: ResolutionData) -> tuple[list[int], list[int], int]:
@@ -139,19 +169,14 @@ def per_node_oracle(res: ResolutionData, power: int) -> CyclotomicNumber:
     return CyclotomicNumber.from_poly(n, _unpack(acc, n, width), n * n)
 
 
-def schoolbook(a, b) -> list[int]:
-    """The product of two integer polynomials, term by term."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def field_product(x: CyclotomicNumber, y: CyclotomicNumber) -> CyclotomicNumber:
-    """x * y in Q(zeta_n): the schoolbook product of the numerators,
-    reduced by ``from_poly``."""
-    return CyclotomicNumber.from_poly(x.n, schoolbook(x.num, y.num), x.den * y.den)
+    """x * y in Q(zeta_n): the schoolbook product of the numerators, term
+    by term, reduced by ``from_poly``."""
+    out = [0] * (len(x.num) + len(y.num) - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            out[i + j] += a * b
+    return CyclotomicNumber.from_poly(x.n, out, x.den * y.den)
 
 
 def root_power(n: int, e: int) -> CyclotomicNumber:

@@ -3,18 +3,28 @@ line (run with ``pytest -s`` to see the lines as they happen)."""
 
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
+import fibertrace
 from fibertrace.catalog import FiberTypeId, lookup
 from fibertrace.cli import main
 from fibertrace.fiber import MAX_GRAPH_CHARS, FiberGraph, h1_character, parse_graph
 from fibertrace.jumps import JumpOptions, compute_jumps
-from fibertrace.resolution import Singularity, is_stable, resolve
-from fibertrace.singtrace import trace_closed_form, trace_oracle, trace_polynomial
+from fibertrace.resolution import MAX_MULTIPLICITY, Singularity, is_stable, resolve
+from fibertrace.singtrace import (
+    singularity_trace,
+    trace_closed_form,
+    trace_oracle,
+    trace_polynomial,
+)
 from reference import closed_form_coefficients, universal_polys
 from test_fiber import subdivide_equal_edges
 from test_jumps import class_degrees, sweep_oracle
@@ -305,3 +315,30 @@ def test_criterion_9_plain_graph_file_at_the_bound(tmp_path):
         bulk, lines = parse_peak(text), parse_peak(text.replace(" ", "\t", 1))
         assert bulk <= 1.1 * lines, (
             f"bulk read peak {bulk / 1e6:.1f} MB, line walk {lines / 1e6:.1f} MB")
+
+
+def test_criterion_10_singularity_trace_at_the_multiplicity_bound():
+    with criterion(10, "singularity trace at MAX_MULTIPLICITY"):
+        # the largest branch multiplicities with a degree coprime to both:
+        # 10^5 terms written straight into Z[Z/n] peak at about 20 MB under
+        # tracemalloc, while summing the blocks over the lcm first, a dict of
+        # lcm classes beside the element, peaks at about 51 MB
+        sing = Singularity(MAX_MULTIPLICITY, MAX_MULTIPLICITY - 1, MAX_MULTIPLICITY + 1)
+        tracemalloc.start()
+        try:
+            trace = singularity_trace(sing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.terms) == MAX_MULTIPLICITY
+        assert peak <= 30 * 10**6, f"singularity_trace peak {peak / 1e6:.1f} MB, budget 30 MB"
+        # the whole command in a fresh interpreter, start-up included
+        argv = ["trace-sing", *map(str, sing), "--machine"]
+        env = {**os.environ, "PYTHONPATH": str(Path(fibertrace.__file__).parent.parent)}
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "fibertrace.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(done.stdout.splitlines()) == MAX_MULTIPLICITY
+        assert elapsed < 2, f"trace-sing at the bound took {elapsed:.2f}s, budget 2s"

@@ -57,8 +57,46 @@ class TestGroupRing:
         with pytest.raises(BadInput):
             GroupRingElement(0)
 
+    def test_foreign_operands(self):
+        # no integer stands for a constant: equality with one is False, and a
+        # sum with one is a TypeError, both ways round
+        assert (GroupRingElement(5) == 0) is False
+        assert GroupRingElement(5) != G(5, {0: 1})
+        with pytest.raises(TypeError):
+            GroupRingElement(5) + 1
+        with pytest.raises(TypeError):
+            1 + GroupRingElement(5)
+
+    def test_repr(self):
+        # exponents reduced and sorted, the zero sum dropped
+        assert repr(GroupRingElement(5, [(7, 2), (1, -1)])) == "GroupRingElement(5, {1: -1, 2: 2})"
+        assert repr(GroupRingElement(5, [(3, 1), (8, -1)])) == "GroupRingElement(5, {})"
+
 
 class TestCyclotomic:
+    def test_normal_form(self):
+        # the denominator made positive and the content cancelled against it
+        x = CyclotomicNumber(3, [2, 4], -2)
+        assert (x.num, x.den) == ((-1, -2), 1)
+        assert x == CyclotomicNumber(3, [-1, -2], den=1)
+        assert repr(x) == "CyclotomicNumber(3, [-1, -2], den=1)"
+        assert CyclotomicNumber(3, [0, 0], 7).den == 1
+        assert CyclotomicNumber(3, [2, 3], 4) != CyclotomicNumber(3, [2, 3], 2)
+
+    def test_foreign_operand(self):
+        x = CyclotomicNumber(3, [1, 0])
+        assert x.__eq__(1) is NotImplemented
+        assert (x == 1) is False and x != "zeta"
+        assert x != CyclotomicNumber(6, [1, 0])
+
+    def test_malformed_input(self):
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            CyclotomicNumber(3, [1, 0], 0)
+        with pytest.raises(BadInput, match="expected 2 coordinates for conductor 3"):
+            CyclotomicNumber(3, [1, 0, 0])
+        with pytest.raises(BadInput, match="expected 4 coordinates for conductor 12"):
+            CyclotomicNumber(12, [1])
+
     def test_small_cyclotomic_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
         assert cyclotomic_polynomial(2) == (1, 1)

@@ -25,8 +25,8 @@ from fibertrace.fiber import (
 )
 from fibertrace.jumps import JumpOptions, compute_jumps
 from fibertrace.resolution import Singularity, resolve
-from fibertrace.singtrace import at_degree, trace_polynomial
-from reference import per_edge_trace, rational_trace, self_intersections, vertex_term
+from fibertrace.singtrace import trace_polynomial
+from reference import at_degree, per_edge_trace, rational_trace, self_intersections, vertex_term
 from test_graph_layer import graph_lines
 
 
@@ -669,8 +669,8 @@ class TestClassCountedTrace:
 
         for module, name in ((resolution, "chain_ends"), (singtrace, "chain_ends"),
                              (singtrace, "edge_blocks"), (singtrace, "block_sum"),
-                             (fiber, "chain_ends"), (fiber, "edge_blocks"),
-                             (fiber, "block_sum"), (fiber, "vertex_block")):
+                             (singtrace, "singularity_trace"), (fiber, "chain_ends"),
+                             (fiber, "edge_blocks"), (fiber, "block_sum"), (fiber, "vertex_block")):
             monkeypatch.setattr(module, name, refuse, raising=False)
         capsys.readouterr()
         for g, path, n, want in cases:

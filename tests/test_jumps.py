@@ -571,8 +571,7 @@ class TestLimitTrace:
             raise AssertionError("compute_jumps reached the block route")
 
         for module, name in ((resolution, "chain_ends"), (singtrace, "chain_ends"),
-                             (singtrace, "edge_blocks"), (singtrace, "block_sum"),
-                             (fiber, "total_trace")):
+                             (singtrace, "singularity_trace"), (fiber, "total_trace")):
             monkeypatch.setattr(module, name, refuse)
         assert [compute_jumps(g) for g in graphs] == want
 

@@ -13,8 +13,10 @@ from fibertrace import (
     h1_character,
     lookup,
     resolve,
+    singularity_trace,
 )
 from fibertrace.errors import BadInput
+from fibertrace.exactalg import GroupRingElement
 
 GRAPH_COLUMNS = ("ids", "genera", "mults", "degrees", "heads", "tails", "_position")
 
@@ -62,6 +64,29 @@ def test_singularity_validates_on_every_path():
         Singularity._make((0, 1, 5))
     assert Singularity._make((3, 4, 13)) == s
     assert copy.copy(s) == pickle.loads(pickle.dumps(s)) == s
+
+
+@pytest.mark.parametrize("args", [(2, 3, 7.0), (2.0, 3, 7), ("2", 3, 7), (2, None, 7)])
+def test_singularity_refuses_values_that_are_not_ints(args):
+    # a float would pass the range checks and end in a raw TypeError in
+    # resolve, chain_ends or the trace, and a string in one inside them
+    with pytest.raises(BadInput, match="must be an integer, got "):
+        Singularity(*args)
+
+
+def test_group_ring_refuses_a_modulus_that_is_not_an_int():
+    # a float modulus would reduce the exponents to floats
+    with pytest.raises(BadInput, match="must be an integer, got 5.5"):
+        GroupRingElement(5.5, [(1, 1)])
+    with pytest.raises(BadInput, match="must be an integer, got '5'"):
+        GroupRingElement("5")
+
+
+def test_bool_stays_an_int():
+    # as in catalog.lookup and the sweep options, bool is an int
+    assert Singularity(True, 2, 3) == (1, 2, 3)
+    assert GroupRingElement(True, [(0, 1)]).terms == {0: 1}
+    assert singularity_trace(Singularity(True, True, 3)) == singularity_trace(Singularity(1, 1, 3))
 
 
 def test_records_unpack_and_compare_as_tuples():

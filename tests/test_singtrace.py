@@ -9,7 +9,7 @@ from fibertrace import exactalg, singtrace
 from fibertrace.arith import mod_inverse
 from fibertrace.errors import BadInput
 from fibertrace.exactalg import CyclotomicNumber, GroupRingElement
-from fibertrace.resolution import Singularity, is_stable, resolve
+from fibertrace.resolution import MAX_MULTIPLICITY, Singularity, chain_ends, is_stable, resolve
 from fibertrace.singtrace import (
     singularity_trace,
     trace_closed_form,
@@ -17,7 +17,15 @@ from fibertrace.singtrace import (
     trace_polynomial,
 )
 import reference
-from reference import closed_form_coefficients, per_node_oracle, vertex_block, vertex_term
+from reference import (
+    at_degree,
+    block_sum,
+    closed_form_coefficients,
+    edge_blocks,
+    per_node_oracle,
+    vertex_block,
+    vertex_term,
+)
 
 
 def G(n, d):
@@ -150,6 +158,30 @@ class TestProductionRoute:
                  for n in range(2, math.lcm(m1, m2))
                  if n * math.gcd(m1, m2) < math.lcm(m1, m2))
         assert unstable_chains(below) == 2136
+
+    def test_matches_block_reference(self):
+        # the three blocks summed over the lcm and then mapped to degree n
+        # agree with the blocks mapped as they are written, at small
+        # multiplicities exhaustively and up to MAX_MULTIPLICITY at random,
+        # where the node sum cannot follow; the random multiplicities are
+        # MAX_MULTIPLICITY^(u^3), so most are small and the test stays short
+        def block_route(sing):
+            lcm = math.lcm(sing.m1, sing.m2)
+            return at_degree(block_sum(edge_blocks(sing.m1, sing.m2, *chain_ends(sing)), lcm),
+                             lcm, sing.n)
+
+        small = [Singularity(m1, m2, n) for m1 in range(1, 13) for m2 in range(1, 13)
+                 for n in range(2, 80) if math.gcd(n, m1 * m2) == 1]
+        rng = random.Random(30)
+        large = [Singularity(MAX_MULTIPLICITY, MAX_MULTIPLICITY - 1, MAX_MULTIPLICITY + 1)]
+        while len(large) < 300:
+            m1, m2 = (round(MAX_MULTIPLICITY ** rng.random() ** 3) for _ in range(2))
+            n = rng.randint(2, 10**9)
+            if math.gcd(n, m1 * m2) == 1:
+                large.append(Singularity(m1, m2, n))
+        assert len(small) > 5000 and sum(max(s.m1, s.m2) > 10**4 for s in large) > 25
+        for sing in small + large:
+            assert singularity_trace(sing) == block_route(sing), sing
 
     def test_huge_degree_matches_closed_form_shape(self):
         # far beyond any dense buffer: O(m1 + m2) terms, residue-class coefficients
@@ -419,7 +451,7 @@ class TestOracle:
 def vertex_block_at(mult, genus, self_int, n):
     """The reference route's vertex block at degree n."""
     m, coeffs = vertex_block(mult, genus, self_int)
-    return singtrace.at_degree(singtrace.block_sum([(m, coeffs)], m), m, n)
+    return at_degree(block_sum([(m, coeffs)], m), m, n)
 
 
 class TestVertexTrace:

@@ -95,7 +95,7 @@ def test_oracles_stay_independent_of_the_closed_form():
     # the node sum and the cyclotomic oracle arbitrate the closed form, and
     # A'Campo's spectrum the jumps, so none may reach the chain ends, the
     # block arithmetic or either fiber trace
-    closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree",
+    closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree", "singularity_trace",
                    "rational_trace", "limit_trace", "total_trace"}
     oracles = {"trace_polynomial", "trace_oracle", "packed_inverse_numerators",
                "acampo_spectrum", "per_node_oracle"}
@@ -185,6 +185,28 @@ def test_every_definition_is_used():
         and name not in used
     ]
     assert not unused, f"definitions nothing refers to: {unused}"
+
+
+def test_every_reference_helper_is_used():
+    # the reference arithmetic exists only to check the package, so each of
+    # its top-level functions must be named by some other test module; a use
+    # inside reference.py alone is not a check of anything
+    defined = [node.name for node in ast.parse(REFERENCE.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.FunctionDef)]
+    used = set()
+    for path in sorted(REFERENCE.parent.glob("*.py")):
+        if path == REFERENCE:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    assert len(defined) > 15
+    unused = sorted(set(defined) - used)
+    assert not unused, f"reference helpers no other test names: {unused}"
 
 
 def test_star_import_resolves_every_export():
