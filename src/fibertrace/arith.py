@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import BadInput, NotInvertible
+from .errors import BadInput, NotInvertible, int_text
 
 # Longest chain jh_expand will walk: (1, 1, n) alone has n - 1 curves, so
 # without a bound a huge degree would take minutes and gigabytes to fail.
@@ -19,11 +19,11 @@ MAX_CHAIN_LENGTH = 10**6
 def mod_inverse(a: int, n: int) -> int:
     """Return the inverse of a modulo n, normalized into [1, n-1]."""
     if n < 2:
-        raise BadInput(f"modulus must be >= 2, got {n}")
+        raise BadInput(f"modulus must be >= 2, got {int_text(n)}")
     try:
         return pow(a, -1, n)
     except ValueError:
-        raise NotInvertible(f"{a} is not invertible modulo {n}") from None
+        raise NotInvertible(f"{int_text(a)} is not invertible modulo {int_text(n)}") from None
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -45,16 +45,17 @@ def jh_expand(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     once the chain has more than MAX_CHAIN_LENGTH curves.
     """
     if not 0 < r < n:
-        raise BadInput(f"need 0 < r < n, got r={r}, n={n}")
+        raise BadInput(f"need 0 < r < n, got r={int_text(r)}, n={int_text(n)}")
     if math.gcd(r, n) != 1:
-        raise BadInput(f"need gcd(r, n) = 1, got r={r}, n={n}")
+        raise BadInput(f"need gcd(r, n) = 1, got r={int_text(r)}, n={int_text(n)}")
     b: list[int] = []
     rseq = [n, r]
     prev, cur = n, r
     while cur > 0:
         if len(b) == MAX_CHAIN_LENGTH:
             raise BadInput(
-                f"the chain of {n}/{r} has more than MAX_CHAIN_LENGTH = {MAX_CHAIN_LENGTH} curves"
+                f"the chain of {int_text(n)}/{int_text(r)} has more than "
+                f"MAX_CHAIN_LENGTH = {MAX_CHAIN_LENGTH} curves"
             )
         q = ceil_div(prev, cur)
         b.append(q)

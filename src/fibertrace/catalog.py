@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .errors import BadInput, UnknownType
+from .errors import BadInput, UnknownType, int_text
 from .fiber import FiberGraph
 
 # Largest k of In:k and In*:k.  The graph has about k components and the
@@ -32,7 +32,7 @@ class FiberTypeId(NamedTuple):
 
     def __str__(self):
         if self.parameter is not None:
-            return f"{self.family}:{self.name}:{self.parameter}"
+            return f"{self.family}:{self.name}:{int_text(self.parameter)}"
         return f"{self.family}:{self.name}"
 
     @classmethod
@@ -98,6 +98,8 @@ def lookup(type_id: FiberTypeId) -> FiberGraph:
     parameter also answers to the parameter 0: kodaira:IV:0 is kodaira:IV.
     Every valid id returns one shared graph per canonical id; FiberGraph
     is immutable, so callers cannot change it for one another."""
+    if not (isinstance(type_id.family, str) and isinstance(type_id.name, str)):
+        raise UnknownType("the family and name of a catalog id must be strings")
     key, k = f"{type_id.family}:{type_id.name}", type_id.parameter
     if k is not None and not isinstance(k, int):
         raise UnknownType(f"parameter of catalog id {type_id} must be an integer")
@@ -108,7 +110,8 @@ def lookup(type_id: FiberTypeId) -> FiberGraph:
             raise UnknownType(f"type {type_id.name} needs a parameter >= 0, e.g. {key}:2")
         if k > MAX_PARAMETER:
             raise BadInput(
-                f"type {type_id.name} parameter {k} exceeds MAX_PARAMETER = {MAX_PARAMETER}"
+                f"type {type_id.name} parameter {int_text(k)} exceeds "
+                f"MAX_PARAMETER = {MAX_PARAMETER}"
             )
         return _graph(key, k)
     if key not in STARS or k not in (None, 0) or (k == 0 and type_id.family != "kodaira"):

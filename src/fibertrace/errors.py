@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``int_text``, which
+every message that quotes an int goes through."""
+
+import math
+
+
+def int_text(value) -> str:
+    """``str(value)``; for an int past the interpreter's int-to-str digit
+    limit (4,300 digits by default), where ``str`` raises ValueError, its
+    sign and digit count, such as ``-<5001-digit int>``, so that building
+    a domain error's message cannot fail."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    size = abs(value)
+    digits = int(math.log10(size))  # within one of the true count, corrected below
+    while 10**digits <= size:
+        digits += 1
+    while 10 ** (digits - 1) > size:
+        digits -= 1
+    return f"{'-' if value < 0 else ''}<{digits}-digit int>"
 
 
 class FibertraceError(Exception):

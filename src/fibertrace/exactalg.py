@@ -53,7 +53,7 @@ import sys
 from array import array
 from functools import lru_cache
 
-from .errors import BadInput, ModulusMismatch
+from .errors import BadInput, ModulusMismatch, int_text
 
 
 class GroupRingElement:
@@ -71,7 +71,7 @@ class GroupRingElement:
         if not isinstance(n, int):  # bool, an int, stays accepted
             raise BadInput(f"group ring modulus must be an integer, got {n!r}")
         if n < 1:
-            raise BadInput(f"group ring modulus must be >= 1, got {n}")
+            raise BadInput(f"group ring modulus must be >= 1, got {int_text(n)}")
         terms: dict[int, int] = {}
         for e, c in pairs:
             if c:
@@ -84,7 +84,7 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         if self.n != other.n:
-            raise ModulusMismatch(f"moduli differ: {self.n} != {other.n}")
+            raise ModulusMismatch(f"moduli differ: {int_text(self.n)} != {int_text(other.n)}")
         return GroupRingElement(self.n, [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__

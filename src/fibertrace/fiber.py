@@ -5,7 +5,11 @@ By the Brauer-trace formula the total trace of the degree-n action on the
 fiber cohomology depends only on the graph and on n mod L, L the
 multiplicity lcm.  ``limit_trace`` builds it in Z[(1/L)Z/Z] at the degrees
 n = 1 (mod L) from each component's genus, multiplicity and neighbours'
-multiplicities, with no degree, no chain end and no resolution:
+multiplicities, with no degree, no chain end and no resolution.  The
+``FiberGraph`` constructor's one walk over the edges, the one that checks
+connectivity, also counts each component's degree and sums its
+neighbours' multiplicities, so ``limit_trace`` walks the edges again only
+to count the ends at principal components, and not at all without one:
 
 - a principal component (positive genus, or meeting the rest of the fiber
   in at least three points) adds W_v(k) = 1 - g_v - sum_{w ~ v}
@@ -36,6 +40,7 @@ from .errors import (
     NonIntegralSelfIntersection,
     ParseError,
     ValidationError,
+    int_text,
 )
 from .exactalg import GroupRingElement
 from .resolution import MAX_MULTIPLICITY
@@ -43,10 +48,10 @@ from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.
 
 # Most characters of graph text that parse_graph accepts; the CLI reads no
 # more than one past it.  At the bound, one jumps --machine call on a cycle
-# of 20,833 reduced curves with five-digit ids takes 0.04-0.08 s in the
+# of 20,833 reduced curves with five-digit ids takes 0.04-0.07 s in the
 # plain spelling, read in bulk, and 0.07-0.15 s with each edge line after
 # its vertex line and a comment, read line by line; on two reduced curves
-# meeting 111,105 times, plain, it takes 0.04-0.06 s (and exits at MAX_GENUS
+# meeting 111,105 times, plain, it takes 0.05-0.07 s (and exits at MAX_GENUS
 # before any trace is built).  Measured in process, five calls in each of
 # six runs, on a 2-vCPU Xeon VM with Python 3.11.
 MAX_GRAPH_CHARS = 10**6
@@ -75,29 +80,32 @@ class FiberGraph:
     least one multiplicity-1 vertex.  The constructor takes columns,
     ``ids``, ``genera`` and ``mults`` by vertex and ``heads`` and
     ``tails`` the endpoint ids by edge, makes every check, and keeps them
-    in input order: ``ids``, ``genera``, ``mults`` and ``degrees``
-    (edge-ends, a loop counting twice) by vertex position, and ``heads``
-    and ``tails`` by edge, the positions of each edge's two endpoints.
-    ``build`` takes the same graph as rows.
+    in input order: ``ids``, ``genera``, ``mults``, ``degrees`` (edge-ends,
+    a loop counting twice) and ``neighbour_sums`` (the multiplicities at
+    the far ends of those edge-ends, so a loop adds the vertex's own
+    twice) by vertex position, and ``heads`` and ``tails`` by edge, the
+    positions of each edge's two endpoints.  One walk over the edges
+    counts the degrees and neighbour sums and merges components by
+    union-find.  ``build`` takes the same graph as rows.
 
     The sorted views ``vertices`` (Vertex records by id) and ``edges``
     (id pairs, each with the smaller id first) are built on first use;
     equality, hashing and repr are those of the views, so two inputs
     listing the same vertices and edges in any order, with either end of
-    an edge first, give equal graphs."""
+    an edge first, give equal graphs.  The columns derived from the edges,
+    ``degrees`` and ``neighbour_sums``, take no part."""
 
     ids: tuple[str, ...]
     genera: tuple[int, ...]
     mults: tuple[int, ...]
     degrees: tuple[int, ...]
+    neighbour_sums: tuple[int, ...]
     heads: tuple[int, ...]
     tails: tuple[int, ...]
     _position: dict[str, int]  # id -> position
 
     def __init__(self, ids, genera, mults, heads, tails):
-        # The endpoints are looked up column by column, degrees counted
-        # from the position columns, and components merged by union-find
-        # over them.
+        # the endpoints are looked up column by column, then walked once
         ids, genera, mults = tuple(ids), tuple(genera), tuple(mults)
         heads, tails = tuple(heads), tuple(tails)
         if not len(ids) == len(genera) == len(mults) or len(heads) != len(tails):
@@ -118,7 +126,7 @@ class FiberGraph:
                     raise ValidationError(f"vertex {vid}: multiplicity must be >= 1")
                 if mult > MAX_MULTIPLICITY:
                     raise BadInput(
-                        f"vertex {vid}: multiplicity {mult} exceeds "
+                        f"vertex {vid}: multiplicity {int_text(mult)} exceeds "
                         f"MAX_MULTIPLICITY = {MAX_MULTIPLICITY}"
                     )
         try:
@@ -127,11 +135,15 @@ class FiberGraph:
         except KeyError:  # only to name the first undeclared endpoint in input order
             missing = next(v for edge in zip(heads, tails) for v in edge if v not in position)
             raise ValidationError(f"edge endpoint {missing!r} is not a declared vertex") from None
-        degree = Counter(his)
-        degree.update(tis)
+        degree = [0] * len(ids)
+        around = [0] * len(ids)  # neighbour multiplicity sum; a loop adds its own twice
         parent = list(range(len(ids)))
         parts = len(ids)
         for i, j in zip(his, tis):
+            degree[i] += 1
+            degree[j] += 1
+            around[i] += mults[j]
+            around[j] += mults[i]
             i, j = parent[i], parent[j]
             if i != j:  # not yet seen to share a component: find both roots
                 while parent[i] != i:  # path halving
@@ -151,7 +163,8 @@ class FiberGraph:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "mults", mults)
-        object.__setattr__(self, "degrees", tuple(map(degree.__getitem__, range(len(ids)))))
+        object.__setattr__(self, "degrees", tuple(degree))
+        object.__setattr__(self, "neighbour_sums", tuple(around))
         object.__setattr__(self, "heads", his)
         object.__setattr__(self, "tails", tis)
         object.__setattr__(self, "_position", position)
@@ -341,10 +354,11 @@ def limit_trace(g: FiberGraph) -> dict[int, int]:
     Z[(1/L)Z/Z], L the multiplicity lcm: j -> c stands for c times the
     class of j/L.  Only the components at ``g.principal`` have rows.
 
-    One walk over the edges sums each vertex's neighbour multiplicities,
-    which must be a multiple of its own (a non-integral self-intersection
-    names the smallest failing id), and counts the ends at principal
-    components by their neighbour's multiplicity.  Each edge's
+    Each vertex's ``neighbour_sums`` entry must be a multiple of its own
+    multiplicity (a non-integral self-intersection names the smallest
+    failing id).  A walk over the edges, skipped when no component is
+    principal, counts the ends at principal components by their
+    neighbour's multiplicity.  Each edge's
     -(1/gcd)Z/Z is split in halves between its ends, so a component on a
     chain nets to zero, a non-principal one of degree d < 2 to (2 - d)/2
     times (1/m_v)Z/Z, and each end at a principal component to -1/2 times
@@ -355,7 +369,12 @@ def limit_trace(g: FiberGraph) -> dict[int, int]:
     (m, m_w), plus d per d with a nonzero net count, is bounded by
     MAX_BLOCK_TERMS before any term is built."""
     mults, genera = g.mults, g.genera
-    around = [0] * len(mults)  # neighbour multiplicity sum by position
+    if any(map(mod, g.neighbour_sums, mults)):
+        vid, total, m = min(row for row in zip(g.ids, g.neighbour_sums, mults) if row[1] % row[2])
+        raise NonIntegralSelfIntersection(
+            f"vertex {vid}: neighbour multiplicities sum to {total}, "
+            f"not a multiple of mult {m}; not a valid fiber"
+        )
     constants: dict[int, int] = {}  # principal multiplicity m -> sum of 1 - g_v
     rows: dict[int, dict[int, int]] = {}  # m -> the ends at its components, count by m_w
     ends: list[dict | None] = [None] * len(mults)  # by position, principal only
@@ -365,29 +384,22 @@ def limit_trace(g: FiberGraph) -> dict[int, int]:
             constants[m], rows[m] = 0, {}
         constants[m] += 1 - genera[i]
         ends[i] = rows[m]
-    for i, j in zip(g.heads, g.tails):
-        a = mults[i]
-        b = mults[j]
-        around[i] += b
-        around[j] += a
-        if (counts := ends[i]) is not None:
-            counts[b] = counts.get(b, 0) + 1
-        if (counts := ends[j]) is not None:
-            counts[a] = counts.get(a, 0) + 1
-    if any(map(mod, around, mults)):
-        vid, total, m = min(row for row in zip(g.ids, around, mults) if row[1] % row[2])
-        raise NonIntegralSelfIntersection(
-            f"vertex {vid}: neighbour multiplicities sum to {total}, "
-            f"not a multiple of mult {m}; not a valid fiber"
-        )
+    if rows:  # no principal component, as in every In:k, meets no end
+        for i, j in zip(g.heads, g.tails):
+            if (counts := ends[i]) is not None:
+                b = mults[j]
+                counts[b] = counts.get(b, 0) + 1
+            if (counts := ends[j]) is not None:
+                a = mults[i]
+                counts[a] = counts.get(a, 0) + 1
     degrees = g.degrees
     halves: dict[int, int] = {}  # d -> twice the net count of (1/d)Z/Z
     for i in [i for i, d in enumerate(degrees) if d < 2 and ends[i] is None]:
         halves[mults[i]] = halves.get(mults[i], 0) + 2 - degrees[i]
     for m, counts in rows.items():
-        for w, count in counts.items():
+        for w, c in counts.items():
             d = math.gcd(m, w)
-            halves[d] = halves.get(d, 0) - count
+            halves[d] = halves.get(d, 0) - c
     net = {d: h // 2 for d, h in halves.items() if h}
     terms = sum(m * (len(counts) + 1) for m, counts in rows.items()) + sum(net)
     if terms > MAX_BLOCK_TERMS:
@@ -403,9 +415,9 @@ def limit_trace(g: FiberGraph) -> dict[int, int]:
             row = list(map(sub, row, [c * (-k * w % m) for k in range(m)]))
         for j, value in zip(range(0, lcm, lcm // m), row):
             acc[j] = acc.get(j, 0) + value // m
-    for d, count in net.items():
+    for d, c in net.items():
         for j in range(0, lcm, lcm // d):
-            acc[j] = acc.get(j, 0) + count
+            acc[j] = acc.get(j, 0) + c
     return acc
 
 
@@ -418,13 +430,14 @@ def total_trace(g: FiberGraph, n: int) -> GroupRingElement:
     if not isinstance(n, int):
         raise BadInput(f"degree must be an integer, got {n!r}")
     if n < 2:
-        raise BadInput(f"degree must be >= 2, got {n}")
+        raise BadInput(f"degree must be >= 2, got {int_text(n)}")
     lcm = g.mult_lcm
     # the lcm itself may have more digits than str() converts
     shared = math.gcd(n, lcm)
     if shared != 1:
         raise BadInput(
-            f"degree {n} must be coprime to the multiplicity lcm; they share the factor {shared}"
+            f"degree {int_text(n)} must be coprime to the multiplicity lcm; "
+            f"they share the factor {int_text(shared)}"
         )
     return GroupRingElement(n, ((-(j * n // lcm), c) for j, c in limit_trace(g).items()))
 

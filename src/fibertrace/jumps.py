@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BadInput, BadJumpDenominator
+from .errors import BadInput, BadJumpDenominator, int_text
 from .fiber import FiberGraph, character_terms, limit_trace
 
 # Most sweep degrees compute_jumps lists; the list is built in full, so a
@@ -70,9 +70,9 @@ def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
         if not isinstance(value := getattr(options, name), int):
             raise BadInput(f"{name} must be an integer, got {value!r}")
     if options.sweeps < 1:
-        raise BadInput(f"need at least one sweep, got {options.sweeps}")
+        raise BadInput(f"need at least one sweep, got {int_text(options.sweeps)}")
     if options.sweeps > MAX_SWEEPS:
-        raise BadInput(f"{options.sweeps} sweeps exceed MAX_SWEEPS = {MAX_SWEEPS}")
+        raise BadInput(f"{int_text(options.sweeps)} sweeps exceed MAX_SWEEPS = {MAX_SWEEPS}")
     if options.n_min > MAX_N_MIN:
         raise BadInput("n_min exceeds MAX_N_MIN = 10^600")
     floor = max(2 * nt * l, options.n_min, 1)
@@ -82,7 +82,7 @@ def _sweep_degrees(g: FiberGraph, options: JumpOptions, nt: int) -> list[int]:
 
 def _check_genus(genus: int) -> None:
     if genus > MAX_GENUS:
-        raise BadInput(f"genus {genus} exceeds MAX_GENUS = {MAX_GENUS}")
+        raise BadInput(f"genus {int_text(genus)} exceeds MAX_GENUS = {MAX_GENUS}")
 
 
 def compute_jumps(g: FiberGraph, options: JumpOptions = JumpOptions()) -> JumpSet:

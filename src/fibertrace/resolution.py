@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .arith import jh_expand, mod_inverse
-from .errors import BadInput, InvariantError
+from .errors import BadInput, InvariantError, int_text
 
 # Largest branch or vertex multiplicity accepted: the closed-form trace and
 # the fiber trace build O(m1 + m2) and O(mult) terms.  `trace-sing 100000 99999
@@ -34,16 +34,20 @@ class Singularity(NamedTuple("Singularity", [("m1", int), ("m2", int), ("n", int
             if not isinstance(value, int):
                 raise BadInput(f"{name} must be an integer, got {value!r}")
         if m1 < 1 or m2 < 1:
-            raise BadInput(f"branch multiplicities must be >= 1, got ({m1}, {m2})")
+            raise BadInput(
+                f"branch multiplicities must be >= 1, got ({int_text(m1)}, {int_text(m2)})"
+            )
         if m1 > MAX_MULTIPLICITY or m2 > MAX_MULTIPLICITY:
             raise BadInput(
-                f"branch multiplicities ({m1}, {m2}) exceed "
+                f"branch multiplicities ({int_text(m1)}, {int_text(m2)}) exceed "
                 f"MAX_MULTIPLICITY = {MAX_MULTIPLICITY}"
             )
         if n < 2:
-            raise BadInput(f"extension degree must be >= 2, got {n}")
+            raise BadInput(f"extension degree must be >= 2, got {int_text(n)}")
         if math.gcd(n, m1) != 1 or math.gcd(n, m2) != 1:
-            raise BadInput(f"degree {n} must be coprime to both multiplicities ({m1}, {m2})")
+            raise BadInput(
+                f"degree {int_text(n)} must be coprime to both multiplicities ({m1}, {m2})"
+            )
         return tuple.__new__(cls, (m1, m2, n))
 
     @classmethod

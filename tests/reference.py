@@ -117,6 +117,21 @@ def per_edge_trace(g, n: int) -> tuple[dict[str, int], dict[int, int]]:
     return si, block_sum(blocks, g.mult_lcm)
 
 
+def edge_counts(g) -> tuple[dict[str, int], dict[str, int]]:
+    """Each vertex's degree and the sum of its neighbours' multiplicities,
+    by id, from the sorted edge view: each end of an edge counts once and
+    adds the multiplicity at the other end, so a loop counts twice and
+    adds its own multiplicity twice."""
+    mult = {v.id: v.mult for v in g.vertices}
+    degree, around = dict.fromkeys(mult, 0), dict.fromkeys(mult, 0)
+    for a, b in g.edges:
+        degree[a] += 1
+        degree[b] += 1
+        around[a] += mult[b]
+        around[b] += mult[a]
+    return degree, around
+
+
 def rational_trace(g, n: int) -> dict[int, int]:
     """The total trace at degree n as an element of Z[(1/L)Z/Z], L the
     multiplicity lcm: j -> c stands for c times the class of j/L, every c

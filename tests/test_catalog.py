@@ -159,7 +159,8 @@ def as_id(tid):
 
 
 def columns(g):
-    return g.ids, g.genera, g.mults, g.degrees, g.heads, g.tails, g._position
+    return (g.ids, g.genera, g.mults, g.degrees, g.neighbour_sums, g.heads, g.tails,
+            g._position)
 
 
 def fresh_build(tid):

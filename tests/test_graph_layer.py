@@ -3,7 +3,10 @@ and the validation they replaced, kept here as references: on generated
 inputs each must give the same graph, or the same error with the same
 message, whether parse_graph reads the text in bulk or line by line.
 Also the graph's value semantics: the sorted views are built only on
-use, and the input order changes neither equality, hash nor repr."""
+use, and the input order changes neither equality, hash nor repr; the
+degree and neighbour-sum columns against a count over the edge view; and
+a graph whose self-intersections are not integers is refused by the
+trace, not by the parser."""
 
 import random
 import re
@@ -16,9 +19,23 @@ from hypothesis import given, settings, strategies as st
 
 from fibertrace import fiber
 from fibertrace.catalog import FiberTypeId, lookup
-from fibertrace.errors import BadInput, FibertraceError, ParseError, ValidationError
-from fibertrace.fiber import MAX_GRAPH_CHARS, FiberGraph, Vertex, h1_character, parse_graph
+from fibertrace.errors import (
+    BadInput,
+    FibertraceError,
+    NonIntegralSelfIntersection,
+    ParseError,
+    ValidationError,
+)
+from fibertrace.fiber import (
+    MAX_GRAPH_CHARS,
+    FiberGraph,
+    Vertex,
+    h1_character,
+    parse_graph,
+    total_trace,
+)
 from fibertrace.jumps import compute_jumps
+from reference import edge_counts
 from test_cli import GRAPH_IDS, GRAPH_LINES, SPELLED_INTS
 
 
@@ -457,3 +474,73 @@ def test_undeclared_id_raises_key_error():
     assert (g.vertex("b"), g.ids, g.degrees) == (Vertex("b", 1, 1), ("a", "b"), (3, 1))
     with pytest.raises(KeyError):
         g.vertex("c")
+
+
+@st.composite
+def multigraph_rows(draw, prefix="v"):
+    """Vertex rows and edge pairs of a connected multigraph of up to eight
+    vertices, one of them reduced: a spanning tree, with loops and
+    parallel edges on top, the edges shuffled and each either way round."""
+    k = draw(st.integers(1, 8))
+    ids = [f"{prefix}{i}" for i in range(k)]
+    mults = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, fiber.MAX_MULTIPLICITY)),
+                          min_size=k, max_size=k))
+    mults[draw(st.integers(0, k - 1))] = 1
+    genera = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, k)]
+    edges += [(ids[a], ids[b]) for a, b in draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=6))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))  # parallel edges
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(edges))]
+    return list(zip(ids, genera, mults)), edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraph_rows())
+def test_degree_and_neighbour_sum_columns_match_the_edge_view(rows):
+    g = FiberGraph.build(*rows)
+    degree, around = edge_counts(g)
+    assert g.degrees == tuple(map(degree.__getitem__, g.ids))
+    assert g.neighbour_sums == tuple(map(around.__getitem__, g.ids))
+    assert sum(g.degrees) == 2 * len(g.edges)
+    # the columns take no part in the value
+    assert "neighbour_sums" not in repr(g) and g == FiberGraph.build(*rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraph_rows(prefix="a"), multigraph_rows(prefix="b"))
+def test_two_components_are_refused(left, right):
+    with pytest.raises(ValidationError, match="^graph is not connected$"):
+        FiberGraph.build(left[0] + right[0], left[1] + right[1])
+
+
+# graphs whose neighbour multiplicities do not sum to a multiple of some
+# vertex's own, with the message naming the smallest failing id
+NON_INTEGRAL = {
+    # no principal component, so limit_trace walks no edge
+    "path 1-3-1": (
+        "vertex a genus=0 mult=1\nvertex b genus=0 mult=3\nvertex c genus=0 mult=1\n"
+        "edge a b\nedge b c\n",
+        "vertex b: neighbour multiplicities sum to 2, not a multiple of mult 3; not a valid fiber"),
+    "center of multiplicity 2": (
+        "vertex c genus=0 mult=2\nvertex x genus=0 mult=1\nvertex y genus=0 mult=1\n"
+        "vertex z genus=0 mult=1\nedge c x\nedge c y\nedge c z\n",
+        "vertex c: neighbour multiplicities sum to 3, not a multiple of mult 2; not a valid fiber"),
+    # a loop adds the vertex's own multiplicity twice; d and e both fail
+    "loop and two failing ids": (
+        "vertex e genus=1 mult=3\nvertex d genus=0 mult=2\nvertex r genus=0 mult=1\n"
+        "edge e e\nedge e r\nedge d r\n",
+        "vertex d: neighbour multiplicities sum to 1, not a multiple of mult 2; not a valid fiber"),
+}
+
+
+@pytest.mark.parametrize("text, message", NON_INTEGRAL.values(), ids=NON_INTEGRAL)
+def test_non_integral_self_intersection_is_found_by_the_trace(text, message):
+    g = parse_graph(text)  # the parser takes it
+    for call in (lambda: compute_jumps(g), lambda: h1_character(g, 7),
+                 lambda: total_trace(g, 7)):
+        with pytest.raises(NonIntegralSelfIntersection) as info:
+            call()
+        assert str(info.value) == message
+        assert info.traceback[-1].name == "limit_trace"

@@ -6,19 +6,25 @@ import pickle
 import pytest
 
 from fibertrace import (
+    FiberGraph,
     FiberTypeId,
     JumpOptions,
     Singularity,
     compute_jumps,
     h1_character,
+    jh_expand,
     lookup,
+    mod_inverse,
     resolve,
     singularity_trace,
+    total_trace,
 )
-from fibertrace.errors import BadInput
+from fibertrace.errors import BadInput, ModulusMismatch, NotInvertible, UnknownType, int_text
 from fibertrace.exactalg import GroupRingElement
 
-GRAPH_COLUMNS = ("ids", "genera", "mults", "degrees", "heads", "tails", "_position")
+GRAPH_COLUMNS = (
+    "ids", "genera", "mults", "degrees", "neighbour_sums", "heads", "tails", "_position"
+)
 
 
 def records():
@@ -87,6 +93,80 @@ def test_bool_stays_an_int():
     assert Singularity(True, 2, 3) == (1, 2, 3)
     assert GroupRingElement(True, [(0, 1)]).terms == {0: 1}
     assert singularity_trace(Singularity(True, True, 3)) == singularity_trace(Singularity(1, 1, 3))
+
+
+HUGE = 10**5000  # past the 4,300-digit default limit of int-to-str conversion
+IV = lookup(FiberTypeId("kodaira", "IV"))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: Singularity(2, 3, 6 * HUGE), BadInput,
+                 "degree <5001-digit int> must be coprime to both multiplicities (2, 3)",
+                 id="singularity-degree-coprime"),
+    pytest.param(lambda: Singularity(HUGE, 3, 7), BadInput,
+                 "branch multiplicities (<5001-digit int>, 3) exceed MAX_MULTIPLICITY = 100000",
+                 id="singularity-multiplicity"),
+    pytest.param(lambda: Singularity(2, 3, 1 - HUGE), BadInput,
+                 "extension degree must be >= 2, got -<5000-digit int>",
+                 id="singularity-degree-low"),
+    pytest.param(lambda: FiberGraph(["a", "b"], [0, 0], [1, HUGE], [], []), BadInput,
+                 "vertex b: multiplicity <5001-digit int> exceeds MAX_MULTIPLICITY = 100000",
+                 id="graph-multiplicity"),
+    pytest.param(lambda: compute_jumps(FiberGraph(["a"], [HUGE], [1], [], [])), BadInput,
+                 "genus <5001-digit int> exceeds MAX_GENUS = 100000",
+                 id="genus"),
+    pytest.param(lambda: compute_jumps(IV, JumpOptions(sweeps=HUGE)), BadInput,
+                 "<5001-digit int> sweeps exceed MAX_SWEEPS = 1000",
+                 id="sweeps-high"),
+    pytest.param(lambda: compute_jumps(IV, JumpOptions(sweeps=-HUGE)), BadInput,
+                 "need at least one sweep, got -<5001-digit int>",
+                 id="sweeps-low"),
+    pytest.param(lambda: total_trace(IV, -HUGE), BadInput,
+                 "degree must be >= 2, got -<5001-digit int>",
+                 id="trace-degree-low"),
+    pytest.param(lambda: total_trace(IV, 3 * HUGE), BadInput,
+                 "degree <5001-digit int> must be coprime to the multiplicity lcm; "
+                 "they share the factor 3",
+                 id="trace-degree-coprime"),
+    pytest.param(lambda: GroupRingElement(-HUGE), BadInput,
+                 "group ring modulus must be >= 1, got -<5001-digit int>",
+                 id="group-ring-modulus"),
+    pytest.param(lambda: GroupRingElement(HUGE) + GroupRingElement(3), ModulusMismatch,
+                 "moduli differ: <5001-digit int> != 3",
+                 id="group-ring-moduli-differ"),
+    pytest.param(lambda: lookup(FiberTypeId("kodaira", "In", HUGE)), BadInput,
+                 "type In parameter <5001-digit int> exceeds MAX_PARAMETER = 10000",
+                 id="catalog-parameter"),
+    pytest.param(lambda: lookup(FiberTypeId("kodaira", "II", HUGE)), UnknownType,
+                 "unknown catalog id kodaira:II:<5001-digit int>; "
+                 "catalog-list names the built-in ones",
+                 id="catalog-unknown-id"),
+    pytest.param(lambda: lookup(FiberTypeId("kodaira:In", HUGE)), UnknownType,
+                 "the family and name of a catalog id must be strings",
+                 id="catalog-name-not-a-string"),
+    pytest.param(lambda: mod_inverse(2, -HUGE), BadInput,
+                 "modulus must be >= 2, got -<5001-digit int>",
+                 id="mod-inverse-modulus"),
+    pytest.param(lambda: mod_inverse(HUGE, HUGE + 2), NotInvertible,
+                 "<5001-digit int> is not invertible modulo <5001-digit int>",
+                 id="mod-inverse-not-invertible"),
+    pytest.param(lambda: jh_expand(HUGE, HUGE + 1), BadInput,
+                 "need 0 < r < n, got r=<5001-digit int>, n=<5001-digit int>",
+                 id="jh-expand-range"),
+])
+def test_a_huge_int_keeps_the_named_error(call, error, message):
+    # str() of such an int raises ValueError, which once replaced the error
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_int_text_counts_the_digits_past_the_limit():
+    assert [int_text(v) for v in (0, -7, True, 10**4299)] == ["0", "-7", "True", str(10**4299)]
+    for digits in (4301, 4302, 5000, 20000):
+        for value in (10 ** (digits - 1), 10**digits - 1, 7 * 10 ** (digits - 1) + 3):
+            assert int_text(value) == f"<{digits}-digit int>"
+            assert int_text(-value) == f"-<{digits}-digit int>"
 
 
 def test_records_unpack_and_compare_as_tuples():
