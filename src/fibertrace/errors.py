@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``int_text``, which
-every message that quotes an int goes through."""
+"""Exception types shared across the package, and ``int_text``, through
+which an error message quotes an int that may be past the int-to-str
+digit limit."""
 
 import math
 

@@ -105,7 +105,6 @@ class FiberGraph:
     _position: dict[str, int]  # id -> position
 
     def __init__(self, ids, genera, mults, heads, tails):
-        # the endpoints are looked up column by column, then walked once
         ids, genera, mults = tuple(ids), tuple(genera), tuple(mults)
         heads, tails = tuple(heads), tuple(tails)
         if not len(ids) == len(genera) == len(mults) or len(heads) != len(tails):
