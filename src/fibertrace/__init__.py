@@ -16,12 +16,13 @@ from .exactalg import CyclotomicNumber, GroupRingElement, cyclotomic_polynomial
 from .fiber import (
     CharacterMultiset,
     FiberGraph,
+    PrincipalType,
     Vertex,
     h1_character,
     parse_graph,
     total_trace,
 )
-from .jumps import JumpOptions, JumpSet, compute_jumps
+from .jumps import JumpOptions, JumpSet, compute_jumps, type_jumps
 from .resolution import (
     ResolutionData,
     Singularity,
@@ -44,6 +45,7 @@ __all__ = [
     "GroupRingElement",
     "JumpOptions",
     "JumpSet",
+    "PrincipalType",
     "ResolutionData",
     "Singularity",
     "Vertex",
@@ -63,4 +65,5 @@ __all__ = [
     "trace_closed_form",
     "trace_oracle",
     "trace_polynomial",
+    "type_jumps",
 ]

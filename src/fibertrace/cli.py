@@ -13,8 +13,8 @@ and every other spelling, and is imported only then.
 from __future__ import annotations
 
 import functools
+import math
 import sys
-from itertools import groupby
 from types import SimpleNamespace
 
 from .catalog import FiberTypeId, catalog_ids, lookup
@@ -190,8 +190,10 @@ def _run(args) -> int:
                                "degrees would be too long to print")
             print(f"n_tilde={js.n_tilde}")
             print(f"witnesses={','.join(map(str, js.witnesses))}")
-        for j, same in groupby(js.jumps):  # one write per class, however many copies
-            sys.stdout.write(f"jump {j.numerator}/{j.denominator}\n" * sum(1 for _ in same))
+        nt = js.n_tilde
+        for j, c in js.classes:  # one write per class, however many copies; 0/1 for class 0
+            d = math.gcd(j, nt)
+            sys.stdout.write(f"jump {j // d}/{nt // d}\n" * c)
     elif args.verb == "catalog-list":
         for cid in catalog_ids():
             print(cid)

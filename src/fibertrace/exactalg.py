@@ -67,16 +67,24 @@ class GroupRingElement:
     def __init__(self, n: int, pairs=()):
         """sum c * x^e over the (e, c) pairs: exponents are reduced mod n,
         the coefficients of equal exponents add up and zero sums are
-        dropped.  A dense sequence is passed as ``enumerate(coeffs)``."""
+        dropped.  A dense sequence is passed as ``enumerate(coeffs)``.  A
+        pair with a falsy coefficient is skipped; every other exponent and
+        coefficient must be an int (BadInput), checked once on the built
+        terms."""
         if not isinstance(n, int):  # bool, an int, stays accepted
             raise BadInput(f"group ring modulus must be an integer, got {n!r}")
         if n < 1:
             raise BadInput(f"group ring modulus must be >= 1, got {int_text(n)}")
         terms: dict[int, int] = {}
-        for e, c in pairs:
-            if c:
-                e %= n
-                terms[e] = terms.get(e, 0) + c
+        try:
+            for e, c in pairs:
+                if c:
+                    e %= n
+                    terms[e] = terms.get(e, 0) + c
+            # one pass over the built terms: ints, bool among them, sum to an int
+            operator.index(sum(terms.values(), sum(terms)))
+        except (TypeError, ArithmeticError) as exc:  # a float, str, Fraction or None among them
+            raise BadInput("group ring exponents and coefficients must be integers") from exc
         self.n = n
         self.terms = {e: c for e, c in terms.items() if c}
 

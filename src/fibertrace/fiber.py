@@ -3,25 +3,30 @@ fiber, with per-vertex genus and multiplicity, plus the trace read off it.
 
 By the Brauer-trace formula the total trace of the degree-n action on the
 fiber cohomology depends only on the graph and on n mod L, L the
-multiplicity lcm.  ``limit_trace`` builds it in Z[(1/L)Z/Z] at the degrees
-n = 1 (mod L) from each component's genus, multiplicity and neighbours'
-multiplicities, with no degree, no chain end and no resolution.  The
-``FiberGraph`` constructor's one walk over the edges, the one that checks
-connectivity, also counts each component's degree and sums its
-neighbours' multiplicities, so ``limit_trace`` walks the edges again only
-to count the ends at principal components, and not at all without one:
+multiplicity lcm.  It depends on the graph only through its principal
+type (``principal_type``), built once per graph from each component's
+genus, multiplicity and neighbours' multiplicities, with no degree, no
+chain end and no resolution, and held as ``FiberGraph.principal_type``.
+The ``FiberGraph`` constructor's one walk over the edges, the one that
+checks connectivity, also counts each component's degree and sums its
+neighbours' multiplicities, so the type's builder walks the edges again
+only to count the ends at principal components, and not at all without
+one:
 
 - a principal component (positive genus, or meeting the rest of the fiber
   in at least three points) adds W_v(k) = 1 - g_v - sum_{w ~ v}
-  ((-k m_w) mod m_v) / m_v on the classes k/m_v;
+  ((-k m_w) mod m_v) / m_v on the classes k/m_v, a function of each
+  m_w mod m_v;
 - any other component adds 1 on the classes of (1/d_v)Z/Z, d_v the gcd of
   m_v with any neighbour's multiplicity (m_v = 1 without one);
 - each edge adds -1 on the classes of (1/gcd(m_v, m_w))Z/Z.
 
 The gcd stays the same along a chain of non-principal components, so a
-chain costs nothing whatever its length.  ``total_trace`` sends each
-class j/L to x^(-floor(j n / L)) in Z[Z/n] at a degree n coprime to L, and
-``h1_character`` reads the character multiset on H^1 off that image.
+chain costs nothing whatever its length.  ``type_classes`` builds the
+trace of a type in Z[(1/L)Z/Z] at the degrees n = 1 (mod L), and
+``limit_trace`` is that of the graph's type.  ``total_trace`` sends each
+class j/L to x^(-floor(j n / L)) in Z[Z/n] at a degree n coprime to L,
+and ``h1_character`` reads the character multiset on H^1 off that image.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import re
 from collections import Counter
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import gt, itemgetter, mod, mul, sub
+from operator import gt, index, itemgetter, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -56,16 +61,17 @@ from .resolution import resolve  # noqa: F401  bench/test_smoke.py traces fiber.
 # six runs, on a 2-vCPU Xeon VM with Python 3.11.
 MAX_GRAPH_CHARS = 10**6
 
-# Most block terms limit_trace builds, counted before any is built: m per row
-# of principal multiplicity m and per distinct end pair (m, m_w) at it, plus d
-# per subgroup (1/d)Z/Z with a nonzero net count.  Chains cost nothing, so
-# jumps, character and trace-fiber meet the bound on the same fibers.  Near
-# it the slowest shape found, two meeting genus-0 curves of multiplicities
-# 93,749 and 93,747, each with two arms down to a reduced tail (749,985
-# terms, genus 93,747 over as many distinct classes), takes about 0.7 s in
-# compute_jumps, 1 s for the whole jumps process with its 93,747 lines, and
-# 0.4 s in character on a 2-vCPU Xeon VM.  Every catalog entry needs fewer
-# than 100 terms.
+# Most block terms type_classes builds, counted with the principal type and
+# compared on every call before any is built: m per row of principal
+# multiplicity m and per distinct end key m_w mod m at it, plus d per
+# subgroup (1/d)Z/Z with a nonzero net count.  Chains cost nothing, so jumps,
+# character and trace-fiber meet the bound on the same fibers.  Near it the
+# slowest shape found, two meeting genus-0 curves of multiplicities 93,749
+# and 93,747, each with two arms down to a reduced tail (749,985 terms,
+# genus 93,747 over as many distinct classes), takes 0.2-0.3 s in
+# compute_jumps, 0.35-0.5 s for the whole jumps process with its 93,747
+# lines, and 0.5-0.65 s for the whole character process on a 2-vCPU Xeon
+# VM with Python 3.11.  Every catalog entry needs fewer than 100 terms.
 MAX_BLOCK_TERMS = 750_000
 
 
@@ -116,6 +122,13 @@ class FiberGraph:
         if len(position) != len(ids):
             dup = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValidationError(f"duplicate vertex id(s): {', '.join(dup)}")
+        try:  # one pass: ints, bool among them, sum to an int, which index takes
+            index(sum(mults, sum(genera)))
+        except (TypeError, ArithmeticError):  # only to name the first offending vertex
+            for vid, genus, mult in zip(ids, genera, mults):
+                for name, value in (("genus", genus), ("multiplicity", mult)):
+                    if not isinstance(value, int):
+                        raise BadInput(f"vertex {vid}: {name} must be an integer, got {value!r}")
         if ids and (min(genera) < 0 or min(mults) < 1 or max(mults) > MAX_MULTIPLICITY):
             # only to name the first offending vertex
             for vid, genus, mult in zip(ids, genera, mults):
@@ -227,13 +240,21 @@ class FiberGraph:
             return tuple(sorted({*high, *compress(count(), self.genera)}))
         return tuple(high)
 
+    @cached_property
+    def principal_type(self) -> PrincipalType:
+        """The graph's ``PrincipalType``, built by ``principal_type`` on
+        first use; a graph that fails its checks holds none, and raises
+        again on the next use."""
+        return principal_type(self)
+
     def adjunction_genus(self) -> int:
         """The arithmetic genus by adjunction, 2g - 2 = sum_v m_v (2 g_v - 2
-        + deg v), in O(V + E); for a valid fiber it is the genus on H^1."""
+        + deg v), in O(V); for a valid fiber it is the genus on H^1."""
+        # sum_v m_v deg v is the sum of the neighbour sums, loops included;
         # (2 x + y) // 2 == x + y // 2, so the even part is halved exactly
-        mults = self.mults
-        return (sum(map(mul, mults, self.genera)) - sum(mults)
-                + sum(map(mul, mults, self.degrees)) // 2 + 1)
+        mults, genera = self.mults, self.genera
+        return ((sum(map(mul, mults, genera)) if any(genera) else 0) - sum(mults)
+                + sum(self.neighbour_sums) // 2 + 1)
 
 
 class CharacterMultiset(NamedTuple):
@@ -348,25 +369,36 @@ def _read_lines(text: str):
     return vertices, edges
 
 
-def limit_trace(g: FiberGraph) -> dict[int, int]:
-    """The total trace at every degree n = 1 (mod L) as an element of
-    Z[(1/L)Z/Z], L the multiplicity lcm: j -> c stands for c times the
-    class of j/L.  Only the components at ``g.principal`` have rows.
+class PrincipalType(NamedTuple):
+    """The data the limit trace, and so the jumps, depend on.  ``rows``
+    holds, for each principal multiplicity m ascending, (m, the sum of
+    1 - g_v over the principal components of multiplicity m, their ends as
+    (m_w mod m, count) pairs ascending); ``net`` the nonzero net counts
+    (d, c) of (1/d)Z/Z, d ascending; ``terms`` the number of block terms
+    ``type_classes`` builds from it.  Sorted, so fibers of one type give
+    equal values."""
+
+    rows: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+    net: tuple[tuple[int, int], ...]
+    terms: int
+
+
+def principal_type(g: FiberGraph) -> PrincipalType:
+    """The principal type of a fiber graph, held once built as
+    ``FiberGraph.principal_type``.
 
     Each vertex's ``neighbour_sums`` entry must be a multiple of its own
     multiplicity (a non-integral self-intersection names the smallest
     failing id).  A walk over the edges, skipped when no component is
     principal, counts the ends at principal components by their
-    neighbour's multiplicity.  Each edge's
-    -(1/gcd)Z/Z is split in halves between its ends, so a component on a
-    chain nets to zero, a non-principal one of degree d < 2 to (2 - d)/2
-    times (1/m_v)Z/Z, and each end at a principal component to -1/2 times
-    (1/gcd(m_v, m_w))Z/Z.  The principal components of one multiplicity m
-    share one row over the classes k/m: the sum of their 1 - g_v, less
-    the sum over their ends of ((-k m_w) mod m), divided by m once, which
-    integrality makes exact.  The work, m per row and per distinct pair
-    (m, m_w), plus d per d with a nonzero net count, is bounded by
-    MAX_BLOCK_TERMS before any term is built."""
+    neighbour's multiplicity.  Each edge's -(1/gcd)Z/Z is split in halves
+    between its ends, so a component on a chain nets to zero, a
+    non-principal one of degree d < 2 to (2 - d)/2 times (1/m_v)Z/Z, and
+    each end at a principal component to -1/2 times
+    (1/gcd(m_v, m_w))Z/Z.  An end's term (-k m_w) mod m_v and its gcd
+    depend on m_w only through m_w mod m_v, which keys it.  The work of
+    the classes, m per row and per distinct end key, plus d per net count,
+    is counted here and bounded by ``type_classes``."""
     mults, genera = g.mults, g.genera
     if any(map(mod, g.neighbour_sums, mults)):
         vid, total, m = min(row for row in zip(g.ids, g.neighbour_sums, mults) if row[1] % row[2])
@@ -393,31 +425,55 @@ def limit_trace(g: FiberGraph) -> dict[int, int]:
                 counts[a] = counts.get(a, 0) + 1
     degrees = g.degrees
     halves: dict[int, int] = {}  # d -> twice the net count of (1/d)Z/Z
-    for i in [i for i, d in enumerate(degrees) if d < 2 and ends[i] is None]:
-        halves[mults[i]] = halves.get(mults[i], 0) + 2 - degrees[i]
-    for m, counts in rows.items():
-        for w, c in counts.items():
-            d = math.gcd(m, w)
+    for i in compress(count(), map(gt, repeat(2), degrees)):  # degree < 2
+        if ends[i] is None:
+            halves[mults[i]] = halves.get(mults[i], 0) + 2 - degrees[i]
+    typed = []
+    for m in sorted(rows):
+        keyed: dict[int, int] = {}  # m_w mod m -> ends
+        for w, c in rows[m].items():
+            keyed[w % m] = keyed.get(w % m, 0) + c
+        for r, c in keyed.items():
+            d = math.gcd(m, r)
             halves[d] = halves.get(d, 0) - c
-    net = {d: h // 2 for d, h in halves.items() if h}
-    terms = sum(m * (len(counts) + 1) for m, counts in rows.items()) + sum(net)
-    if terms > MAX_BLOCK_TERMS:
+        typed.append((m, constants[m], tuple(sorted(keyed.items()))))
+    net = tuple(sorted((d, h // 2) for d, h in halves.items() if h))
+    terms = sum(m * (len(keyed) + 1) for m, _, keyed in typed) + sum(d for d, _ in net)
+    return PrincipalType(tuple(typed), net, terms)
+
+
+def type_classes(t: PrincipalType, lcm: int) -> dict[int, int]:
+    """The limit trace of a fiber of principal type t as an element of
+    Z[(1/lcm)Z/Z], lcm a multiple of every m and d in t: j -> c stands for
+    c times the class of j/lcm.  The principal components of one
+    multiplicity m share one row over the classes k/m: the sum of their
+    1 - g_v, less the sum over their ends of ((-k m_w) mod m), divided by
+    m once, which integrality makes exact.  ``t.terms`` is compared with
+    MAX_BLOCK_TERMS on every call, before any term is built."""
+    if t.terms > MAX_BLOCK_TERMS:
         raise BadInput(
-            f"the trace would build {terms} block terms, more than "
+            f"the trace would build {t.terms} block terms, more than "
             f"MAX_BLOCK_TERMS = {MAX_BLOCK_TERMS}"
         )
-    lcm = g.mult_lcm
     acc: dict[int, int] = {}
-    for m, counts in rows.items():
-        row = [m * constants[m]] * m  # m times each class k/m
-        for w, c in counts.items():
-            row = list(map(sub, row, [c * (-k * w % m) for k in range(m)]))
+    for m, constant, ends in t.rows:
+        row = [m * constant] * m  # m times each class k/m
+        for r, c in ends:
+            row = list(map(sub, row, [c * (-k * r % m) for k in range(m)]))
         for j, value in zip(range(0, lcm, lcm // m), row):
             acc[j] = acc.get(j, 0) + value // m
-    for d, c in net.items():
+    for d, c in t.net:
         for j in range(0, lcm, lcm // d):
             acc[j] = acc.get(j, 0) + c
     return acc
+
+
+def limit_trace(g: FiberGraph) -> dict[int, int]:
+    """The total trace at every degree n = 1 (mod L) as an element of
+    Z[(1/L)Z/Z], L the multiplicity lcm: j -> c stands for c times the
+    class of j/L.  It is ``type_classes`` of the graph's principal type,
+    which is built on the first call and held by the graph."""
+    return type_classes(g.principal_type, g.mult_lcm)
 
 
 def total_trace(g: FiberGraph, n: int) -> GroupRingElement:

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibertrace import cli, fiber, resolution, singtrace
 from fibertrace.arith import mod_inverse
@@ -18,12 +19,16 @@ from fibertrace.errors import (
 from fibertrace.exactalg import GroupRingElement
 from fibertrace.fiber import (
     FiberGraph,
+    PrincipalType,
     character_terms,
     h1_character,
+    limit_trace,
     parse_graph,
+    principal_type,
     total_trace,
+    type_classes,
 )
-from fibertrace.jumps import JumpOptions, compute_jumps
+from fibertrace.jumps import JumpOptions, compute_jumps, type_jumps
 from fibertrace.resolution import Singularity, resolve
 from fibertrace.singtrace import trace_polynomial
 from reference import at_degree, per_edge_trace, rational_trace, self_intersections, vertex_term
@@ -737,3 +742,139 @@ def test_integrality_does_not_depend_on_the_degree():
         raised += bool(failing)
         several += len(failing) > 1
     assert 50 < raised < 250 and several > 50, (raised, several)
+
+
+# the principal type of every catalog id: (rows, net, terms), each row
+# (m, sum of 1 - g_v, ((m_w mod m, ends), ...)) and each net count (d, c)
+PRINCIPAL_TYPES = {
+    "kodaira:I": (((1, 0, ()),), (), 1),
+    "kodaira:I*": (((2, 1, ((1, 4),)),), (), 4),
+    "kodaira:II": (((6, 1, ((1, 1), (2, 1), (3, 1))),), (), 24),
+    "kodaira:II*": (((6, 1, ((3, 1), (4, 1), (5, 1))),), (), 24),
+    "kodaira:III": (((4, 1, ((1, 2), (2, 1))),), (), 12),
+    "kodaira:III*": (((4, 1, ((2, 1), (3, 2))),), (), 12),
+    "kodaira:IV": (((3, 1, ((1, 3),)),), (), 6),
+    "kodaira:IV*": (((3, 1, ((2, 3),)),), (), 6),
+    "kodaira:In:0": (((1, 0, ()),), (), 1),
+    "kodaira:In:1": ((), (), 0),
+    "kodaira:In:2": ((), (), 0),
+    "kodaira:In:3": ((), (), 0),
+    "kodaira:In:4": ((), (), 0),
+    "kodaira:In*:0": (((2, 1, ((1, 4),)),), (), 4),
+    "kodaira:In*:1": (((2, 2, ((0, 2), (1, 4))),), ((2, -1),), 8),
+    "kodaira:In*:2": (((2, 2, ((0, 2), (1, 4))),), ((2, -1),), 8),
+    "kodaira:In*:3": (((2, 2, ((0, 2), (1, 4))),), ((2, -1),), 8),
+    "kodaira:In*:4": (((2, 2, ((0, 2), (1, 4))),), ((2, -1),), 8),
+    "ogg:4": (((4, 1, ((1, 1), (2, 2), (3, 1))),), (), 16),
+}
+
+
+def blow_up_points(g: FiberGraph, picks) -> FiberGraph:
+    """Blow up the intersection points named by ``picks``, each taken mod
+    the current edge count: the edge between components of multiplicities
+    a and b becomes a genus-0 component of multiplicity a + b between
+    them."""
+    vertices = [(v.id, v.genus, v.mult) for v in g.vertices]
+    mult = {v.id: v.mult for v in g.vertices}
+    edges = list(g.edges)
+    for step, pick in enumerate(picks if edges else ()):
+        a, b = edges.pop(pick % len(edges))
+        new = f"p{step}"
+        mult[new] = mult[a] + mult[b]
+        vertices.append((new, 0, mult[new]))
+        edges += [(a, new), (new, b)]
+    return FiberGraph.build(vertices, edges)
+
+
+def classes_at(t: PrincipalType, lcm: int) -> dict:
+    """The classes of a type built at its own lcm, the lcm of its row and
+    net multiplicities, and moved to Z[(1/lcm)Z/Z]."""
+    own = math.lcm(*[m for m, _, _ in t.rows], *[d for d, _ in t.net])
+    return {j * (lcm // own): c for j, c in type_classes(t, own).items()}
+
+
+class TestPrincipalType:
+    def test_catalog(self):
+        assert set(PRINCIPAL_TYPES) == set(CATALOG)
+        for cid, want in PRINCIPAL_TYPES.items():
+            g = lookup(FiberTypeId.parse(cid))
+            assert g.principal_type == PrincipalType(*want) == principal_type(g), cid
+            assert g.principal_type is g.principal_type
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(CATALOG), st.lists(st.integers(0, 10**6), max_size=6),
+           st.randoms(use_true_random=False))
+    def test_point_blow_ups_keep_the_type(self, cid, picks, rng):
+        # each end at a principal component of multiplicity m moves from
+        # m_w to m + m_w, the same mod m, and the new component is on a chain
+        g = lookup(FiberTypeId.parse(cid))
+        blown, _ = relabel(blow_up_points(g, picks), rng)
+        assert blown.principal_type == g.principal_type, (cid, picks)
+        assert compute_jumps(blown).classes == compute_jumps(g).classes
+
+    def test_classes_and_jumps_of_the_type(self):
+        # the type alone gives the limit trace and the jumps of its graph
+        rng = random.Random(32)
+        graphs = [star_fiber(rng) for _ in range(80)]
+        graphs += [blow_up(lookup(FiberTypeId.parse(rng.choice(CATALOG))), rng, rng.randint(1, 5))
+                   for _ in range(80)]
+        compared = 0
+        for g in graphs:
+            try:
+                t = g.principal_type
+            except NonIntegralSelfIntersection:
+                continue
+            want = rational_trace(g, g.mult_lcm + 1)  # nonzero terms, at n = 1 (mod L)
+            for got in (limit_trace(g), classes_at(t, g.mult_lcm)):
+                assert {j: c for j, c in got.items() if c} == want, g
+            try:
+                js = compute_jumps(g)
+            except NegativeCharacterCoefficient:
+                continue
+            assert type_jumps(t) == js.classes, g
+            compared += 1
+        assert compared > 120, compared
+
+    def test_built_once_per_graph(self, monkeypatch):
+        built = []
+
+        def counting(g):
+            built.append(g)
+            return principal_type(g)
+
+        monkeypatch.setattr(fiber, "principal_type", counting)
+        g = parse_graph(OGG_4)
+        for _ in range(3):
+            compute_jumps(g)
+            for n in (5, 7, 1009):
+                h1_character(g, n)
+                total_trace(g, n)
+        assert built == [g]
+
+    def test_an_error_is_not_held(self, monkeypatch):
+        built = []
+
+        def counting(g):
+            built.append(g)
+            return principal_type(g)
+
+        monkeypatch.setattr(fiber, "principal_type", counting)
+        g = parse_graph("vertex a genus=0 mult=1\nvertex b genus=0 mult=3\nvertex c genus=0 mult=1\n"
+                        "edge a b\nedge b c\n")
+        for call in (compute_jumps, lambda g: h1_character(g, 7), lambda g: total_trace(g, 7)):
+            with pytest.raises(NonIntegralSelfIntersection, match="^vertex b: "):
+                call(g)
+        assert len(built) == 3
+
+    def test_block_term_bound_read_on_every_call(self, monkeypatch):
+        # the term count is held with the type and compared on every call
+        g = parse_graph(OGG_4)
+        compute_jumps(g)
+        assert "principal_type" in vars(g) and g.principal_type.terms == 16
+        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 15)
+        for call in (compute_jumps, lambda g: h1_character(g, 5), lambda g: total_trace(g, 1009),
+                     lambda g: type_jumps(g.principal_type)):
+            with pytest.raises(BadInput, match="build 16 block terms, more than MAX_BLOCK_TERMS = 15$"):
+                call(g)
+        monkeypatch.setattr(fiber, "MAX_BLOCK_TERMS", 16)
+        assert compute_jumps(g).jumps == (Fraction(1, 4), Fraction(3, 4))

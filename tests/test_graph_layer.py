@@ -543,4 +543,4 @@ def test_non_integral_self_intersection_is_found_by_the_trace(text, message):
         with pytest.raises(NonIntegralSelfIntersection) as info:
             call()
         assert str(info.value) == message
-        assert info.traceback[-1].name == "limit_trace"
+        assert info.traceback[-1].name == "principal_type"

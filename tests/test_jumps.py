@@ -18,6 +18,7 @@ from fibertrace.errors import (
 )
 from fibertrace.fiber import (
     FiberGraph,
+    PrincipalType,
     h1_character,
     limit_trace,
     parse_graph,
@@ -55,6 +56,14 @@ def reference_round(char, nt):
     return tuple(sorted(rounded))
 
 
+def jump_set(jumps, nt, witnesses):
+    """The JumpSet of a multiset of Fraction jumps, each of denominator
+    dividing nt."""
+    assert all(nt % j.denominator == 0 for j in jumps), (jumps, nt)
+    classes = Counter(j.numerator * (nt // j.denominator) for j in jumps)
+    return JumpSet(tuple(sorted(classes.items())), nt, tuple(witnesses))
+
+
 def principal_mult_lcm(g):
     """n_tilde from the principal components themselves: the lcm of their
     multiplicities, 1 when there is none."""
@@ -78,7 +87,7 @@ def sweep_oracle(g, degrees):
     rounded = {reference_round(h1_character(g, n), nt) for n in degrees}
     if len(rounded) != 1:
         raise AssertionError(f"sweeps at degrees {degrees} disagree: {rounded}")
-    return JumpSet(jumps=rounded.pop(), n_tilde=nt, witnesses=tuple(degrees))
+    return jump_set(rounded.pop(), nt, degrees)
 
 
 def agrees_in_class(g, options, residue):
@@ -180,11 +189,12 @@ class TestComputeJumps:
     def test_genus_bound_before_any_block(self, monkeypatch):
         # the adjunction formula gives the genus from the graph alone: a
         # multiplicity-4 curve meeting a reduced one 4 times has genus 6
-        def refuse(graph):
-            raise AssertionError("limit_trace ran before the genus check")
+        def refuse(*args):
+            raise AssertionError("the principal type was read before the genus check")
 
         monkeypatch.setattr(jumps, "MAX_GENUS", 5)
-        monkeypatch.setattr(jumps, "limit_trace", refuse)
+        monkeypatch.setattr(fiber, "principal_type", refuse)
+        monkeypatch.setattr(jumps, "type_classes", refuse)
         g = FiberGraph.build([("a", 0, 4), ("b", 0, 1)], [("a", "b")] * 4)
         assert g.adjunction_genus() == 6
         with pytest.raises(BadInput, match="genus 6 exceeds MAX_GENUS = 5"):
@@ -265,24 +275,30 @@ class TestComputeJumps:
 
     def test_one_fraction_per_class(self, monkeypatch):
         # a sextic curve with 5000 tails each of multiplicities 1, 2 and 3:
-        # genus 29,995 over five classes, so five Fractions, not one per jump
+        # genus 29,995 over five classes; compute_jumps builds no Fraction,
+        # and reading the jumps five, not one per jump
         made = []
+        new = Fraction.__new__
 
-        def counting(*args):
+        def counting(cls, *args, **kwargs):
             made.append(args)
-            return Fraction(*args)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(jumps, "Fraction", counting)
         k = 5000
         g = FiberGraph.build([("c", 0, 6)] + [(f"t{m}.{i}", 0, m) for i in range(k) for m in (1, 2, 3)],
                              [("c", f"t{m}.{i}") for i in range(k) for m in (1, 2, 3)])
-        js = compute_jumps(g)
-        assert len(js.jumps) == g.adjunction_genus() == 29995
-        assert Counter(js.jumps) == {Fraction(1, 6): 9999, Fraction(1, 3): 4999,
-                                     Fraction(1, 2): 4999, Fraction(2, 3): 4999,
-                                     Fraction(5, 6): 4999}
-        assert len(made) <= len(set(js.jumps)) == 5
-        assert list(js.jumps) == sorted(js.jumps)
+        with monkeypatch.context() as patched:
+            patched.setattr(Fraction, "__new__", counting)
+            js = compute_jumps(g)
+            assert made == []
+            listed = js.jumps
+            assert len(made) == 5
+        assert js.classes == ((1, 9999), (2, 4999), (3, 4999), (4, 4999), (5, 4999))
+        assert len(listed) == g.adjunction_genus() == 29995
+        assert Counter(listed) == {Fraction(1, 6): 9999, Fraction(1, 3): 4999,
+                                   Fraction(1, 2): 4999, Fraction(2, 3): 4999,
+                                   Fraction(5, 6): 4999}
+        assert list(listed) == sorted(listed)
 
     def test_genus_zero_graph_has_no_jumps(self):
         g = FiberGraph.build([("a", 0, 1), ("b", 0, 1)], [("a", "b")])
@@ -291,17 +307,21 @@ class TestComputeJumps:
     def test_unit_denominator_enforced(self, monkeypatch):
         # a node of an I2 blown up: a mult-2 vertex of valence 2, so L = 2 but
         # n_tilde = 1; every valid fiber then has its jumps at 0, so force a
-        # limit character at 1/2 through limit_trace to prove the guard fires
+        # limit character at 1/2 through a principal type with no row and a
+        # net count of -1 at (1/2)Z/Z to prove the guard fires
         g = FiberGraph.build([("a", 0, 1), ("b", 0, 1), ("e", 0, 2)],
                              [("a", "b"), ("a", "e"), ("e", "b")])
         assert (compute_jumps(g).n_tilde, g.mult_lcm) == (1, 2)
         assert compute_jumps(g).jumps == (Fraction(0),)
-        monkeypatch.setattr(jumps, "limit_trace", lambda graph: {0: 1, 1: -1})
-        with pytest.raises(BadJumpDenominator, match=r"jump 1/2 .* n_tilde = 1"):
+        forced = PrincipalType(rows=(), net=((2, -1),), terms=2)
+        with pytest.raises(BadJumpDenominator, match=r"^jump 1/2 .* n_tilde = 1; "):
+            jumps.type_jumps(forced)
+        monkeypatch.setattr(FiberGraph, "principal_type", property(lambda graph: forced))
+        with pytest.raises(BadJumpDenominator, match=r"^jump 1/2 .* n_tilde = 1; "):
             compute_jumps(g)
 
     def test_negative_limit_character_rejected(self, monkeypatch):
-        monkeypatch.setattr(jumps, "limit_trace", lambda graph: {0: 1, 1: 2})
+        monkeypatch.setattr(jumps, "type_classes", lambda t, lcm: {0: 1, 1: 2})
         with pytest.raises(NegativeCharacterCoefficient, match=r"\[\(1, -2\)\]"):
             compute_jumps(cat("kodaira:IV"))
 
@@ -369,7 +389,7 @@ def galois_closed(js: JumpSet) -> bool:
 class TestGaloisClosure:
     def test_checker(self):
         def fifths(*ks):
-            return JumpSet(tuple(Fraction(k, 5) for k in ks), 5, (11,))
+            return jump_set([Fraction(k, 5) for k in ks], 5, (11,))
 
         # 1/5 and 2/5 are closed only together with 4/5 and 3/5
         assert not galois_closed(fifths(1)) and not galois_closed(fifths(1, 4))

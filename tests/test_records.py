@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -32,11 +34,11 @@ def records():
     g = lookup(FiberTypeId.parse("ogg:4"))
     return [Singularity(3, 4, 13), resolve(Singularity(3, 4, 13)),
             FiberTypeId.parse("kodaira:In:3"), JumpOptions(), compute_jumps(g),
-            h1_character(g, 13), g]
+            h1_character(g, 13), g, g.principal_type]
 
 
-def test_seven_record_classes():
-    assert len({type(r) for r in records()}) == 7
+def test_eight_record_classes():
+    assert len({type(r) for r in records()}) == 8
 
 
 @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
@@ -88,10 +90,36 @@ def test_group_ring_refuses_a_modulus_that_is_not_an_int():
         GroupRingElement("5")
 
 
+@pytest.mark.parametrize("columns, message", [
+    ((["a", "b"], [0, 0], [1, 2.0], ["a"], ["b"]), "vertex b: multiplicity must be an integer, got 2.0"),
+    ((["a"], [0.5], [1], [], []), "vertex a: genus must be an integer, got 0.5"),
+    ((["a", "b"], [0, "1"], [1, 1], ["a"], ["b"]), "vertex b: genus must be an integer, got '1'"),
+    ((["a", "b"], [0, 0], [1, Fraction(2)], ["a"], ["b"]),
+     "vertex b: multiplicity must be an integer, got Fraction(2, 1)"),
+])
+def test_graph_refuses_genera_and_mults_that_are_not_ints(columns, message):
+    # both once built, and the trace then ended in a raw TypeError
+    with pytest.raises(BadInput, match=f"^{re.escape(message)}$"):
+        FiberGraph(*columns)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(1.5, 1), (2, 0.5)], [(1, 0.5)], [(Fraction(1, 2), 1)], [(1, "a")], [("a", 1)],
+    [(1, 0.5), (1, -0.5)], [(None, 1)],
+])
+def test_group_ring_refuses_terms_that_are_not_ints(pairs):
+    # the built terms are checked, so two float halves that cancel are too
+    with pytest.raises(BadInput, match="^group ring exponents and coefficients must be integers$"):
+        GroupRingElement(5, pairs)
+
+
 def test_bool_stays_an_int():
     # as in catalog.lookup and the sweep options, bool is an int
     assert Singularity(True, 2, 3) == (1, 2, 3)
     assert GroupRingElement(True, [(0, 1)]).terms == {0: 1}
+    assert GroupRingElement(5, [(True, True), (6, 1)]).terms == {1: 2}
+    g = FiberGraph(["a", "b"], [False, True], [True, 1], ["a"], ["b"])
+    assert g.adjunction_genus() == 1 and compute_jumps(g).jumps == (0,)
     assert singularity_trace(Singularity(True, True, 3)) == singularity_trace(Singularity(1, 1, 3))
 
 

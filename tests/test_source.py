@@ -91,12 +91,33 @@ def test_plain_cli_call_does_not_import_argparse():
     assert done.stdout.endswith("\n0 True\n")
 
 
+def test_plain_jumps_call_imports_no_fractions():
+    # the jump set holds (class, multiplicity) pairs and the CLI prints them
+    # as p/q, so fractions, and decimal with it, is imported only when
+    # JumpSet.jumps is read
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)}
+    probe = ("import sys, fibertrace.cli; code = fibertrace.cli.main({}); "
+             "print(code, sorted({{'fractions', 'decimal'}} & set(sys.modules)))")
+    argv = ["jumps", "--catalog", "kodaira:IV", "--machine"]
+    done = subprocess.run([sys.executable, "-S", "-c", probe.format(argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "jump 1/3\n0 []\n", "")
+    probe = ("import sys, fibertrace; js = fibertrace.compute_jumps(fibertrace.lookup("
+             "fibertrace.FiberTypeId.parse('kodaira:IV'))); before = 'fractions' in sys.modules; "
+             "print(before, js.jumps, 'fractions' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "False (Fraction(1, 3),) True\n", "")
+
+
 def test_oracles_stay_independent_of_the_closed_form():
     # the node sum and the cyclotomic oracle arbitrate the closed form, and
     # A'Campo's spectrum the jumps, so none may reach the chain ends, the
     # block arithmetic or either fiber trace
     closed_form = {"chain_ends", "edge_blocks", "block_sum", "at_degree", "singularity_trace",
-                   "rational_trace", "limit_trace", "total_trace"}
+                   "rational_trace", "limit_trace", "total_trace", "principal_type",
+                   "type_classes", "type_jumps"}
     oracles = {"trace_polynomial", "trace_oracle", "packed_inverse_numerators",
                "acampo_spectrum", "per_node_oracle"}
     found = {}
