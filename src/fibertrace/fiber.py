@@ -438,7 +438,7 @@ def principal_type(g: FiberGraph) -> PrincipalType:
             halves[d] = halves.get(d, 0) - c
         typed.append((m, constants[m], tuple(sorted(keyed.items()))))
     net = tuple(sorted((d, h // 2) for d, h in halves.items() if h))
-    terms = sum(m * (len(keyed) + 1) for m, _, keyed in typed) + sum(d for d, _ in net)
+    terms = sum(m * (len(pairs) + 1) for m, _, pairs in typed) + sum(d for d, _ in net)
     return PrincipalType(tuple(typed), net, terms)
 
 
